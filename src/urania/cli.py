@@ -45,7 +45,7 @@ from .kepler import (
     time_since_aphelion,
 )
 from .opcount import OpCounter, counted_direct, measure_compile_ops
-from .tableio import read_table, table_filename, write_table
+from .tableio import double_planets, read_table, table_filename, table_paths, write_table
 from .tables import build_double_entry, build_planet_table, calculation_census
 
 __all__ = ["main"]
@@ -277,13 +277,11 @@ def cmd_compare(args) -> int:
 
 def cmd_bench(args) -> int:
     dataset = _dataset(args)
-    tables = load_tables(_table_dir(args))
-    if args.planet:
-        planets = list(dict.fromkeys(args.planet))
-        for name in planets:
-            tables.double_for(name)
-    else:
-        planets = sorted(tables.double.keys())
+    table_dir = _table_dir(args)
+    tables = load_tables(table_dir)
+    planets = list(dict.fromkeys(args.planet)) if args.planet else double_planets(table_dir)
+    for name in planets:
+        tables.double_for(name)
     if not planets:
         raise TableNotFoundError(
             "no double-entry tables loaded; run 'urania gen --all --double 64x64'"
@@ -478,9 +476,8 @@ def _check_serialization(tables: TableSet) -> None:
         for table in list(tables.single.values()) + list(tables.double.values()):
             path = Path(tmp) / table_filename(table)
             write_table(table, path)
-            again = read_table(path)
-            if type(again) is not type(table):
-                raise AssertionError("round trip changed table kind")
+            if read_table(path) != table:
+                raise AssertionError(f"round trip altered {table_filename(table)}")
 
 
 def cmd_validate(args) -> int:
@@ -515,10 +512,12 @@ def cmd_validate(args) -> int:
     checks.append(("zero-transcendental-sweep", lambda: _check_zero_transcendental(ts, planet, earth)))
     checks.append(("serialization-round-trip", lambda: _check_serialization(ts)))
 
-    table_dir = _table_dir(args)
-    if table_dir.is_dir() and any(table_dir.glob("*.tbl")):
+    table_files = table_paths(_table_dir(args))
+    if table_files:
         def table_files_check():
-            loaded = load_tables(table_dir)
+            loaded = TableSet()
+            for path in table_files:
+                loaded.add(read_table(path))
             _check_knot_exactness(loaded)
         checks.append(("table-files", table_files_check))
 

@@ -13,7 +13,7 @@ from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition
 from .kepler import OrbitalElements
 from .opcount import OpCounter, counted_direct
-from .tableio import read_table
+from .tableio import read_named_table
 from .tables import DoubleEntryTable, PlanetTable
 
 __all__ = [
@@ -29,47 +29,74 @@ __all__ = [
 
 
 class TableSet:
-    """Compiled tables loaded for querying, keyed by body name."""
+    """Compiled tables for querying, keyed by body name.
 
-    def __init__(self):
+    ``single`` and ``double`` hold the tables loaded so far. A set bound to a
+    directory (see ``load_tables``) reads a table on its first use: only
+    ``<planet>.earth.double.tbl`` for a geocentric query, and
+    ``<name>.single.tbl`` for a heliocentric one. A file whose header does
+    not match its file name is rejected with TableParseError. A set made
+    with no directory holds only what ``add`` puts in, one table per key.
+    """
+
+    def __init__(self, directory=None):
+        self.directory = directory
         self.single: dict[str, PlanetTable] = {}
         self.double: dict[str, DoubleEntryTable] = {}
 
     def add(self, table) -> None:
         if isinstance(table, PlanetTable):
-            self.single[table.elements.name] = table
+            held, key = self.single, table.elements.name
         elif isinstance(table, DoubleEntryTable):
-            self.double[table.planet.name] = table
+            held, key = self.double, table.planet.name
         else:
             raise TypeError(f"cannot hold {type(table).__name__}")
+        if key in held:
+            raise DomainError(f"a {type(table).__name__} for {key!r} is already held")
+        held[key] = table
+
+    def _read(self, kind: str, name: str, missing: str):
+        table = None
+        if self.directory is not None:
+            table = read_named_table(self.directory, kind, name)
+        if table is None:
+            raise TableNotFoundError(missing)
+        self.add(table)
+        return table
 
     def single_for(self, name: str) -> PlanetTable:
         try:
             return self.single[name]
         except KeyError:
-            raise TableNotFoundError(
-                f"no single-entry table loaded for {name!r}; run 'urania gen'"
-            ) from None
+            pass
+        return self._read(
+            "single", name, f"no single-entry table loaded for {name!r}; run 'urania gen'"
+        )
 
     def double_for(self, planet: str) -> DoubleEntryTable:
         try:
             return self.double[planet]
         except KeyError:
-            raise TableNotFoundError(
-                f"no double-entry table loaded for the pair {planet}*earth; "
-                "run 'urania gen --double'"
-            ) from None
+            pass
+        return self._read(
+            "double",
+            planet,
+            f"no double-entry table loaded for the pair {planet}*earth; "
+            "run 'urania gen --double'",
+        )
 
 
 def load_tables(directory) -> TableSet:
-    """Read every ``*.tbl`` file under ``directory`` into a TableSet."""
+    """A TableSet bound to the table directory ``directory``.
+
+    Nothing is parsed here: each table file is read on the first query that
+    needs it, so a geocentric table query parses one file. ``urania
+    validate`` still parses every ``*.tbl`` file in the directory.
+    """
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"table directory {root} does not exist")
-    tables = TableSet()
-    for path in sorted(root.glob("*.tbl")):
-        tables.add(read_table(path))
-    return tables
+    return TableSet(root)
 
 
 def _locate(c: OpCounter, x: float, dx: float, n: int):
@@ -207,6 +234,8 @@ def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounte
 
 def phase_days(c: OpCounter, jd: float, t_aph: float, period: float) -> float:
     """Time since the last aphelion passage, in [0, period), by plain arithmetic."""
+    if not math.isfinite(jd):
+        raise DomainError(f"jd must be finite, got {jd!r}")
     dt = c.sub(jd, t_aph)
     k = math.floor(c.div(dt, period))
     u = c.sub(dt, c.mul(k, period))

@@ -15,7 +15,15 @@ from .errors import TableParseError, TableVersionError
 from .kepler import CorrectionTerm, OrbitalElements, validate_elements
 from .tables import DoubleEntryTable, PlanetTable, TableRow, row_count
 
-__all__ = ["FORMAT_VERSION", "write_table", "read_table", "table_filename"]
+__all__ = [
+    "FORMAT_VERSION",
+    "write_table",
+    "read_table",
+    "read_named_table",
+    "table_filename",
+    "table_paths",
+    "double_planets",
+]
 
 FORMAT_VERSION = 1
 _MAGIC_RE = re.compile(r"^# urania-table v(\d+)\s*$")
@@ -41,11 +49,50 @@ def _corrections_header(el: OrbitalElements, key: str = "corrections") -> str | 
     return " ".join(parts)
 
 
+def _filename(kind: str, name: str, earth: str = "earth") -> str:
+    if kind == "single":
+        return f"{name}.single.tbl"
+    return f"{name}.{earth}.double.tbl"
+
+
 def table_filename(table) -> str:
     """Canonical file name for a compiled table."""
     if isinstance(table, PlanetTable):
-        return f"{table.elements.name}.single.tbl"
-    return f"{table.planet.name}.{table.earth.name}.double.tbl"
+        return _filename("single", table.elements.name)
+    return _filename("double", table.planet.name, table.earth.name)
+
+
+def table_paths(directory) -> list[Path]:
+    """Every table file in ``directory``, sorted; empty if it does not exist."""
+    return sorted(Path(directory).glob("*.tbl"))
+
+
+def double_planets(directory) -> list[str]:
+    """Planets whose double-entry table against the Earth is in ``directory``, sorted."""
+    suffix = _filename("double", "")
+    return sorted(p.name[: -len(suffix)] for p in Path(directory).glob("*" + suffix))
+
+
+def read_named_table(directory, kind: str, name: str):
+    """Read the ``kind`` ("single" or "double") table of body ``name`` from
+    ``directory``: ``<name>.single.tbl`` or ``<name>.earth.double.tbl``.
+
+    Returns None when the directory holds no such file. A file whose header
+    describes another table (another body, another Earth or the other kind)
+    raises TableParseError, so a renamed file is never answered under the
+    name it was asked for.
+    """
+    root = Path(directory)
+    path = root / _filename(kind, name)
+    # a name holding a path separator names no file of this directory
+    if path.parent != root or not path.is_file():
+        return None
+    table = read_table(path)
+    if table_filename(table) != path.name:
+        raise TableParseError(
+            f"header describes the table {table_filename(table)!r}, not this file's", path=path
+        )
+    return table
 
 
 def write_table(table, destination) -> None:

@@ -64,10 +64,6 @@ class PlanetTable:
     step: float
     rows: list[TableRow]
 
-    @property
-    def elements_id(self) -> str:
-        return f"{self.elements.name} T_aph={self.elements.T_aph!r}"
-
 
 @dataclass
 class DoubleEntryTable:
@@ -83,14 +79,6 @@ class DoubleEntryTable:
     n_u: int
     n_v: int
     cells: list[list[tuple[float, float, float]]] = field(repr=False)
-
-    @property
-    def planet_id(self) -> str:
-        return self.planet.name
-
-    @property
-    def earth_id(self) -> str:
-        return self.earth.name
 
 
 def row_count(P: float, step: float) -> int:

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from urania import calculation_census, geocentric_at
+from urania import DoubleEntryTable, calculation_census, geocentric_at
+from urania import cli
 from urania.cli import main
 
 ELEMENTS_HEADER = "name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd"
@@ -129,6 +130,41 @@ def test_query_table_missing_tables(tmp_path, capsys):
                        "--jd", "2451545.0", "--table-dir", str(empty))
     assert code == 3
     assert "gen" in err
+
+
+def truncate(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-5]) + "\n")
+
+
+def test_query_table_reads_only_its_table(capsys, table_dir):
+    args = ("query", "--mode", "table", "--planet", "mars", "--jd", "2451545.0",
+            "--table-dir", str(table_dir), "--json", "--no-timestamp")
+    _, clean, _ = run(capsys, *args)
+    truncate(table_dir / "mars.single.tbl")
+    truncate(table_dir / "saturn.earth.double.tbl")
+    code, out, err = run(capsys, *args)
+    assert code == 0, err
+    assert out == clean
+
+
+def test_query_heliocentric_reads_corrupt_single(capsys, table_dir):
+    truncate(table_dir / "mars.single.tbl")
+    code, _, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                       "--jd", "2451545.0", "--heliocentric", "--table-dir", str(table_dir))
+    assert code == 3
+    assert "mars.single.tbl" in err
+
+
+def test_query_rejects_renamed_double(capsys, table_dir):
+    (table_dir / "mars.earth.double.tbl").write_bytes(
+        (table_dir / "venus.earth.double.tbl").read_bytes()
+    )
+    code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                         "--jd", "2451545.0", "--table-dir", str(table_dir))
+    assert code == 3
+    assert out == ""
+    assert "venus.earth.double.tbl" in err
 
 
 def test_query_unknown_planet(capsys):
@@ -284,6 +320,22 @@ def test_validate_flags_corrupt_table(capsys, table_dir):
     code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
     assert code == 1
     assert "FAIL table-files" in out
+
+
+def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):
+    real = cli.read_table
+
+    def perturbed(path):
+        table = real(path)
+        if isinstance(table, DoubleEntryTable):
+            lam, beta, delta = table.cells[3][5]
+            table.cells[3][5] = (lam, beta, delta + 1e-12)
+        return table
+
+    monkeypatch.setattr(cli, "read_table", perturbed)
+    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+    assert code == 1
+    assert "FAIL serialization-round-trip" in out
 
 
 def test_env_var_table_dir(capsys, table_dir, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from urania import (
     DoubleEntryTable,
     OpCounter,
     TableNotFoundError,
+    TableParseError,
     TableSet,
     build_double_entry,
     build_planet_table,
@@ -18,10 +20,14 @@ from urania import (
     geocentric_at,
     geocentric_at_table,
     heliocentric_at_table,
+    heliocentric_state,
+    load_tables,
     lookup_double,
     lookup_planet,
     position_since_aphelion,
+    write_table,
 )
+from urania import tableio
 from urania.evaluate import phase_days
 
 
@@ -240,3 +246,82 @@ def test_phase_days_reduces_into_period():
         u = phase_days(c, jd, T, P)
         assert 0.0 <= u < P
     assert c.transcendental_calls == 0
+
+
+@pytest.mark.parametrize("jd", [math.nan, math.inf, -math.inf])
+def test_non_finite_jd_is_a_domain_error_in_both_modes(dataset, jd):
+    mars, earth = dataset["mars"], dataset["earth"]
+    tables = TableSet()
+    tables.add(build_planet_table(mars, 1.0))
+    tables.add(build_double_entry(mars, earth, 8, 8))
+    with pytest.raises(DomainError):
+        geocentric_at_table(tables, "mars", jd)
+    with pytest.raises(DomainError):
+        heliocentric_at_table(tables, "mars", jd)
+    with pytest.raises(DomainError):
+        geocentric_at(mars, earth, jd)
+    with pytest.raises(DomainError):
+        heliocentric_state(mars, jd)
+
+
+def test_table_set_rejects_a_second_table_for_a_key(dataset):
+    tables = TableSet()
+    tables.add(build_planet_table(dataset["mars"], 1.0))
+    tables.add(build_double_entry(dataset["mars"], dataset["earth"], 8, 8))
+    with pytest.raises(DomainError, match="mars"):
+        tables.add(build_planet_table(dataset["mars"], 2.0))
+    with pytest.raises(DomainError, match="mars"):
+        tables.add(build_double_entry(dataset["mars"], dataset["earth"], 8, 8))
+
+
+def write_pairs(directory, dataset, planets):
+    for name in planets:
+        for table in (
+            build_planet_table(dataset[name], 10.0),
+            build_double_entry(dataset[name], dataset["earth"], 8, 8),
+        ):
+            write_table(table, directory / tableio.table_filename(table))
+
+
+def test_load_tables_reads_one_file_per_table_used(tmp_path, dataset, monkeypatch):
+    write_pairs(tmp_path, dataset, ("mars", "venus"))
+    read = []
+    real = tableio.read_table
+
+    def counted_read(path):
+        read.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(tableio, "read_table", counted_read)
+    tables = load_tables(tmp_path)
+    assert read == [] and tables.double == {} and tables.single == {}
+    geocentric_at_table(tables, "mars", 2451545.0)
+    geocentric_at_table(tables, "mars", 2451600.0)
+    assert read == ["mars.earth.double.tbl"]
+    heliocentric_at_table(tables, "mars", 2451545.0)
+    assert read == ["mars.earth.double.tbl", "mars.single.tbl"]
+    assert list(tables.double) == ["mars"] and list(tables.single) == ["mars"]
+    with pytest.raises(TableNotFoundError, match="jupiter"):
+        tables.double_for("jupiter")
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(TableNotFoundError):
+        load_tables(tmp_path / "sub").double_for("../mars")
+    assert len(read) == 2
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        ("venus.earth.double.tbl", "mars.earth.double.tbl"),
+        ("venus.single.tbl", "mars.single.tbl"),
+        ("mars.single.tbl", "mercury.earth.double.tbl"),
+    ],
+)
+def test_renamed_table_file_is_rejected(tmp_path, dataset, source, target):
+    write_pairs(tmp_path, dataset, ("mars", "venus"))
+    (tmp_path / target).write_bytes((tmp_path / source).read_bytes())
+    tables = load_tables(tmp_path)
+    lookup = tables.double_for if target.endswith(".double.tbl") else tables.single_for
+    with pytest.raises(TableParseError, match=re.escape(source)):
+        lookup(target.split(".")[0])
+    assert tables.double == {} and tables.single == {}
