@@ -35,6 +35,7 @@ from .evaluate import (
     lookup_double,
     lookup_planet,
 )
+from .geocentric import geocentric_at
 from .juliandate import calendar_to_jd, jd_to_calendar
 from .kepler import (
     KEPLER_TOL,
@@ -45,7 +46,8 @@ from .kepler import (
     time_since_aphelion,
 )
 from .opcount import OpCounter, counted_direct, measure_compile_ops
-from .tableio import double_planets, read_table, table_filename, table_paths, write_table
+from .tableio import double_planets, read_table, read_table_file, table_filename
+from .tableio import table_paths, write_table
 from .tables import build_double_entry, build_planet_table, calculation_census
 
 __all__ = ["main"]
@@ -190,7 +192,8 @@ def cmd_query(args) -> int:
         planet_el = dataset[args.planet]
         earth_el = dataset["earth"]
         counter = OpCounter()
-        pos = counted_direct(counter, planet_el, earth_el, jd)
+        pos = (counted_direct(counter, planet_el, earth_el, jd) if args.count_ops
+               else geocentric_at(planet_el, earth_el, jd))
         lines += _format_position(args, pos)
         payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
         if args.heliocentric:
@@ -517,7 +520,7 @@ def cmd_validate(args) -> int:
         def table_files_check():
             loaded = TableSet()
             for path in table_files:
-                loaded.add(read_table(path))
+                loaded.add(read_table_file(path))
             _check_knot_exactness(loaded)
         checks.append(("table-files", table_files_check))
 

@@ -1,38 +1,49 @@
-"""Operation counting and the instrumented direct-mode query chain.
+"""Operation counting: OpCounter and the counted direct chain.
 
-OpCounter routes every arithmetic step of a query through a method that
-tallies it, so a query's cost report is a measurement rather than an
-estimate. The counted functions below mirror kepler.py and geocentric.py
-op for op; tests assert bit-identical results, so keep the two in sync when
-either changes.
+The direct chain (angles.py, kepler.py, geocentric.py) and the table
+builders (tables.py) are written once, as plain float code. Their counted
+twins are derived from that source on the first counted call, and cached.
+Each statement of a twin keeps its plain float operators, preceded by one
+increment per counter field (``_c.muls += 2``), so its results are
+bit-identical to the plain chain's. A twin takes the counter first and
+passes it on to the twins it calls. The table path (evaluate.py) calls
+OpCounter's methods instead, and counts row fetches with ``OpCounter.row``.
 
-What counts where: add/sub -> adds; mul/div/fmod -> muls; sin, cos, atan2,
-asin, sqrt -> transcendental_calls; table fetches -> row_accesses. Index
-bookkeeping (floor, comparisons, int arithmetic) is free.
+Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
+``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls.
+Free: an operation with an int-literal operand (index bookkeeping such as
+``k -= 1``), unary minus, ``math.floor``, ``int``, ``abs``,
+``math.isfinite``, comparisons and calls of functions outside the chain.
+The derivation raises ValueError on what it cannot count exactly: arithmetic
+inside a conditional expression, a boolean operator, a chained comparison
+past its first pair, a comprehension, a lambda or a ``while`` test; an
+operator or ``math`` function with no rule; a compound statement other than
+``if``, ``for`` and ``while``.
 """
 
-import math
+import ast
+import functools
+import inspect
+from dataclasses import dataclass
 
-from .angles import DEG2RAD, RAD2DEG, TWO_PI
-from .errors import DegenerateGeometryError, DomainError
-from .geocentric import COINCIDENCE_AU, GeocentricPosition
-from .kepler import _EXIT_TOL, _MAX_BISECT, _MAX_NEWTON, OrbitalElements
+from . import angles, geocentric, kepler, tables
+from .geocentric import GeocentricPosition
+from .kepler import OrbitalElements
 
-__all__ = ["OpCounter", "counted_direct", "counted_heliocentric", "measure_compile_ops"]
+__all__ = [
+    "OpCounter", "counted_direct", "counted_heliocentric", "derive_counted", "measure_compile_ops"
+]
 
 
+@dataclass(slots=True)
 class OpCounter:
     """Tally of additions, multiplications, transcendental calls, row accesses."""
 
-    __slots__ = ("adds", "muls", "transcendental_calls", "row_accesses")
+    adds: int = 0
+    muls: int = 0
+    transcendental_calls: int = 0
+    row_accesses: int = 0
 
-    def __init__(self):
-        self.adds = 0
-        self.muls = 0
-        self.transcendental_calls = 0
-        self.row_accesses = 0
-
-    # -- arithmetic -------------------------------------------------------
     def add(self, a, b):
         self.adds += 1
         return a + b
@@ -49,37 +60,10 @@ class OpCounter:
         self.muls += 1
         return a / b
 
-    def fmod(self, a, b):
-        self.muls += 1
-        return math.fmod(a, b)
-
-    # -- transcendental ---------------------------------------------------
-    def sin(self, x):
-        self.transcendental_calls += 1
-        return math.sin(x)
-
-    def cos(self, x):
-        self.transcendental_calls += 1
-        return math.cos(x)
-
-    def atan2(self, y, x):
-        self.transcendental_calls += 1
-        return math.atan2(y, x)
-
-    def asin(self, x):
-        self.transcendental_calls += 1
-        return math.asin(x)
-
-    def sqrt(self, x):
-        self.transcendental_calls += 1
-        return math.sqrt(x)
-
-    # -- table access -----------------------------------------------------
     def row(self, value):
         self.row_accesses += 1
         return value
 
-    # -- reporting --------------------------------------------------------
     def total_ops(self) -> int:
         return self.adds + self.muls + self.transcendental_calls + self.row_accesses
 
@@ -98,210 +82,142 @@ class OpCounter:
         self.transcendental_calls += other.transcendental_calls
         self.row_accesses += other.row_accesses
 
-    def __repr__(self):
-        return (
-            f"OpCounter(adds={self.adds}, muls={self.muls}, "
-            f"transcendental_calls={self.transcendental_calls}, "
-            f"row_accesses={self.row_accesses})"
-        )
+
+_COUNTER = "_c"
+# Counter field per operator class and per math function name; None is free.
+_FIELDS = {ast.Add: "adds", ast.Sub: "adds", ast.Mult: "muls", ast.Div: "muls", "fmod": "muls"}
+_FIELDS.update(dict.fromkeys(("sin", "cos", "atan2", "asin", "sqrt"), "transcendental_calls"))
+_FIELDS.update(floor=None, isfinite=None)
+_REFUSED = {ast.IfExp: "a conditional expression", ast.BoolOp: "a boolean operator"}
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_REFUSED.update(dict.fromkeys(_COMPREHENSIONS, "a comprehension"))
+_REFUSED[ast.Lambda] = "a lambda"
+# Compound statements count their header, then each statement of their blocks.
+_HEADERS = {ast.If: ("test",), ast.For: ("target", "iter"), ast.While: ("test",)}
+_SIMPLE = (ast.Assign, ast.AugAssign, ast.Expr, ast.Return, ast.Raise, ast.Pass, ast.Break,
+           ast.Continue)
 
 
-# ---------------------------------------------------------------------------
-# Counted mirror of the direct chain.
-# ---------------------------------------------------------------------------
+def _refusal(node, what) -> ValueError:
+    return ValueError(f"line {node.lineno}: cannot count {what}")
 
 
-def _c_normalize(c: OpCounter, x: float) -> float:
-    if 0.0 <= x < 360.0:
-        return x
-    y = c.fmod(x, 360.0)
-    if y < 0.0:
-        y = c.add(y, 360.0)
-    if y >= 360.0:
-        y = 0.0
-    return y
+def _field(node):
+    """The counter field one evaluation of ``node`` itself increments, or None."""
+    fn = getattr(node, "func", None)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        pair = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+        if any(isinstance(x, ast.Constant) and type(x.value) is int for x in pair):
+            return None
+        key, name = type(node.op), f"the operator {type(node.op).__name__}"
+    elif isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name) and fn.value.id == "math":
+        key, name = fn.attr, f"math.{fn.attr}"
+    else:
+        return None
+    if key not in _FIELDS:
+        raise _refusal(node, name)
+    return _FIELDS[key]
 
 
-def _c_aphelion_shift(c: OpCounter, x: float) -> float:
-    return _c_normalize(c, c.add(x, 180.0))
+def _counted(node) -> bool:
+    return any(_field(sub) for sub in ast.walk(node))
 
 
-def _c_mean_anomaly_elapsed(c: OpCounter, el: OrbitalElements, dt: float) -> float:
-    M = c.mul(c.div(360.0, el.P), dt)
-    for term in el.corrections:
-        phase = c.add(c.div(c.mul(360.0, dt), term.period), term.phase)
-        M = c.add(M, c.mul(term.amplitude, c.sin(c.mul(phase, DEG2RAD))))
-    return _c_normalize(c, M)
+def _tally(nodes) -> dict[str, int]:
+    """Increments per counter field that one evaluation of ``nodes`` makes."""
+    counts = {"adds": 0, "muls": 0, "transcendental_calls": 0}
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        field = _field(sub)
+        if field is not None:
+            counts[field] += 1
+        if type(sub) in _REFUSED and _counted(sub):
+            raise _refusal(sub, f"arithmetic inside {_REFUSED[type(sub)]}")
+        if isinstance(sub, ast.Compare) and any(map(_counted, sub.comparators[1:])):
+            raise _refusal(sub, "arithmetic inside a chained comparison")
+    return counts
 
 
-def _c_solve_kepler(c: OpCounter, M: float, e: float) -> float:
-    if not (0.0 <= e < 1.0):
-        raise DomainError(f"eccentricity must be in [0, 1), got {e!r}")
-    k = math.floor(c.div(M, TWO_PI))
-    Mr = c.sub(M, c.mul(TWO_PI, k))
-    if Mr < 0.0:
-        Mr = c.add(Mr, TWO_PI)
-        k -= 1
-    if Mr >= TWO_PI:
-        Mr = c.sub(Mr, TWO_PI)
-        k += 1
-
-    E = Mr if e <= 0.8 else math.pi
-    converged = False
-    for _ in range(_MAX_NEWTON):
-        f = c.sub(c.sub(E, c.mul(e, c.sin(E))), Mr)
-        if abs(f) < _EXIT_TOL:
-            converged = True
-            break
-        E = c.sub(E, c.div(f, c.sub(1.0, c.mul(e, c.cos(E)))))
-    if not converged:
-        lo, hi = 0.0, TWO_PI
-        E = math.pi
-        for _ in range(_MAX_BISECT):
-            f = c.sub(c.sub(E, c.mul(e, c.sin(E))), Mr)
-            if abs(f) < _EXIT_TOL:
-                break
-            if f > 0.0:
-                hi = E
-            else:
-                lo = E
-            E = c.mul(0.5, c.add(lo, hi))
-    return c.add(E, c.mul(TWO_PI, k))
+def _count_block(stmts) -> list:
+    """``stmts``, each preceded by the increments its own evaluation makes."""
+    out = []
+    for stmt in stmts:
+        header = _HEADERS.get(type(stmt))
+        if header is not None:
+            counts = _tally([getattr(stmt, name) for name in header])
+            if isinstance(stmt, ast.While) and any(counts.values()):
+                raise _refusal(stmt, "arithmetic inside a while test")
+            stmt.body, stmt.orelse = _count_block(stmt.body), _count_block(stmt.orelse)
+        elif isinstance(stmt, _SIMPLE):
+            counts = _tally([stmt])
+        else:
+            raise _refusal(stmt, f"a {type(stmt).__name__} statement")
+        for field, n in counts.items():
+            if n:
+                target = ast.Attribute(ast.Name(_COUNTER, ast.Load()), field, ast.Store())
+                out.append(ast.AugAssign(target, ast.Add(), ast.Constant(n)))
+        out.append(stmt)
+    return out
 
 
-def _c_true_anomaly(c: OpCounter, E: float, e: float) -> float:
-    k = math.floor(c.div(E, TWO_PI))
-    Er = c.sub(E, c.mul(TWO_PI, k))
-    if Er < 0.0:
-        Er = c.add(Er, TWO_PI)
-        k -= 1
-    nu = c.mul(
-        2.0,
-        c.atan2(
-            c.mul(c.sqrt(c.add(1.0, e)), c.sin(c.mul(0.5, Er))),
-            c.mul(c.sqrt(c.sub(1.0, e)), c.cos(c.mul(0.5, Er))),
-        ),
-    )
-    if nu < 0.0:
-        nu = c.add(nu, TWO_PI)
-    return c.add(nu, c.mul(TWO_PI, k))
+def derive_counted(source: str, names, namespace: dict, calls=None, filename="<counted>") -> None:
+    """Define in ``namespace`` the counted twins of the top-level functions
+    ``names`` of ``source``. A call to a name in ``calls`` (default ``names``)
+    passes the counter on, so those names must be bound to twins in
+    ``namespace`` when a twin runs."""
+    calls = set(names if calls is None else calls)
+    tree = ast.parse(source, filename)
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+    for fdef in defs:
+        try:
+            for node in ast.walk(fdef):
+                if isinstance(node, ast.Name) and node.id == _COUNTER:
+                    raise _refusal(node, f"a function that uses the name {_COUNTER!r}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+                    node.args.insert(0, ast.Name(_COUNTER, ast.Load()))
+            fdef.body = _count_block(fdef.body)
+        except ValueError as exc:
+            raise ValueError(f"{filename}, {fdef.name}: {exc}") from None
+        (fdef.args.posonlyargs or fdef.args.args).insert(0, ast.arg(_COUNTER))
+    module = ast.fix_missing_locations(ast.Module(defs, type_ignores=[]))
+    exec(compile(module, filename, "exec"), namespace)
 
 
-def _c_radius(c: OpCounter, E: float, e: float, a: float) -> float:
-    return c.mul(a, c.sub(1.0, c.mul(e, c.cos(E))))
+# The plain functions that get counted twins. Their names are unique across
+# the chain, so a chain name bound in one of these modules is that function.
+_CHAIN = {
+    angles: ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
+    kepler: ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
+             "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
+    geocentric: ("helio_to_rect", "rect_to_spherical", "geocentric_reduce", "geocentric_at"),
+    tables: ("build_planet_table", "build_double_entry"),
+}
 
 
-def _c_nu_aph_from_E(c: OpCounter, E: float, e: float) -> float:
-    E_aph = c.sub(E, math.pi)
-    nu = c.mul(
-        2.0,
-        c.atan2(
-            c.mul(c.sqrt(c.sub(1.0, e)), c.sin(c.mul(0.5, E_aph))),
-            c.mul(c.sqrt(c.add(1.0, e)), c.cos(c.mul(0.5, E_aph))),
-        ),
-    )
-    return _c_normalize(c, c.mul(nu, RAD2DEG))
-
-
-def _c_position_since_aphelion(c: OpCounter, el: OrbitalElements, t: float):
-    M_aph = _c_mean_anomaly_elapsed(c, el, t)
-    E = _c_solve_kepler(c, c.mul(_c_aphelion_shift(c, M_aph), DEG2RAD), el.e)
-    return _c_nu_aph_from_E(c, E, el.e), _c_radius(c, E, el.e, el.a)
-
-
-def _c_heliocentric_elapsed(c: OpCounter, el: OrbitalElements, dt: float):
-    """Returns (l, b, r), mirroring kepler.heliocentric_state_elapsed."""
-    M_aph = _c_mean_anomaly_elapsed(c, el, dt)
-    M_peri = _c_aphelion_shift(c, M_aph)
-    E = _c_solve_kepler(c, c.mul(M_peri, DEG2RAD), el.e)
-    nu = _c_true_anomaly(c, E, el.e)
-    r = _c_radius(c, E, el.e, el.a)
-
-    u = c.add(c.mul(el.omega, DEG2RAD), nu)
-    node = c.mul(el.Omega, DEG2RAD)
-    incl = c.mul(el.i, DEG2RAD)
-    sin_u = c.sin(u)
-    cos_u = c.cos(u)
-    sin_O = c.sin(node)
-    cos_O = c.cos(node)
-    sin_i = c.sin(incl)
-    cos_i = c.cos(incl)
-
-    x = c.mul(r, c.sub(c.mul(cos_O, cos_u), c.mul(c.mul(sin_O, sin_u), cos_i)))
-    y = c.mul(r, c.add(c.mul(sin_O, cos_u), c.mul(c.mul(cos_O, sin_u), cos_i)))
-    z = c.mul(r, c.mul(sin_u, sin_i))
-
-    l = _c_normalize(c, c.mul(c.atan2(y, x), RAD2DEG))
-    sin_b = c.div(z, r)
-    if sin_b > 1.0:
-        sin_b = 1.0
-    elif sin_b < -1.0:
-        sin_b = -1.0
-    b = c.mul(c.asin(sin_b), RAD2DEG)
-    return l, b, r
+@functools.cache
+def _twins() -> dict:
+    """The counted twin of every _CHAIN function, by name."""
+    chain = {name for names in _CHAIN.values() for name in names}
+    twins = {}
+    for module, names in _CHAIN.items():  # each after the modules it imports from
+        namespace = dict(vars(module))
+        calls = chain & namespace.keys()
+        namespace.update((name, twins[name]) for name in calls - set(names))
+        derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
+        twins.update((name, namespace[name]) for name in names)
+    return twins
 
 
 def counted_heliocentric(c: OpCounter, el: OrbitalElements, jd: float):
-    """Counted twin of kepler.heliocentric_state; returns (l, b, r)."""
-    return _c_heliocentric_elapsed(c, el, c.sub(jd, el.T_aph))
-
-
-def _c_helio_to_rect(c: OpCounter, l: float, b: float, r: float):
-    lam = c.mul(l, DEG2RAD)
-    bet = c.mul(b, DEG2RAD)
-    r_cos_b = c.mul(r, c.cos(bet))
-    return (
-        c.mul(r_cos_b, c.cos(lam)),
-        c.mul(r_cos_b, c.sin(lam)),
-        c.mul(r, c.sin(bet)),
-    )
-
-
-def _c_rect_to_spherical(c: OpCounter, x: float, y: float, z: float):
-    d = c.sqrt(c.add(c.add(c.mul(x, x), c.mul(y, y)), c.mul(z, z)))
-    if d == 0.0:
-        raise DegenerateGeometryError("zero vector has no direction")
-    if x == 0.0 and y == 0.0:
-        lam = 0.0
-    else:
-        lam = _c_normalize(c, c.mul(c.atan2(y, x), RAD2DEG))
-    sin_b = c.div(z, d)
-    if sin_b > 1.0:
-        sin_b = 1.0
-    elif sin_b < -1.0:
-        sin_b = -1.0
-    beta = c.mul(c.asin(sin_b), RAD2DEG)
-    return lam, beta, d
-
-
-def _c_reduce(c: OpCounter, planet, earth) -> GeocentricPosition:
-    px, py, pz = _c_helio_to_rect(c, *planet)
-    ex, ey, ez = _c_helio_to_rect(c, *earth)
-    dx = c.sub(px, ex)
-    dy = c.sub(py, ey)
-    dz = c.sub(pz, ez)
-    sep = c.sqrt(c.add(c.add(c.mul(dx, dx), c.mul(dy, dy)), c.mul(dz, dz)))
-    if sep < COINCIDENCE_AU:
-        raise DegenerateGeometryError(
-            f"planet and Earth positions coincide (separation {sep:.3e} AU)"
-        )
-    lam, beta, delta = _c_rect_to_spherical(c, dx, dy, dz)
-    return GeocentricPosition(lam=lam, beta=beta, delta=delta)
+    """kepler.heliocentric_state counted into ``c``; returns (l, b, r)."""
+    s = _twins()["heliocentric_state"](c, el, jd)
+    return s.l, s.b, s.r
 
 
 def counted_direct(
     c: OpCounter, planet_el: OrbitalElements, earth_el: OrbitalElements, jd: float
 ) -> GeocentricPosition:
-    """Counted twin of geocentric.geocentric_at."""
-    planet = counted_heliocentric(c, planet_el, jd)
-    earth = counted_heliocentric(c, earth_el, jd)
-    return _c_reduce(c, planet, earth)
-
-
-# ---------------------------------------------------------------------------
-# Measured cost of a full table compilation (the arithmetic-ops reading of
-# the calculation census). Walks the same grid the builders walk.
-# ---------------------------------------------------------------------------
+    """geocentric.geocentric_at counted into ``c``."""
+    return _twins()["geocentric_at"](c, planet_el, earth_el, jd)
 
 
 def measure_compile_ops(
@@ -310,38 +226,14 @@ def measure_compile_ops(
     double_shape: tuple[int, int] | None = (64, 64),
     earth_name: str = "earth",
 ) -> OpCounter:
-    from .tables import MOTION_STENCIL_DAYS, row_count  # avoid import cycle
-
-    c = OpCounter()
-    h = MOTION_STENCIL_DAYS
+    """Arithmetic of compiling ``bodies`` as ``urania gen --all`` does, counted
+    by running the builders' twins: a single-entry table per body, and a
+    double-entry table per body paired with ``earth_name`` given a shape."""
+    twins, c = _twins(), OpCounter()
     for el in bodies.values():
-        for k in range(row_count(el.P, step_days)):
-            t = k * step_days
-            if t >= el.P:
-                break
-            _c_position_since_aphelion(c, el, t)
-            nu_after, _ = _c_position_since_aphelion(c, el, c.add(t, h))
-            nu_before, _ = _c_position_since_aphelion(c, el, c.sub(t, h))
-            d = c.fmod(c.sub(nu_after, nu_before), 360.0)
-            if d <= -180.0:
-                d = c.add(d, 360.0)
-            elif d > 180.0:
-                d = c.sub(d, 360.0)
-            per_day = c.div(d, c.mul(2.0, h))
-            c.div(per_day, 24.0)
+        twins["build_planet_table"](c, el, step_days)
     if double_shape is not None and earth_name in bodies:
-        n_u, n_v = double_shape
-        earth_el = bodies[earth_name]
         for name, el in bodies.items():
-            if name == earth_name:
-                continue
-            du = c.div(el.P, n_u)
-            dv = c.div(earth_el.P, n_v)
-            earth_states = [
-                _c_heliocentric_elapsed(c, earth_el, c.mul(iv, dv)) for iv in range(n_v)
-            ]
-            for iu in range(n_u):
-                planet_state = _c_heliocentric_elapsed(c, el, c.mul(iu, du))
-                for es in earth_states:
-                    _c_reduce(c, planet_state, es)
+            if name != earth_name:
+                twins["build_double_entry"](c, el, bodies[earth_name], *double_shape)
     return c

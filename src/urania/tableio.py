@@ -20,6 +20,7 @@ __all__ = [
     "write_table",
     "read_table",
     "read_named_table",
+    "read_table_file",
     "table_filename",
     "table_paths",
     "double_planets",
@@ -87,8 +88,14 @@ def read_named_table(directory, kind: str, name: str):
     # a name holding a path separator names no file of this directory
     if path.parent != root or not path.is_file():
         return None
+    return read_table_file(path)
+
+
+def read_table_file(path):
+    """Read the table file ``path``, whose header must describe the table its
+    file name names (see ``table_filename``); TableParseError otherwise."""
     table = read_table(path)
-    if table_filename(table) != path.name:
+    if table_filename(table) != Path(path).name:
         raise TableParseError(
             f"header describes the table {table_filename(table)!r}, not this file's", path=path
         )

@@ -97,7 +97,8 @@ def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     direct chain, so the compiler and the evaluator stay independent.
     """
     validate_elements(el)
-    if not (math.isfinite(step) and 0.0 < step <= el.P / 8.0):
+    max_step = el.P / 8.0
+    if not (math.isfinite(step) and 0.0 < step <= max_step):
         raise DomainError(f"{el.name}: step must satisfy 0 < step <= P/8, got {step!r}")
 
     h = MOTION_STENCIL_DAYS
@@ -149,7 +150,9 @@ def build_double_entry(
 
     du = planet_el.P / n_u
     dv = earth_el.P / n_v
-    earth_states = [heliocentric_state_elapsed(earth_el, iv * dv) for iv in range(n_v)]
+    earth_states = []
+    for iv in range(n_v):
+        earth_states.append(heliocentric_state_elapsed(earth_el, iv * dv))
     cells = []
     for iu in range(n_u):
         planet_state = heliocentric_state_elapsed(planet_el, iu * du)

@@ -91,6 +91,20 @@ def test_query_direct_matches_engine(capsys, dataset):
     assert f"delta: {want.delta:.6f}" in out
 
 
+def test_query_direct_counts_only_with_count_ops(capsys, monkeypatch):
+    args = ("query", "--mode", "direct", "--planet", "saturn", "--jd", "2451545.0",
+            "--no-timestamp")
+    _, counted, _ = run(capsys, *args, "--count-ops")
+
+    def refuse(*_):
+        raise AssertionError("counted chain used without --count-ops")
+
+    monkeypatch.setattr(cli, "counted_direct", refuse)
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
+
+
 def test_query_deterministic(capsys):
     args = ("query", "--mode", "direct", "--planet", "jupiter", "--jd", "2455555.25",
             "--count-ops", "--no-timestamp")
@@ -320,6 +334,14 @@ def test_validate_flags_corrupt_table(capsys, table_dir):
     code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
     assert code == 1
     assert "FAIL table-files" in out
+
+
+def test_validate_flags_moved_table(capsys, table_dir):
+    (table_dir / "venus.earth.double.tbl").replace(table_dir / "mars.earth.double.tbl")
+    code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
+    assert code == 1
+    assert "FAIL table-files" in out
+    assert "venus.earth.double.tbl" in out
 
 
 def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):

@@ -201,7 +201,7 @@ def test_counted_direct_matches_pure_chain(dataset):
         jd = 2451545.0 + rng.uniform(-40000.0, 40000.0)
         pure = geocentric_at(planet, earth, jd)
         counted = counted_direct(OpCounter(), planet, earth, jd)
-        assert counted == pure  # bit-identical: the chains mirror op for op
+        assert counted == pure  # bit-identical: the counted chain is derived from this one
 
 
 def test_table_mode_counts(default_tables, dataset):
