@@ -186,12 +186,12 @@ def cmd_query(args) -> int:
     p = args.precision
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
+    counter = OpCounter() if args.count_ops else None
 
     if args.mode == "direct":
         dataset = _dataset(args)
         planet_el = dataset[args.planet]
         earth_el = dataset["earth"]
-        counter = OpCounter()
         pos = (counted_direct(counter, planet_el, earth_el, jd) if args.count_ops
                else geocentric_at(planet_el, earth_el, jd))
         lines += _format_position(args, pos)
@@ -206,7 +206,6 @@ def cmd_query(args) -> int:
             payload.update(helio_l=state.l, helio_b=state.b, helio_r=state.r)
     else:
         tables = load_tables(_table_dir(args))
-        counter = OpCounter()
         pos = geocentric_at_table(tables, args.planet, jd, counter=counter)
         lines += _format_position(args, pos)
         payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)

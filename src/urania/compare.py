@@ -7,7 +7,6 @@ from .errors import DomainError
 from .evaluate import TableSet, geocentric_at_table, lookup_planet, phase_days
 from .geocentric import geocentric_at
 from .kepler import OrbitalElements, position_since_aphelion
-from .opcount import OpCounter
 from .tables import DoubleEntryTable, PlanetTable
 
 __all__ = ["CompareReport", "SingleCompareReport", "sweep_double", "sweep_single", "synodic_period"]
@@ -113,9 +112,8 @@ def sweep_single(
     isolates interpolation error.
     """
     max_nu = mean_nu = max_r = mean_r = 0.0
-    scratch = OpCounter()
     for jd in _sample_jds(jd_start, jd_end, samples):
-        t = phase_days(scratch, jd, el.T_aph, el.P)
+        t = phase_days(None, jd, el.T_aph, el.P)
         nu_t, r_t = lookup_planet(table, t)
         nu_d, r_d = position_since_aphelion(el, t)
         nu_err = abs(wrap_diff_deg(nu_t, nu_d))

@@ -1,9 +1,9 @@
-"""Table-mode queries: interpolation with nothing but +, -, *, / and fetches.
+"""Table-mode queries: interpolation with nothing but +, -, *, / and row fetches.
 
-Every function here threads its arithmetic through an OpCounter, so the
-zero-transcendental property of the table path is measured on every call
-rather than merely claimed. Queries never share counters; a fresh throwaway
-is made when the caller does not supply one.
+The table path is written once, as plain float code. An entry point given a
+counter runs the counted twin opcount derives from this source, so the
+zero-transcendental property of the table path is measured on every counted
+query rather than merely claimed; without one, nothing is counted or derived.
 """
 
 import math
@@ -12,7 +12,7 @@ from pathlib import Path
 from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition
 from .kepler import OrbitalElements
-from .opcount import OpCounter, counted_direct
+from .opcount import OpCounter, _twins, counted_direct
 from .tableio import read_named_table
 from .tables import DoubleEntryTable, PlanetTable
 
@@ -99,7 +99,7 @@ def load_tables(directory) -> TableSet:
     return TableSet(root)
 
 
-def _locate(c: OpCounter, x: float, dx: float, n: int):
+def _locate(x: float, dx: float, n: int):
     """Index and left knot of the interval containing x on a uniform grid.
 
     The raw floor of x/dx can land one interval off when x is itself a
@@ -107,36 +107,36 @@ def _locate(c: OpCounter, x: float, dx: float, n: int):
     what makes interpolation at a knot reproduce the stored entry bit for
     bit.
     """
-    i = int(c.div(x, dx))
+    i = int(x / dx)
     if i >= n:
         i = n - 1
-    x0 = c.mul(i, dx)
+    x0 = i * dx
     if x < x0:
         i -= 1
-        x0 = c.mul(i, dx)
+        x0 = i * dx
     elif i + 1 < n:
-        x1 = c.mul(i + 1, dx)
+        x1 = (i + 1) * dx
         if x >= x1:
             i += 1
             x0 = x1
     return i, x0
 
 
-def _wrap180(c: OpCounter, d: float) -> float:
+def _wrap180(d: float) -> float:
     """Fold a difference of two normalized angles into (-180, 180]."""
     if d > 180.0:
-        d = c.sub(d, 360.0)
+        d -= 360.0
     elif d <= -180.0:
-        d = c.add(d, 360.0)
+        d += 360.0
     return d
 
 
-def _renormalize(c: OpCounter, angle: float) -> float:
+def _renormalize(angle: float) -> float:
     """Bounded arithmetic normalization for interpolation results."""
     while angle >= 360.0:
-        angle = c.sub(angle, 360.0)
+        angle -= 360.0
     while angle < 0.0:
-        angle = c.add(angle, 360.0)
+        angle += 360.0
     return angle
 
 
@@ -148,35 +148,27 @@ def lookup_planet(table: PlanetTable, t: float, counter: OpCounter | None = None
     radius is linearly interpolated between the bracketing rows. A query at
     a row's own abscissa returns the stored values unchanged.
     """
-    c = counter if counter is not None else OpCounter()
+    if counter is not None:
+        return _twins()["lookup_planet"](counter, table, t)
     el = table.elements
     if not (math.isfinite(t) and 0.0 <= t < el.P):
         raise DomainError(f"t={t!r} outside [0, {el.P!r}); reduce time modulo the period first")
-    rows = table.rows
-    n = len(rows)
-    idx, t0 = _locate(c, t, table.step, n)
+    n = len(table.rows)
+    idx, t0 = _locate(t, table.step, n)
 
-    dt = c.sub(t, t0)
+    dt = t - t0
     whole_days = float(math.floor(dt))
-    hours = c.mul(c.sub(dt, whole_days), 24.0)
+    hours = (dt - whole_days) * 24.0
 
-    row = c.row(rows[idx])
-    nu = c.add(
-        row.nu_aph,
-        c.add(c.mul(whole_days, row.motion_per_day), c.mul(hours, row.motion_per_hour)),
-    )
-    nu = _renormalize(c, nu)
-
+    row = table.rows[idx]
+    nu = _renormalize(row.nu_aph + (whole_days * row.motion_per_day + hours * row.motion_per_hour))
     if idx + 1 < n:
-        nxt = c.row(rows[idx + 1])
-        gap = c.sub(nxt.t, row.t)
-        r_next = nxt.r
+        nxt = table.rows[idx + 1]
+        gap = nxt.t - row.t
     else:
-        nxt = c.row(rows[0])  # wraps: next knot is the aphelion one period on
-        gap = c.sub(el.P, row.t)
-        r_next = nxt.r
-    r = c.add(row.r, c.mul(c.div(dt, gap), c.sub(r_next, row.r)))
-    return nu, r
+        nxt = table.rows[0]  # wraps: next knot is the aphelion one period on
+        gap = el.P - row.t
+    return nu, row.r + dt / gap * (nxt.r - row.r)
 
 
 def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounter | None = None):
@@ -185,64 +177,59 @@ def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounte
     Longitudes interpolate through wrap-aware offsets from the corner cell,
     so a 359 -> 1 degree seam interpolates through 0, never through 180.
     """
-    c = counter if counter is not None else OpCounter()
+    if counter is not None:
+        return _twins()["lookup_double"](counter, table, u, v)
     if not (math.isfinite(u) and 0.0 <= u < table.planet.P):
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
     if not (math.isfinite(v) and 0.0 <= v < table.earth.P):
         raise DomainError(f"v={v!r} outside [0, {table.earth.P!r})")
 
-    du = c.div(table.planet.P, table.n_u)
-    dv = c.div(table.earth.P, table.n_v)
-    iu, u0 = _locate(c, u, du, table.n_u)
-    iv, v0 = _locate(c, v, dv, table.n_v)
-    fu = c.div(c.sub(u, u0), du)
-    fv = c.div(c.sub(v, v0), dv)
+    du = table.planet.P / table.n_u
+    dv = table.earth.P / table.n_v
+    iu, u0 = _locate(u, du, table.n_u)
+    iv, v0 = _locate(v, dv, table.n_v)
+    fu = (u - u0) / du
+    fv = (v - v0) / dv
     iu1 = iu + 1 if iu + 1 < table.n_u else 0
     iv1 = iv + 1 if iv + 1 < table.n_v else 0
 
-    c00 = c.row(table.cells[iu][iv])
-    c10 = c.row(table.cells[iu1][iv])
-    c01 = c.row(table.cells[iu][iv1])
-    c11 = c.row(table.cells[iu1][iv1])
+    c00 = table.cells[iu][iv]
+    c10 = table.cells[iu1][iv]
+    c01 = table.cells[iu][iv1]
+    c11 = table.cells[iu1][iv1]
 
-    gu = c.sub(1.0, fu)
-    gv = c.sub(1.0, fv)
-    w00 = c.mul(gu, gv)
-    w10 = c.mul(fu, gv)
-    w01 = c.mul(gu, fv)
-    w11 = c.mul(fu, fv)
+    gu = 1.0 - fu
+    gv = 1.0 - fv
+    w00 = gu * gv
+    w10 = fu * gv
+    w01 = gu * fv
+    w11 = fu * fv
 
-    d10 = _wrap180(c, c.sub(c10[0], c00[0]))
-    d01 = _wrap180(c, c.sub(c01[0], c00[0]))
-    d11 = _wrap180(c, c.sub(c11[0], c00[0]))
-    lam = c.add(
-        c00[0],
-        c.add(c.add(c.mul(w10, d10), c.mul(w01, d01)), c.mul(w11, d11)),
-    )
-    lam = _renormalize(c, lam)
-
-    beta = c.add(
-        c.add(c.mul(w00, c00[1]), c.mul(w10, c10[1])),
-        c.add(c.mul(w01, c01[1]), c.mul(w11, c11[1])),
-    )
-    delta = c.add(
-        c.add(c.mul(w00, c00[2]), c.mul(w10, c10[2])),
-        c.add(c.mul(w01, c01[2]), c.mul(w11, c11[2])),
-    )
+    d10 = _wrap180(c10[0] - c00[0])
+    d01 = _wrap180(c01[0] - c00[0])
+    d11 = _wrap180(c11[0] - c00[0])
+    lam = _renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
+    beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
+    delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
     return lam, beta, delta
 
 
-def phase_days(c: OpCounter, jd: float, t_aph: float, period: float) -> float:
-    """Time since the last aphelion passage, in [0, period), by plain arithmetic."""
+def phase_days(counter: OpCounter | None, jd: float, t_aph: float, period: float) -> float:
+    """Time since the last aphelion passage, in [0, period), by plain arithmetic.
+
+    Counted into ``counter`` unless it is None.
+    """
+    if counter is not None:
+        return _twins()["phase_days"](counter, None, jd, t_aph, period)
     if not math.isfinite(jd):
         raise DomainError(f"jd must be finite, got {jd!r}")
-    dt = c.sub(jd, t_aph)
-    k = math.floor(c.div(dt, period))
-    u = c.sub(dt, c.mul(k, period))
+    dt = jd - t_aph
+    k = math.floor(dt / period)
+    u = dt - k * period
     if u < 0.0:
-        u = c.add(u, period)
+        u += period
     if u >= period:
-        u = c.sub(u, period)
+        u -= period
     return u
 
 
@@ -251,22 +238,22 @@ def geocentric_at_table(
 ) -> GeocentricPosition:
     """Table-mode geocentric position at ``jd``: phase reduction plus one
     double-entry lookup, no transcendental calls anywhere on the path."""
-    c = counter if counter is not None else OpCounter()
+    if counter is not None:
+        return _twins()["geocentric_at_table"](counter, tables, planet, jd)
     table = tables.double_for(planet)
-    u = phase_days(c, jd, table.planet.T_aph, table.planet.P)
-    v = phase_days(c, jd, table.earth.T_aph, table.earth.P)
-    lam, beta, delta = lookup_double(table, u, v, counter=c)
-    return GeocentricPosition(lam=lam, beta=beta, delta=delta)
+    u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
+    v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
+    return GeocentricPosition(*lookup_double(table, u, v))
 
 
 def heliocentric_at_table(
     tables: TableSet, planet: str, jd: float, counter: OpCounter | None = None
 ):
     """(nu_aph, r) from the single-entry table at ``jd``."""
-    c = counter if counter is not None else OpCounter()
+    if counter is not None:
+        return _twins()["heliocentric_at_table"](counter, tables, planet, jd)
     table = tables.single_for(planet)
-    t = phase_days(c, jd, table.elements.T_aph, table.elements.P)
-    return lookup_planet(table, t, counter=c)
+    return lookup_planet(table, phase_days(None, jd, table.elements.T_aph, table.elements.P))
 
 
 def counted_query(

@@ -1,32 +1,33 @@
-"""Operation counting: OpCounter and the counted direct chain.
+"""Operation counting: OpCounter and the derived counted twins.
 
-The direct chain (angles.py, kepler.py, geocentric.py) and the table
-builders (tables.py) are written once, as plain float code. Their counted
-twins are derived from that source on the first counted call, and cached.
-Each statement of a twin keeps its plain float operators, preceded by one
-increment per counter field (``_c.muls += 2``), so its results are
-bit-identical to the plain chain's. A twin takes the counter first and
-passes it on to the twins it calls. The table path (evaluate.py) calls
-OpCounter's methods instead, and counts row fetches with ``OpCounter.row``.
+The direct chain (angles.py, kepler.py, geocentric.py), the table builders
+(tables.py) and the table path (evaluate.py) are written once, as plain
+float code. Their counted twins are derived from that source on the first
+counted call, and cached. Each statement of a twin keeps its plain float
+operators, preceded by one increment per counter field (``_c.muls += 2``),
+so its results are bit-identical to the plain code's. A twin takes the
+counter first and passes it on to the twins it calls.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
-``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls.
-Free: an operation with an int-literal operand (index bookkeeping such as
-``k -= 1``), unary minus, ``math.floor``, ``int``, ``abs``,
-``math.isfinite``, comparisons and calls of functions outside the chain.
-The derivation raises ValueError on what it cannot count exactly: arithmetic
-inside a conditional expression, a boolean operator, a chained comparison
-past its first pair, a comprehension, a lambda or a ``while`` test; an
-operator or ``math`` function with no rule; a compound statement other than
-``if``, ``for`` and ``while``.
+``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
+a subscript of a ``.rows`` or ``.cells`` attribute one row access (so
+``table.cells[i][j]`` is one, and a subscript of a local such as ``c00[0]``
+none). Free: an operation with an int-literal operand (index bookkeeping
+such as ``k -= 1``), unary minus, ``math.floor``, ``math.ceil``, ``int``,
+``abs``, ``math.isfinite``, comparisons and calls of functions outside the
+chain. The derivation raises ValueError on what it cannot count exactly:
+arithmetic inside a conditional expression, a boolean operator, a chained
+comparison past its first pair, a comprehension, a lambda or a ``while``
+test; an operator or ``math`` function with no rule; a compound statement
+other than ``if``, ``for`` and ``while``.
 """
 
 import ast
 import functools
+import importlib
 import inspect
 from dataclasses import dataclass
 
-from . import angles, geocentric, kepler, tables
 from .geocentric import GeocentricPosition
 from .kepler import OrbitalElements
 
@@ -43,26 +44,6 @@ class OpCounter:
     muls: int = 0
     transcendental_calls: int = 0
     row_accesses: int = 0
-
-    def add(self, a, b):
-        self.adds += 1
-        return a + b
-
-    def sub(self, a, b):
-        self.adds += 1
-        return a - b
-
-    def mul(self, a, b):
-        self.muls += 1
-        return a * b
-
-    def div(self, a, b):
-        self.muls += 1
-        return a / b
-
-    def row(self, value):
-        self.row_accesses += 1
-        return value
 
     def total_ops(self) -> int:
         return self.adds + self.muls + self.transcendental_calls + self.row_accesses
@@ -87,7 +68,7 @@ _COUNTER = "_c"
 # Counter field per operator class and per math function name; None is free.
 _FIELDS = {ast.Add: "adds", ast.Sub: "adds", ast.Mult: "muls", ast.Div: "muls", "fmod": "muls"}
 _FIELDS.update(dict.fromkeys(("sin", "cos", "atan2", "asin", "sqrt"), "transcendental_calls"))
-_FIELDS.update(floor=None, isfinite=None)
+_FIELDS.update(floor=None, ceil=None, isfinite=None)
 _REFUSED = {ast.IfExp: "a conditional expression", ast.BoolOp: "a boolean operator"}
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _REFUSED.update(dict.fromkeys(_COMPREHENSIONS, "a comprehension"))
@@ -105,6 +86,8 @@ def _refusal(node, what) -> ValueError:
 def _field(node):
     """The counter field one evaluation of ``node`` itself increments, or None."""
     fn = getattr(node, "func", None)
+    if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in ("rows", "cells"):
+        return "row_accesses"
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
         pair = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
         if any(isinstance(x, ast.Constant) and type(x.value) is int for x in pair):
@@ -125,7 +108,7 @@ def _counted(node) -> bool:
 
 def _tally(nodes) -> dict[str, int]:
     """Increments per counter field that one evaluation of ``nodes`` makes."""
-    counts = {"adds": 0, "muls": 0, "transcendental_calls": 0}
+    counts = {"adds": 0, "muls": 0, "transcendental_calls": 0, "row_accesses": 0}
     for sub in (sub for node in nodes for sub in ast.walk(node)):
         field = _field(sub)
         if field is not None:
@@ -182,14 +165,17 @@ def derive_counted(source: str, names, namespace: dict, calls=None, filename="<c
     exec(compile(module, filename, "exec"), namespace)
 
 
-# The plain functions that get counted twins. Their names are unique across
+# The plain functions that get counted twins, by module name (imported when
+# first derived: evaluate imports this module). Their names are unique across
 # the chain, so a chain name bound in one of these modules is that function.
 _CHAIN = {
-    angles: ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
-    kepler: ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
-             "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
-    geocentric: ("helio_to_rect", "rect_to_spherical", "geocentric_reduce", "geocentric_at"),
-    tables: ("build_planet_table", "build_double_entry"),
+    "angles": ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
+    "kepler": ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
+               "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
+    "geocentric": ("helio_to_rect", "rect_to_spherical", "geocentric_reduce", "geocentric_at"),
+    "tables": ("row_count", "_check_monotone_rows", "build_planet_table", "build_double_entry"),
+    "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",
+                 "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }
 
 
@@ -198,7 +184,8 @@ def _twins() -> dict:
     """The counted twin of every _CHAIN function, by name."""
     chain = {name for names in _CHAIN.values() for name in names}
     twins = {}
-    for module, names in _CHAIN.items():  # each after the modules it imports from
+    for module_name, names in _CHAIN.items():  # each after the modules it imports from
+        module = importlib.import_module(f".{module_name}", __package__)
         namespace = dict(vars(module))
         calls = chain & namespace.keys()
         namespace.update((name, twins[name]) for name in calls - set(names))

@@ -84,8 +84,10 @@ class DoubleEntryTable:
 def row_count(P: float, step: float) -> int:
     """Number of rows covering [0, P) at the given spacing."""
     n = math.ceil(P / step)
-    while (n - 1) * step >= P:  # fp guard: ceil can overshoot by one
+    last = (n - 1) * step
+    while last >= P:  # fp guard: ceil can overshoot by one
         n -= 1
+        last = (n - 1) * step
     return n
 
 

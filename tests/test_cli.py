@@ -105,6 +105,20 @@ def test_query_direct_counts_only_with_count_ops(capsys, monkeypatch):
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
 
 
+def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
+    args = ("query", "--mode", "table", "--planet", "saturn", "--jd", "2451545.0",
+            "--heliocentric", "--table-dir", str(table_dir), "--no-timestamp")
+    _, counted, _ = run(capsys, *args, "--count-ops")
+
+    def refuse():
+        raise AssertionError("counted table path used without --count-ops")
+
+    monkeypatch.setattr("urania.evaluate._twins", refuse)
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+    assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
+
+
 def test_query_deterministic(capsys):
     args = ("query", "--mode", "direct", "--planet", "jupiter", "--jd", "2455555.25",
             "--count-ops", "--no-timestamp")
