@@ -149,7 +149,7 @@ def lookup_planet(table: PlanetTable, t: float, counter: OpCounter | None = None
     a row's own abscissa returns the stored values unchanged.
     """
     if counter is not None:
-        return _twins()["lookup_planet"](counter, table, t)
+        return _twins("evaluate")["lookup_planet"](counter, table, t)
     el = table.elements
     if not (math.isfinite(t) and 0.0 <= t < el.P):
         raise DomainError(f"t={t!r} outside [0, {el.P!r}); reduce time modulo the period first")
@@ -178,7 +178,7 @@ def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounte
     so a 359 -> 1 degree seam interpolates through 0, never through 180.
     """
     if counter is not None:
-        return _twins()["lookup_double"](counter, table, u, v)
+        return _twins("evaluate")["lookup_double"](counter, table, u, v)
     if not (math.isfinite(u) and 0.0 <= u < table.planet.P):
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
     if not (math.isfinite(v) and 0.0 <= v < table.earth.P):
@@ -220,7 +220,7 @@ def phase_days(counter: OpCounter | None, jd: float, t_aph: float, period: float
     Counted into ``counter`` unless it is None.
     """
     if counter is not None:
-        return _twins()["phase_days"](counter, None, jd, t_aph, period)
+        return _twins("evaluate")["phase_days"](counter, None, jd, t_aph, period)
     if not math.isfinite(jd):
         raise DomainError(f"jd must be finite, got {jd!r}")
     dt = jd - t_aph
@@ -239,7 +239,7 @@ def geocentric_at_table(
     """Table-mode geocentric position at ``jd``: phase reduction plus one
     double-entry lookup, no transcendental calls anywhere on the path."""
     if counter is not None:
-        return _twins()["geocentric_at_table"](counter, tables, planet, jd)
+        return _twins("evaluate")["geocentric_at_table"](counter, tables, planet, jd)
     table = tables.double_for(planet)
     u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
     v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
@@ -251,7 +251,7 @@ def heliocentric_at_table(
 ):
     """(nu_aph, r) from the single-entry table at ``jd``."""
     if counter is not None:
-        return _twins()["heliocentric_at_table"](counter, tables, planet, jd)
+        return _twins("evaluate")["heliocentric_at_table"](counter, tables, planet, jd)
     table = tables.single_for(planet)
     return lookup_planet(table, phase_days(None, jd, table.elements.T_aph, table.elements.P))
 

@@ -2,10 +2,12 @@
 
 The direct chain (angles.py, kepler.py, geocentric.py), the table builders
 (tables.py) and the table path (evaluate.py) are written once, as plain
-float code. Their counted twins are derived from that source on the first
-counted call, and cached. Each statement of a twin keeps its plain float
-operators, preceded by one increment per counter field (``_c.muls += 2``),
-so its results are bit-identical to the plain code's. A twin takes the
+float code. Their counted twins are derived from that source, one module at
+a time, on the first counted call that needs them, and cached: a counted
+table query derives evaluate.py's twins only. Each statement of a twin
+keeps its plain float operators, preceded by one increment per counter
+field (``_c.muls += 2``), so its results are bit-identical to the plain
+code's. A twin takes the
 counter first and passes it on to the twins it calls.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
@@ -177,26 +179,28 @@ _CHAIN = {
     "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",
                  "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }
+_CHAIN_NAMES = {name for names in _CHAIN.values() for name in names}
 
 
 @functools.cache
-def _twins() -> dict:
-    """The counted twin of every _CHAIN function, by name."""
-    chain = {name for names in _CHAIN.values() for name in names}
-    twins = {}
-    for module_name, names in _CHAIN.items():  # each after the modules it imports from
-        module = importlib.import_module(f".{module_name}", __package__)
-        namespace = dict(vars(module))
-        calls = chain & namespace.keys()
-        namespace.update((name, twins[name]) for name in calls - set(names))
-        derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
-        twins.update((name, namespace[name]) for name in names)
-    return twins
+def _twins(module_name: str) -> dict:
+    """The counted twin of every _CHAIN function of ``module_name``, by name.
+    Derives (and caches) first the twins of the chain modules whose
+    functions it calls, and no others."""
+    module = importlib.import_module(f".{module_name}", __package__)
+    namespace = dict(vars(module))
+    calls = _CHAIN_NAMES & namespace.keys()
+    for other, names in _CHAIN.items():
+        called = calls.intersection(names) if other != module_name else ()
+        namespace.update({name: _twins(other)[name] for name in called})
+    names = _CHAIN[module_name]
+    derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
+    return {name: namespace[name] for name in names}
 
 
 def counted_heliocentric(c: OpCounter, el: OrbitalElements, jd: float):
     """kepler.heliocentric_state counted into ``c``; returns (l, b, r)."""
-    s = _twins()["heliocentric_state"](c, el, jd)
+    s = _twins("kepler")["heliocentric_state"](c, el, jd)
     return s.l, s.b, s.r
 
 
@@ -204,7 +208,7 @@ def counted_direct(
     c: OpCounter, planet_el: OrbitalElements, earth_el: OrbitalElements, jd: float
 ) -> GeocentricPosition:
     """geocentric.geocentric_at counted into ``c``."""
-    return _twins()["geocentric_at"](c, planet_el, earth_el, jd)
+    return _twins("geocentric")["geocentric_at"](c, planet_el, earth_el, jd)
 
 
 def measure_compile_ops(
@@ -216,7 +220,7 @@ def measure_compile_ops(
     """Arithmetic of compiling ``bodies`` as ``urania gen --all`` does, counted
     by running the builders' twins: a single-entry table per body, and a
     double-entry table per body paired with ``earth_name`` given a shape."""
-    twins, c = _twins(), OpCounter()
+    twins, c = _twins("tables"), OpCounter()
     for el in bodies.values():
         twins["build_planet_table"](c, el, step_days)
     if double_shape is not None and earth_name in bodies:

@@ -1,14 +1,26 @@
 """Reading and writing compiled table files.
 
-Format v1 is UTF-8 and line-oriented: ``#`` header lines followed by
-comma-separated data rows printed with 17 significant digits, which makes the
-write/read round trip bit-exact. Unknown header keys are ignored; missing
-mandatory keys, truncation, or malformed numbers are parse errors carrying
-the 1-based line number.
+Format v2 is a UTF-8 text header followed by a binary payload. The header is
+``#`` lines: the magic ``# urania-table v2``, ``kind``, ``name``, the
+``elements`` (and ``corrections``) of each body, then ``step`` for a
+single-entry table or ``n_u``/``n_v`` for a double-entry one; unknown keys are
+ignored. It closes with ``# payload: floats=N crc32=XXXXXXXX``, whose CRC-32
+(``zlib.crc32``, 8 lowercase hex digits) covers every byte of the file but
+those 8 digits. The payload follows that line's newline: N little-endian
+float64 values, ``lambda, beta, delta`` per cell, row-major, for a double-entry
+table, and ``nu_aph, r, motion_day`` per row for a single-entry one, whose
+``t = k * step`` and ``motion_hour = motion_day / 24`` are rebuilt on read as
+the compiler computes them. No value goes through decimal text, so the round
+trip is bit-exact. A corrupt, truncated or out-of-range file raises
+TableParseError; a file of another format version (v1 was all text) raises
+TableVersionError, and ``urania gen`` rebuilds the tables.
 """
 
 import math
 import re
+import sys
+import zlib
+from array import array
 from pathlib import Path
 
 from .errors import TableParseError, TableVersionError
@@ -26,8 +38,20 @@ __all__ = [
     "double_planets",
 ]
 
-FORMAT_VERSION = 1
-_MAGIC_RE = re.compile(r"^# urania-table v(\d+)\s*$")
+FORMAT_VERSION = 2
+_MAGIC = re.compile(rb"# urania-table v(\d+)\n")
+_PAYLOAD = re.compile(rb"# payload: floats=(\d+) crc32=(\S*)")
+# Payload columns, interleaved per row or cell: name, range, test of one value.
+_SINGLE_COLUMNS = (
+    ("nu_aph", "in [0, 360)", lambda x: 0.0 <= x < 360.0),
+    ("r", "positive", lambda x: x > 0.0),
+    ("motion_day", "positive", lambda x: x > 0.0),
+)
+_DOUBLE_COLUMNS = (
+    ("lambda", "in [0, 360)", lambda x: 0.0 <= x < 360.0),
+    ("beta", "in [-90, 90]", lambda x: -90.0 <= x <= 90.0),
+    ("delta", "positive", lambda x: x > 0.0),
+)
 
 
 def _f(x: float) -> str:
@@ -36,7 +60,7 @@ def _f(x: float) -> str:
 
 def _elements_header(el: OrbitalElements, key: str = "elements") -> str:
     return (
-        f"# {key}: a={_f(el.a)} e={_f(el.e)} i={_f(el.i)} Omega={_f(el.Omega)} "
+        f"{key}: a={_f(el.a)} e={_f(el.e)} i={_f(el.i)} Omega={_f(el.Omega)} "
         f"omega={_f(el.omega)} P={_f(el.P)} T_aph={_f(el.T_aph)}"
     )
 
@@ -44,7 +68,7 @@ def _elements_header(el: OrbitalElements, key: str = "elements") -> str:
 def _corrections_header(el: OrbitalElements, key: str = "corrections") -> str | None:
     if not el.corrections:
         return None
-    parts = [f"# {key}: k={len(el.corrections)};"]
+    parts = [f"{key}: k={len(el.corrections)};"]
     for j, c in enumerate(el.corrections, start=1):
         parts.append(f"amp_{j}={_f(c.amplitude)} per_{j}={_f(c.period)} ph_{j}={_f(c.phase)}")
     return " ".join(parts)
@@ -104,91 +128,119 @@ def read_table_file(path):
 
 def write_table(table, destination) -> None:
     """Serialize a PlanetTable or DoubleEntryTable to ``destination``."""
-    lines = [f"# urania-table v{FORMAT_VERSION}"]
     if isinstance(table, PlanetTable):
         el = table.elements
-        lines.append("# kind=single")
-        lines.append(f"# name={el.name}")
-        lines.append(_elements_header(el))
-        corr = _corrections_header(el)
-        if corr:
-            lines.append(corr)
-        lines.append(f"# step={_f(table.step)}")
-        lines.append("# columns: t,nu_aph,r,motion_day,motion_hour")
-        for row in table.rows:
-            lines.append(
-                f"{_f(row.t)},{_f(row.nu_aph)},{_f(row.r)},"
-                f"{_f(row.motion_per_day)},{_f(row.motion_per_hour)}"
-            )
+        header = ["kind=single", f"name={el.name}", _elements_header(el),
+                  _corrections_header(el), f"step={_f(table.step)}"]
+        values = [x for row in table.rows for x in (row.nu_aph, row.r, row.motion_per_day)]
     elif isinstance(table, DoubleEntryTable):
-        lines.append("# kind=double")
-        lines.append(f"# name={table.planet.name},earth={table.earth.name}")
-        lines.append(_elements_header(table.planet))
-        lines.append(_elements_header(table.earth, key="earth-elements"))
-        corr = _corrections_header(table.planet)
-        if corr:
-            lines.append(corr)
-        corr = _corrections_header(table.earth, key="earth-corrections")
-        if corr:
-            lines.append(corr)
-        lines.append(f"# n_u={table.n_u} n_v={table.n_v}")
-        lines.append("# columns: iu,iv,lambda,beta,delta")
-        for iu in range(table.n_u):
-            for iv in range(table.n_v):
-                lam, beta, delta = table.cells[iu][iv]
-                lines.append(f"{iu},{iv},{_f(lam)},{_f(beta)},{_f(delta)}")
+        header = [
+            "kind=double",
+            f"name={table.planet.name},earth={table.earth.name}",
+            _elements_header(table.planet),
+            _elements_header(table.earth, key="earth-elements"),
+            _corrections_header(table.planet),
+            _corrections_header(table.earth, key="earth-corrections"),
+            f"n_u={table.n_u} n_v={table.n_v}",
+        ]
+        values = [x for col in table.cells for cell in col for x in cell]
     else:
         raise TypeError(f"cannot serialize {type(table).__name__}")
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    payload = array("d", values)
+    if sys.byteorder == "big":
+        payload.byteswap()
+    lines = [f"urania-table v{FORMAT_VERSION}", *filter(None, header)]
+    head = "".join(f"# {line}\n" for line in lines) + f"# payload: floats={len(payload)} crc32="
+    head, body = head.encode("utf-8"), b"\n" + payload.tobytes()
+    crc = zlib.crc32(body, zlib.crc32(head))
+    Path(destination).write_bytes(head + b"%08x" % crc + body)
 
 
 def read_table(source):
     """Parse a table file, returning a PlanetTable or DoubleEntryTable."""
     path = Path(source)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise TableParseError("empty file", path=path, line=1)
-
-    m = _MAGIC_RE.match(lines[0])
-    if m is None:
+    data = path.read_bytes()
+    magic = _MAGIC.match(data)
+    if magic is None:
         raise TableParseError(
-            "first line must be the format magic '# urania-table v1'", path=path, line=1
+            f"first line must be the format magic '# urania-table v{FORMAT_VERSION}'",
+            path=path,
+            line=1,
         )
-    version = int(m.group(1))
+    version = int(magic.group(1))
     if version != FORMAT_VERSION:
         raise TableVersionError(
-            f"{path}: table format v{version} is not supported (this build reads v{FORMAT_VERSION})"
+            f"{path}: table format v{version} is not supported (this build reads "
+            f"v{FORMAT_VERSION}); re-run `urania gen` to rebuild the tables"
         )
 
     headers: dict[str, str] = {}
-    data_start = len(lines)  # 0-based index of the first data line
-    for pos in range(1, len(lines)):
-        line = lines[pos].strip()
-        if not line:
-            continue
-        if not line.startswith("#"):
-            data_start = pos
+    pos, line = magic.end(), 1
+    while True:
+        line += 1
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise TableParseError(
+                "header ends without its '# payload:' line (truncated file)", path=path, line=line
+            )
+        closing = _PAYLOAD.fullmatch(data, pos, end)
+        if closing is not None:
             break
-        body = line[1:].strip()
-        if ":" in body and ("=" not in body or body.index(":") < body.index("=")):
-            key, _, value = body.partition(":")
-            headers[key.strip()] = value.strip()
-        else:
-            # one or more key=value pairs on the line
-            for token in body.split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    headers[key] = value
+        _parse_header_line(data[pos:end], headers, path, line)
+        pos = end + 1
+
+    floats, digits = int(closing.group(1)), closing.span(2)
+    size = len(data) - end - 1
+    if size != 8 * floats:
+        raise TableParseError(
+            f"payload holds {size} bytes, not the {floats} float64 values its header "
+            "declares (truncated or padded file)",
+            path=path,
+        )
+    view = memoryview(data)
+    crc = b"%08x" % zlib.crc32(view[digits[1]:], zlib.crc32(view[: digits[0]]))
+    if closing.group(2) != crc:
+        raise TableParseError(
+            f"crc32 field {closing.group(2).decode('latin-1')!r} does not match the "
+            f"file's content ({crc.decode()}): the file is corrupt",
+            path=path,
+            line=line,
+        )
+    values = array("d")
+    values.frombytes(view[end + 1:])
+    if sys.byteorder == "big":
+        values.byteswap()
 
     kind = headers.get("kind")
     if kind is None:
         raise TableParseError("missing mandatory header key 'kind'", path=path)
     if kind == "single":
-        return _read_single(path, headers, lines, data_start)
+        return _read_single(path, headers, values)
     if kind == "double":
-        return _read_double(path, headers, lines, data_start)
+        return _read_double(path, headers, values)
     raise TableParseError(f"unknown table kind {kind!r}", path=path)
+
+
+def _parse_header_line(raw, headers, path, line):
+    """Add the keys of the header line ``raw`` (bytes) to ``headers``."""
+    try:
+        body = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise TableParseError("header line is not UTF-8 text", path=path, line=line) from None
+    if body.startswith("# payload:"):
+        raise TableParseError(f"malformed payload line {body!r}", path=path, line=line)
+    if not body.startswith("#"):
+        raise TableParseError("header line does not start with '#'", path=path, line=line)
+    body = body[1:].strip()
+    if ":" in body and ("=" not in body or body.index(":") < body.index("=")):
+        key, _, value = body.partition(":")
+        headers[key.strip()] = value.strip()
+    else:
+        # one or more key=value pairs on the line
+        for token in body.split():
+            if "=" in token:
+                key, _, value = token.partition("=")
+                headers[key] = value
 
 
 def _require(headers, key, path):
@@ -197,13 +249,13 @@ def _require(headers, key, path):
     return headers[key]
 
 
-def _parse_float(token, what, path, line):
+def _parse_float(token, what, path):
     try:
         value = float(token)
     except ValueError:
-        raise TableParseError(f"bad {what}: {token!r}", path=path, line=line) from None
+        raise TableParseError(f"bad {what}: {token!r}", path=path) from None
     if not math.isfinite(value):
-        raise TableParseError(f"non-finite {what}: {token!r}", path=path, line=line)
+        raise TableParseError(f"non-finite {what}: {token!r}", path=path)
     return value
 
 
@@ -213,28 +265,20 @@ def _parse_kv_floats(text, what, path):
         key, eq, value = token.partition("=")
         if not eq:
             raise TableParseError(f"malformed {what} token {token!r}", path=path)
-        out[key] = _parse_float(value, f"{what} field {key}", path, None)
+        out[key] = _parse_float(value, f"{what} field {key}", path)
     return out
+
 
 def _parse_elements(name, headers, path, key="elements", corr_key="corrections"):
     fields = _parse_kv_floats(_require(headers, key, path), key, path)
-    missing = {"a", "e", "i", "Omega", "omega", "P", "T_aph"} - set(fields)
+    keys = ("a", "e", "i", "Omega", "omega", "P", "T_aph")
+    missing = set(keys) - set(fields)
     if missing:
         raise TableParseError(f"{key} header lacks {sorted(missing)}", path=path)
     corrections = ()
     if corr_key in headers:
         corrections = _parse_corrections(headers[corr_key], path)
-    el = OrbitalElements(
-        name=name,
-        a=fields["a"],
-        e=fields["e"],
-        i=fields["i"],
-        Omega=fields["Omega"],
-        omega=fields["omega"],
-        P=fields["P"],
-        T_aph=fields["T_aph"],
-        corrections=corrections,
-    )
+    el = OrbitalElements(name, *(fields[k] for k in keys), corrections=corrections)
     try:
         validate_elements(el)
     except Exception as exc:
@@ -266,56 +310,41 @@ def _parse_corrections(text, path) -> tuple[CorrectionTerm, ...]:
     return tuple(terms)
 
 
-def _read_single(path, headers, lines, data_start):
+def _triples(values, count, what, columns, path):
+    """The payload as ``count`` 3-tuples, each of its ``columns`` checked."""
+    if len(values) != 3 * count:
+        raise TableParseError(
+            f"expected {count} {what} ({3 * count} floats), the payload holds {len(values)}",
+            path=path,
+        )
+    if not all(map(math.isfinite, values)):
+        raise TableParseError("non-finite value in the payload", path=path)
+    for j, (name, bounds, ok) in enumerate(columns):
+        column = values[j::3]
+        for x in (min(column), max(column)):
+            if not ok(x):
+                raise TableParseError(f"{name} {x!r} is not {bounds}", path=path)
+    it = iter(values)
+    return list(zip(it, it, it))
+
+
+def _read_single(path, headers, values):
     name = _require(headers, "name", path)
     el = _parse_elements(name, headers, path)
-    step = _parse_float(_require(headers, "step", path), "step", path, None)
+    step = _parse_float(_require(headers, "step", path), "step", path)
     if not (0.0 < step <= el.P / 8.0):
         raise TableParseError(f"step {step!r} out of range for P={el.P!r}", path=path)
 
-    expected = row_count(el.P, step)
-    rows = []
-    for idx in range(data_start, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise TableParseError(
-                f"expected 5 comma-separated values, got {len(parts)}", path=path, line=idx + 1
-            )
-        t, nu, r, mday, mhour = (
-            _parse_float(p, col, path, idx + 1)
-            for p, col in zip(parts, ("t", "nu_aph", "r", "motion_day", "motion_hour"))
-        )
-        k = len(rows)
-        if t != k * step:
-            raise TableParseError(
-                f"row abscissa {t!r} is not {k} * step", path=path, line=idx + 1
-            )
-        if not (0.0 <= nu < 360.0):
-            raise TableParseError(f"nu_aph {nu!r} not normalized", path=path, line=idx + 1)
-        if r <= 0.0:
-            raise TableParseError(f"non-positive radius {r!r}", path=path, line=idx + 1)
-        if mday <= 0.0:
-            raise TableParseError(f"non-positive motion_day {mday!r}", path=path, line=idx + 1)
-        if mhour != mday / 24.0:
-            raise TableParseError(
-                "motion_hour is not motion_day / 24", path=path, line=idx + 1
-            )
-        rows.append(TableRow(t=t, nu_aph=nu, r=r, motion_per_day=mday, motion_per_hour=mhour))
-
-    if len(rows) != expected:
-        raise TableParseError(
-            f"expected {expected} rows for P={el.P!r} step={step!r}, found {len(rows)} "
-            "(truncated or padded file)",
-            path=path,
-            line=len(lines),
-        )
+    what = f"rows for P={el.P!r} step={step!r}"
+    triples = _triples(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
+    rows = [
+        TableRow(t=k * step, nu_aph=nu, r=r, motion_per_day=mday, motion_per_hour=mday / 24.0)
+        for k, (nu, r, mday) in enumerate(triples)
+    ]
     return PlanetTable(elements=el, step=step, rows=rows)
 
 
-def _read_double(path, headers, lines, data_start):
+def _read_double(path, headers, values):
     name = _require(headers, "name", path)
     planet_name, sep, earth_part = name.partition(",earth=")
     if not sep:
@@ -335,43 +364,6 @@ def _read_double(path, headers, lines, data_start):
     if n_u < 8 or n_v < 8:
         raise TableParseError(f"grid {n_u}x{n_v} is below the 8x8 minimum", path=path)
 
-    cells = [[None] * n_v for _ in range(n_u)]
-    count = 0
-    for idx in range(data_start, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise TableParseError(
-                f"expected 5 comma-separated values, got {len(parts)}", path=path, line=idx + 1
-            )
-        try:
-            iu, iv = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise TableParseError(
-                f"bad cell indices {parts[0]!r},{parts[1]!r}", path=path, line=idx + 1
-            ) from None
-        if not (0 <= iu < n_u and 0 <= iv < n_v):
-            raise TableParseError(f"cell ({iu},{iv}) outside grid", path=path, line=idx + 1)
-        lam = _parse_float(parts[2], "lambda", path, idx + 1)
-        beta = _parse_float(parts[3], "beta", path, idx + 1)
-        delta = _parse_float(parts[4], "delta", path, idx + 1)
-        if not (0.0 <= lam < 360.0):
-            raise TableParseError(f"lambda {lam!r} not normalized", path=path, line=idx + 1)
-        if not (-90.0 <= beta <= 90.0):
-            raise TableParseError(f"beta {beta!r} outside [-90, 90]", path=path, line=idx + 1)
-        if delta <= 0.0:
-            raise TableParseError(f"non-positive delta {delta!r}", path=path, line=idx + 1)
-        if cells[iu][iv] is not None:
-            raise TableParseError(f"duplicate cell ({iu},{iv})", path=path, line=idx + 1)
-        cells[iu][iv] = (lam, beta, delta)
-        count += 1
-
-    if count != n_u * n_v:
-        raise TableParseError(
-            f"expected {n_u * n_v} cells, found {count} (truncated file)",
-            path=path,
-            line=len(lines),
-        )
+    triples = _triples(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
+    cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]
     return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v, cells=cells)

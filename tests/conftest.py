@@ -1,4 +1,5 @@
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,22 @@ def make_el(**overrides) -> OrbitalElements:
     )
     fields.update(overrides)
     return OrbitalElements(**fields)
+
+
+def reseal(data: bytes) -> bytes:
+    """The table file ``data`` with its crc32 field recomputed over its
+    current bytes, as ``write_table`` computes it."""
+    head, sep, rest = data.partition(b" crc32=")
+    head, body = head + sep, rest[8:]
+    return head + b"%08x" % zlib.crc32(body, zlib.crc32(head)) + body
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite the table file ``path`` with ``edit`` (str -> str) applied to
+    its header lines before the payload line, and its crc32 re-sealed."""
+    data = path.read_bytes()
+    cut = data.index(b"# payload:")
+    path.write_bytes(reseal(edit(data[:cut].decode()).encode() + data[cut:]))
 
 
 @pytest.fixture(scope="session")

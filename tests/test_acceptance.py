@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import make_el
+from conftest import edit_header, make_el
 from oracles import bisect_kepler, wrap_abs_deg
 from urania import (
     HeliocentricState,
@@ -220,12 +220,13 @@ def test_criterion_10_serialization_and_validate(tmp_path):
     assert read_table(dpath).cells == dtable.cells
 
     truncated = tmp_path / "broken.tbl"
-    truncated.write_text("\n".join(dpath.read_text().splitlines()[:-2]) + "\n")
+    truncated.write_bytes(dpath.read_bytes()[: -2 * 24])  # the last two cells
     with pytest.raises(TableParseError):
         read_table(truncated)
     mangled = tmp_path / "mangled.tbl"
-    mangled.write_text(dpath.read_text().replace("# n_u=8 n_v=8", "# n_u=8"))
-    with pytest.raises(TableParseError):
+    mangled.write_bytes(dpath.read_bytes())
+    edit_header(mangled, lambda text: text.replace("# n_u=8 n_v=8", "# n_u=8"))
+    with pytest.raises(TableParseError, match="n_v"):
         read_table(mangled)
     truncated.unlink()
     mangled.unlink()

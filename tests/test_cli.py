@@ -110,7 +110,7 @@ def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
             "--heliocentric", "--table-dir", str(table_dir), "--no-timestamp")
     _, counted, _ = run(capsys, *args, "--count-ops")
 
-    def refuse():
+    def refuse(*_):
         raise AssertionError("counted table path used without --count-ops")
 
     monkeypatch.setattr("urania.evaluate._twins", refuse)
@@ -161,8 +161,7 @@ def test_query_table_missing_tables(tmp_path, capsys):
 
 
 def truncate(path):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-5]) + "\n")
+    path.write_bytes(path.read_bytes()[: -5 * 24])  # drop the last five rows or cells
 
 
 def test_query_table_reads_only_its_table(capsys, table_dir):
@@ -193,6 +192,18 @@ def test_query_rejects_renamed_double(capsys, table_dir):
     assert code == 3
     assert out == ""
     assert "venus.earth.double.tbl" in err
+
+
+def test_query_table_rejects_v1_tables(capsys, table_dir):
+    (table_dir / "mars.earth.double.tbl").write_text(
+        "# urania-table v1\n# kind=double\n# name=mars,earth=earth\n"
+        "# columns: iu,iv,lambda,beta,delta\n0,0,121.5,1.25,2.5\n"
+    )
+    code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                         "--jd", "2451545.0", "--table-dir", str(table_dir))
+    assert code == 3
+    assert out == ""
+    assert "v1" in err and "urania gen" in err
 
 
 def test_query_unknown_planet(capsys):
@@ -342,9 +353,7 @@ def test_validate_fresh_checkout(capsys, tmp_path):
 
 
 def test_validate_flags_corrupt_table(capsys, table_dir):
-    victim = table_dir / "mars.single.tbl"
-    lines = victim.read_text().splitlines()
-    victim.write_text("\n".join(lines[:-5]) + "\n")
+    truncate(table_dir / "mars.single.tbl")
     code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
     assert code == 1
     assert "FAIL table-files" in out

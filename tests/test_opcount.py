@@ -235,7 +235,12 @@ def test_uncounted_constructs_without_arithmetic_are_accepted():
 
 def test_import_does_not_derive():
     code = (
-        "import urania as u, urania.opcount as o\n"
+        "import os, urania as u, urania.opcount as o\n"
+        "derived, real = [], o.derive_counted\n"
+        "def spy(source, names, namespace, calls, filename):\n"
+        "    derived.append(os.path.basename(filename)[:-3])\n"
+        "    real(source, names, namespace, calls, filename)\n"
+        "o.derive_counted = spy\n"
         "print(o._twins.cache_info().currsize)\n"
         "ds = u.load_elements(u.default_elements_path())\n"
         "t = u.TableSet()\n"
@@ -245,12 +250,18 @@ def test_import_does_not_derive():
         "u.heliocentric_at_table(t, 'mars', 2451545.0)\n"
         "print(o._twins.cache_info().currsize)\n"
         "u.counted_query('table', 'mars', 2451545.0, tables=t)\n"
-        "print('geocentric_at_table' in o._twins(), 'geocentric_at' in o._twins())\n"
+        "print(','.join(derived))\n"
+        "u.counted_query('direct', 'mars', 2451545.0, dataset=ds)\n"
+        "print(','.join(derived))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(urania.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0", "0", "True", "True"]
+    # a counted table query derives only evaluate's twins; a counted direct
+    # query then derives the direct chain's, each module after those it calls
+    assert out.stdout.split() == [
+        "0", "0", "evaluate", "evaluate,angles,kepler,geocentric"
+    ]
 
 
 # ---------------------------------------------------------------------------

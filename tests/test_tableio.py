@@ -1,6 +1,10 @@
-import pytest
+import dataclasses
+import math
 
-from conftest import make_el
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import edit_header, make_el, reseal
 from urania import (
     CorrectionTerm,
     TableParseError,
@@ -12,25 +16,48 @@ from urania import (
     write_table,
 )
 
+CORRECTIONS = (
+    CorrectionTerm(amplitude=0.125, period=4000.0, phase=12.5),
+    CorrectionTerm(amplitude=0.01, period=777.0, phase=300.0),
+)
+
+# The opening lines of a format v1 file: all text, one data row per line.
+V1_TEXT = (
+    "# urania-table v1\n# kind=single\n# name=proto\n"
+    "# elements: a=1.5 e=0.34999999999999998 i=3 Omega=40 omega=110 P=96 T_aph=2451545\n"
+    "# step=4\n# columns: t,nu_aph,r,motion_day,motion_hour\n"
+    "0,0,2.0249999999999999,1.5466823237497036,0.064445096822904318\n"
+)
+
 
 def single_table(**overrides):
     el = make_el(name="proto", e=0.35, P=96.0, **overrides)
     return build_planet_table(el, 4.0)
 
 
-def double_table():
-    planet = make_el(name="proto", a=2.4, e=0.2, i=2.5, P=700.0)
+def double_table(**overrides):
+    planet = make_el(name="proto", a=2.4, e=0.2, i=2.5, P=700.0, **overrides)
     earth = make_el(name="earth", a=1.0, e=0.03, i=0.0, Omega=0.0, omega=70.0, P=300.0)
     return build_double_entry(planet, earth, 8, 8)
 
 
+def written(tmp_path, table):
+    path = tmp_path / table_filename(table)
+    write_table(table, path)
+    return path
+
+
+def _bits(table):
+    """Every float of ``table``'s rows or cells as hex, so -0.0 != 0.0."""
+    if hasattr(table, "rows"):
+        values = [x for row in table.rows for x in dataclasses.astuple(row)]
+    else:
+        values = [x for col in table.cells for cell in col for x in cell]
+    return [float.hex(x) for x in values]
+
+
 def test_single_round_trip_is_bit_exact(tmp_path):
-    table = single_table(
-        corrections=(
-            CorrectionTerm(amplitude=0.125, period=4000.0, phase=12.5),
-            CorrectionTerm(amplitude=0.01, period=777.0, phase=300.0),
-        )
-    )
+    table = single_table(corrections=CORRECTIONS)
     path = tmp_path / table_filename(table)
     write_table(table, path)
     again = read_table(path)
@@ -50,12 +77,35 @@ def test_double_round_trip_is_bit_exact(tmp_path):
     assert again.cells == table.cells
 
 
+@pytest.mark.parametrize("corrections", [(), CORRECTIONS], ids=["plain", "corrected"])
+@pytest.mark.parametrize("build", [single_table, double_table])
+def test_round_trip_bits(tmp_path, build, corrections):
+    table = build(corrections=corrections)
+    again = read_table(written(tmp_path, table))
+    assert again == table
+    assert _bits(again) == _bits(table)
+
+
+def test_write_is_deterministic(tmp_path):
+    for table in (single_table(corrections=CORRECTIONS), double_table()):
+        first, second = tmp_path / "first.tbl", tmp_path / "second.tbl"
+        write_table(table, first)
+        write_table(table, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert str(tmp_path).encode() not in first.read_bytes()
+
+
 def test_version_mismatch(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    text = path.read_text().replace("# urania-table v1", "# urania-table v99")
-    path.write_text(text)
+    path = written(tmp_path, single_table())
+    path.write_bytes(path.read_bytes().replace(b"# urania-table v2", b"# urania-table v99", 1))
     with pytest.raises(TableVersionError):
+        read_table(path)
+
+
+def test_v1_file_asks_for_gen(tmp_path):
+    path = tmp_path / "proto.single.tbl"
+    path.write_text(V1_TEXT)
+    with pytest.raises(TableVersionError, match="urania gen"):
         read_table(path)
 
 
@@ -68,76 +118,137 @@ def test_missing_magic(tmp_path):
 
 
 def test_truncated_single_table(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-3]) + "\n")
+    path = written(tmp_path, single_table())
+    path.write_bytes(path.read_bytes()[: -3 * 24])  # drop the last three rows
     with pytest.raises(TableParseError, match="truncated"):
         read_table(path)
 
 
 def test_truncated_double_table(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(double_table(), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
+    path = written(tmp_path, double_table())
+    path.write_bytes(path.read_bytes()[:-24])  # drop the final cell
     with pytest.raises(TableParseError, match="truncated"):
         read_table(path)
 
 
-def test_malformed_number_names_line(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    lines = path.read_text().splitlines()
-    first_data = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    parts = lines[first_data + 1].split(",")
-    parts[2] = "not-a-number"
-    lines[first_data + 1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableParseError) as err:
+def _resized(path, grow):
+    """Repeat (grow) or drop the file's final row or cell, with the payload
+    line's float count and the crc32 made to match."""
+    data = path.read_bytes()
+    floats = int(data.split(b"floats=")[1].split(b" ")[0])
+    data = data + data[-24:] if grow else data[:-24]
+    new = floats + 3 if grow else floats - 3
+    path.write_bytes(reseal(data.replace(b"floats=%d " % floats, b"floats=%d " % new, 1)))
+
+
+def test_payload_of_wrong_length_rejected(tmp_path):
+    for table, what in ((single_table(), "rows"), (double_table(), "cells")):
+        for grow in (False, True):
+            path = written(tmp_path, table)
+            _resized(path, grow)
+            with pytest.raises(TableParseError, match=f"expected .* {what}"):
+                read_table(path)
+
+
+def test_out_of_range_value_rejected(tmp_path):
+    bad_cells = {
+        (400.0, 0.0, 1.0): "lambda 400.0 is not in",
+        (-1e-300, 0.0, 1.0): "lambda -1e-300 is not in",
+        (10.0, 90.5, 1.0): "beta 90.5 is not in",
+        (10.0, 0.0, 0.0): "delta 0.0 is not positive",
+        (10.0, math.nan, 1.0): "non-finite",
+        (10.0, 0.0, math.inf): "non-finite",
+    }
+    for cell, message in bad_cells.items():
+        table = double_table()
+        table.cells[0][0] = cell
+        with pytest.raises(TableParseError, match=message):
+            read_table(written(tmp_path, table))
+    bad_rows = {
+        "nu_aph": (360.0, "nu_aph 360.0 is not in"),
+        "r": (-1.0, "r -1.0 is not positive"),
+        "motion_per_day": (math.nan, "non-finite"),
+    }
+    for field, (value, message) in bad_rows.items():
+        table = single_table()
+        table.rows[5] = dataclasses.replace(table.rows[5], **{field: value})
+        with pytest.raises(TableParseError, match=message):
+            read_table(written(tmp_path, table))
+
+
+def test_crc_mismatch_rejected(tmp_path):
+    path = written(tmp_path, double_table())
+    data = bytearray(path.read_bytes())
+    data[-100] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(TableParseError, match="crc32"):
         read_table(path)
-    assert err.value.line == first_data + 2  # 1-based
+
+
+def test_crc_field_compared_as_text(tmp_path):
+    path = written(tmp_path, single_table())
+    data = path.read_bytes()
+    head, sep, rest = data.partition(b" crc32=")
+    assert rest[:8] != rest[:8].upper()  # this table's crc32 holds a hex letter
+    path.write_bytes(head + sep + rest[:8].upper() + rest[8:])
+    with pytest.raises(TableParseError, match="crc32"):
+        read_table(path)
 
 
 def test_unknown_header_keys_ignored(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    lines = path.read_text().splitlines()
-    lines.insert(1, "# compiled-by=unit-test")
-    lines.insert(2, "# note: free text header")
-    path.write_text("\n".join(lines) + "\n")
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace(
+        "# kind=single\n", "# kind=single\n# compiled-by=unit-test\n# note: free text header\n"
+    ))
     table = read_table(path)
     assert table.elements.name == "proto"
 
 
 def test_missing_mandatory_key(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("# step=")]
-    path.write_text("\n".join(lines) + "\n")
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: "".join(
+        line for line in text.splitlines(True) if not line.startswith("# step=")
+    ))
     with pytest.raises(TableParseError, match="step"):
         read_table(path)
 
 
 def test_invalid_elements_header_rejected(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(single_table(), path)
-    text = path.read_text().replace("e=0.34999999999999998", "e=1.5")
-    path.write_text(text)
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace("e=0.34999999999999998", "e=1.5"))
     with pytest.raises(TableParseError, match="eccentricity"):
-        read_table(path)
-
-
-def test_duplicate_double_cell_rejected(tmp_path):
-    path = tmp_path / "t.tbl"
-    write_table(double_table(), path)
-    lines = path.read_text().splitlines()
-    lines.append(lines[-1])  # repeat the final cell
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TableParseError, match="duplicate"):
         read_table(path)
 
 
 def test_filenames():
     assert table_filename(single_table()) == "proto.single.tbl"
     assert table_filename(double_table()) == "proto.earth.double.tbl"
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A small valid single-entry and double-entry file, as bytes, and a
+    path to write mutants to."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for table in (single_table(corrections=CORRECTIONS), double_table()):
+        path = written(directory, table)
+        assert read_table(path) == table
+        files[table_filename(table)] = path.read_bytes()
+    return files, directory / "mutant.tbl"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_byte_mutation_or_truncation_is_rejected(valid_files, data):
+    files, path = valid_files
+    valid = files[data.draw(st.sampled_from(sorted(files)), label="file")]
+    if data.draw(st.booleans(), label="truncate"):
+        mutant = valid[: data.draw(st.integers(0, len(valid) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(valid) - 1), label="position")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != valid[pos]), label="byte")
+        mutant = valid[:pos] + bytes([byte]) + valid[pos + 1:]
+    path.write_bytes(mutant)
+    with pytest.raises((TableParseError, TableVersionError)):
+        read_table(path)
