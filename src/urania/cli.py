@@ -184,6 +184,8 @@ def _format_position(args, pos) -> list[str]:
 def cmd_query(args) -> int:
     jd = _query_jd(args)
     p = args.precision
+    if p < 0:
+        raise DomainError(f"--precision must be >= 0, got {p}")
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
     counter = OpCounter() if args.count_ops else None

@@ -16,11 +16,18 @@ from .angles import normalize_deg
 from .errors import DomainError, ParseError
 from .kepler import CorrectionTerm, OrbitalElements, validate_elements
 
-__all__ = ["ElementsDataset", "load_elements", "default_elements_path", "REQUIRED_COLUMNS"]
+__all__ = [
+    "ElementsDataset",
+    "load_elements",
+    "elements_from_row",
+    "elements_row",
+    "default_elements_path",
+    "REQUIRED_COLUMNS",
+]
 
 REQUIRED_COLUMNS = ("name", "a_au", "e", "i_deg", "Omega_deg", "omega_deg", "P_days", "T_aph_jd")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
 def default_elements_path() -> Path:
@@ -82,22 +89,57 @@ def _parse_header(parts: list[str], path) -> int:
     return len(extra) // 3
 
 
-def _parse_float(token: str, column: str, body: str, path, line: int) -> float:
+def _parse_float(token: str, column: str, body: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(
-            f"{body or 'row'}: column {column} is not a number: {token!r}",
-            path=path,
-            line=line,
-        ) from None
+        raise DomainError(f"{body}: column {column} is not a number: {token!r}") from None
     if not math.isfinite(value):
-        raise ParseError(
-            f"{body or 'row'}: column {column} must be finite, got {token!r}",
-            path=path,
-            line=line,
-        )
+        raise DomainError(f"{body}: column {column} must be finite, got {token!r}")
     return value
+
+
+def elements_from_row(parts: list[str]) -> OrbitalElements:
+    """The validated elements of one CSV row, split into its columns: name,
+    the seven element columns, then any correction-term triples. Node and
+    perihelion angles are normalized; DomainError names what is wrong."""
+    name = parts[0]
+    if not _NAME_RE.fullmatch(name):
+        raise DomainError(f"invalid body name {name!r}")
+    if len(parts) < len(REQUIRED_COLUMNS):
+        raise DomainError(f"{name}: row is missing element columns")
+    a, e, i, Omega, omega, P, T_aph = (
+        _parse_float(tok, col, name) for tok, col in zip(parts[1:8], REQUIRED_COLUMNS[1:])
+    )
+    corrections = []
+    extras = parts[8:]
+    for k in range(0, len(extras), 3):
+        triple = extras[k : k + 3]
+        if all(tok == "" for tok in triple):
+            continue
+        if len(triple) != 3 or any(tok == "" for tok in triple):
+            raise DomainError(
+                f"{name}: correction term {k // 3 + 1} must set amp, per and ph together"
+            )
+        amp, per, ph = (_parse_float(tok, f"{col}{k // 3 + 1}", name)
+                        for tok, col in zip(triple, ("amp", "per", "ph")))
+        corrections.append(CorrectionTerm(amplitude=amp, period=per, phase=ph))
+
+    el = OrbitalElements(name, a, e, i, normalize_deg(Omega), normalize_deg(omega), P, T_aph,
+                         corrections=tuple(corrections))
+    validate_elements(el)
+    return el
+
+
+def elements_row(el: OrbitalElements) -> str:
+    """The CSV row of ``el``, which ``elements_from_row`` reads back bit for
+    bit (floats are written with ``repr``). DomainError if the CSV cannot
+    hold the body's name."""
+    if not _NAME_RE.fullmatch(el.name):
+        raise DomainError(f"invalid body name {el.name!r}")
+    terms = [x for c in el.corrections for x in (c.amplitude, c.period, c.phase)]
+    values = (el.a, el.e, el.i, el.Omega, el.omega, el.P, el.T_aph, *terms)
+    return ",".join([el.name, *map(repr, values)])
 
 
 def load_elements(path) -> ElementsDataset:
@@ -123,55 +165,13 @@ def load_elements(path) -> ElementsDataset:
                 path=path,
                 line=lineno,
             )
-        name = parts[0]
-        if not _NAME_RE.match(name):
-            raise ParseError(f"invalid body name {name!r}", path=path, line=lineno)
-        if name in bodies:
-            raise ParseError(f"duplicate body name {name!r}", path=path, line=lineno)
-
-        num = [
-            _parse_float(tok, col, name, path, lineno)
-            for tok, col in zip(parts[1:8], REQUIRED_COLUMNS[1:])
-        ]
-        if len(num) != 7:
-            raise ParseError("row is missing element columns", path=path, line=lineno)
-
-        corrections = []
-        extras = parts[8:]
-        for k in range(0, len(extras), 3):
-            triple = extras[k : k + 3]
-            if all(tok == "" for tok in triple):
-                continue
-            if len(triple) != 3 or any(tok == "" for tok in triple):
-                raise ParseError(
-                    f"{name}: correction term {k // 3 + 1} must set amp, per and ph together",
-                    path=path,
-                    line=lineno,
-                )
-            corrections.append(
-                CorrectionTerm(
-                    amplitude=_parse_float(triple[0], f"amp{k // 3 + 1}", name, path, lineno),
-                    period=_parse_float(triple[1], f"per{k // 3 + 1}", name, path, lineno),
-                    phase=_parse_float(triple[2], f"ph{k // 3 + 1}", name, path, lineno),
-                )
-            )
-
         try:
-            el = OrbitalElements(
-                name=name,
-                a=num[0],
-                e=num[1],
-                i=num[2],
-                Omega=normalize_deg(num[3]),
-                omega=normalize_deg(num[4]),
-                P=num[5],
-                T_aph=num[6],
-                corrections=tuple(corrections),
-            )
-            validate_elements(el)
+            el = elements_from_row(parts)
         except DomainError as exc:
             raise ParseError(str(exc), path=path, line=lineno) from None
-        bodies[name] = el
+        if el.name in bodies:
+            raise ParseError(f"duplicate body name {el.name!r}", path=path, line=lineno)
+        bodies[el.name] = el
 
     if header_triples is None:
         raise ParseError("file contains no header row", path=path, line=1)

@@ -33,9 +33,7 @@ from dataclasses import dataclass
 from .geocentric import GeocentricPosition
 from .kepler import OrbitalElements
 
-__all__ = [
-    "OpCounter", "counted_direct", "counted_heliocentric", "derive_counted", "measure_compile_ops"
-]
+__all__ = ["OpCounter", "counted_direct", "derive_counted", "measure_compile_ops"]
 
 
 @dataclass(slots=True)
@@ -196,12 +194,6 @@ def _twins(module_name: str) -> dict:
     names = _CHAIN[module_name]
     derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
     return {name: namespace[name] for name in names}
-
-
-def counted_heliocentric(c: OpCounter, el: OrbitalElements, jd: float):
-    """kepler.heliocentric_state counted into ``c``; returns (l, b, r)."""
-    s = _twins("kepler")["heliocentric_state"](c, el, jd)
-    return s.l, s.b, s.r
 
 
 def counted_direct(

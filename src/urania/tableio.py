@@ -1,19 +1,23 @@
 """Reading and writing compiled table files.
 
-Format v2 is a UTF-8 text header followed by a binary payload. The header is
-``#`` lines: the magic ``# urania-table v2``, ``kind``, ``name``, the
-``elements`` (and ``corrections``) of each body, then ``step`` for a
-single-entry table or ``n_u``/``n_v`` for a double-entry one; unknown keys are
-ignored. It closes with ``# payload: floats=N crc32=XXXXXXXX``, whose CRC-32
-(``zlib.crc32``, 8 lowercase hex digits) covers every byte of the file but
-those 8 digits. The payload follows that line's newline: N little-endian
-float64 values, ``lambda, beta, delta`` per cell, row-major, for a double-entry
-table, and ``nu_aph, r, motion_day`` per row for a single-entry one, whose
-``t = k * step`` and ``motion_hour = motion_day / 24`` are rebuilt on read as
-the compiler computes them. No value goes through decimal text, so the round
-trip is bit-exact. A corrupt, truncated or out-of-range file raises
-TableParseError; a file of another format version (v1 was all text) raises
-TableVersionError, and ``urania gen`` rebuilds the tables.
+Format v3 is a UTF-8 text header followed by a binary payload. The header is
+``# key: value`` lines: the magic ``# urania-table v3``, then ``kind``
+(``single`` or ``double``), ``step`` for a single-entry table or
+``shape: <n_u>x<n_v>`` for a double-entry one, and ``body``, plus ``earth`` for
+a double-entry table, each holding that body's row of the elements CSV (see
+``dataset.elements_row``), so the elements round-trip bit for bit through the
+dataset's own codec. Unknown keys are ignored. The header closes with
+``# payload: floats=N crc32=XXXXXXXX``, whose CRC-32 (``zlib.crc32``, 8
+lowercase hex digits) covers every byte of the file but those 8 digits. The
+payload follows that line's newline: N little-endian float64 values,
+``lambda, beta, delta`` per cell, row-major, for a double-entry table, and
+``nu_aph, r, motion_day`` per row for a single-entry one, whose ``t = k * step``
+and ``motion_hour = motion_day / 24`` are rebuilt on read as the compiler
+computes them. No value goes through decimal text, so the round trip is
+bit-exact. A corrupt, truncated or out-of-range file raises TableParseError; a
+file of another format version (v1 was all text, v2 wrote its own key=value
+element header) raises TableVersionError, and ``urania gen`` rebuilds the
+tables.
 """
 
 import math
@@ -23,8 +27,8 @@ import zlib
 from array import array
 from pathlib import Path
 
-from .errors import TableParseError, TableVersionError
-from .kepler import CorrectionTerm, OrbitalElements, validate_elements
+from .dataset import elements_from_row, elements_row
+from .errors import DomainError, TableParseError, TableVersionError
 from .tables import DoubleEntryTable, PlanetTable, TableRow, row_count
 
 __all__ = [
@@ -38,7 +42,7 @@ __all__ = [
     "double_planets",
 ]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _MAGIC = re.compile(rb"# urania-table v(\d+)\n")
 _PAYLOAD = re.compile(rb"# payload: floats=(\d+) crc32=(\S*)")
 # Payload columns, interleaved per row or cell: name, range, test of one value.
@@ -52,26 +56,6 @@ _DOUBLE_COLUMNS = (
     ("beta", "in [-90, 90]", lambda x: -90.0 <= x <= 90.0),
     ("delta", "positive", lambda x: x > 0.0),
 )
-
-
-def _f(x: float) -> str:
-    return "%.17g" % x
-
-
-def _elements_header(el: OrbitalElements, key: str = "elements") -> str:
-    return (
-        f"{key}: a={_f(el.a)} e={_f(el.e)} i={_f(el.i)} Omega={_f(el.Omega)} "
-        f"omega={_f(el.omega)} P={_f(el.P)} T_aph={_f(el.T_aph)}"
-    )
-
-
-def _corrections_header(el: OrbitalElements, key: str = "corrections") -> str | None:
-    if not el.corrections:
-        return None
-    parts = [f"{key}: k={len(el.corrections)};"]
-    for j, c in enumerate(el.corrections, start=1):
-        parts.append(f"amp_{j}={_f(c.amplitude)} per_{j}={_f(c.period)} ph_{j}={_f(c.phase)}")
-    return " ".join(parts)
 
 
 def _filename(kind: str, name: str, earth: str = "earth") -> str:
@@ -129,27 +113,22 @@ def read_table_file(path):
 def write_table(table, destination) -> None:
     """Serialize a PlanetTable or DoubleEntryTable to ``destination``."""
     if isinstance(table, PlanetTable):
-        el = table.elements
-        header = ["kind=single", f"name={el.name}", _elements_header(el),
-                  _corrections_header(el), f"step={_f(table.step)}"]
+        header = {"kind": "single", "step": repr(table.step), "body": elements_row(table.elements)}
         values = [x for row in table.rows for x in (row.nu_aph, row.r, row.motion_per_day)]
     elif isinstance(table, DoubleEntryTable):
-        header = [
-            "kind=double",
-            f"name={table.planet.name},earth={table.earth.name}",
-            _elements_header(table.planet),
-            _elements_header(table.earth, key="earth-elements"),
-            _corrections_header(table.planet),
-            _corrections_header(table.earth, key="earth-corrections"),
-            f"n_u={table.n_u} n_v={table.n_v}",
-        ]
+        header = {
+            "kind": "double",
+            "shape": f"{table.n_u}x{table.n_v}",
+            "body": elements_row(table.planet),
+            "earth": elements_row(table.earth),
+        }
         values = [x for col in table.cells for cell in col for x in cell]
     else:
         raise TypeError(f"cannot serialize {type(table).__name__}")
     payload = array("d", values)
     if sys.byteorder == "big":
         payload.byteswap()
-    lines = [f"urania-table v{FORMAT_VERSION}", *filter(None, header)]
+    lines = [f"urania-table v{FORMAT_VERSION}", *(f"{k}: {v}" for k, v in header.items())]
     head = "".join(f"# {line}\n" for line in lines) + f"# payload: floats={len(payload)} crc32="
     head, body = head.encode("utf-8"), b"\n" + payload.tobytes()
     crc = zlib.crc32(body, zlib.crc32(head))
@@ -174,7 +153,7 @@ def read_table(source):
             f"v{FORMAT_VERSION}); re-run `urania gen` to rebuild the tables"
         )
 
-    headers: dict[str, str] = {}
+    headers: dict[str, tuple[str, int]] = {}
     pos, line = magic.end(), 1
     while True:
         line += 1
@@ -211,103 +190,45 @@ def read_table(source):
     if sys.byteorder == "big":
         values.byteswap()
 
-    kind = headers.get("kind")
-    if kind is None:
-        raise TableParseError("missing mandatory header key 'kind'", path=path)
+    kind, line = _require(headers, "kind", path)
     if kind == "single":
         return _read_single(path, headers, values)
     if kind == "double":
         return _read_double(path, headers, values)
-    raise TableParseError(f"unknown table kind {kind!r}", path=path)
+    raise TableParseError(f"unknown table kind {kind!r}", path=path, line=line)
 
 
 def _parse_header_line(raw, headers, path, line):
-    """Add the keys of the header line ``raw`` (bytes) to ``headers``."""
+    """Add the ``# key: value`` header line ``raw`` (bytes) to ``headers`` as
+    ``key -> (value, line)``."""
     try:
-        body = raw.decode("utf-8").strip()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise TableParseError("header line is not UTF-8 text", path=path, line=line) from None
-    if body.startswith("# payload:"):
-        raise TableParseError(f"malformed payload line {body!r}", path=path, line=line)
-    if not body.startswith("#"):
-        raise TableParseError("header line does not start with '#'", path=path, line=line)
-    body = body[1:].strip()
-    if ":" in body and ("=" not in body or body.index(":") < body.index("=")):
-        key, _, value = body.partition(":")
-        headers[key.strip()] = value.strip()
-    else:
-        # one or more key=value pairs on the line
-        for token in body.split():
-            if "=" in token:
-                key, _, value = token.partition("=")
-                headers[key] = value
+    if text.startswith("# payload:"):
+        raise TableParseError(f"malformed payload line {text!r}", path=path, line=line)
+    key, sep, value = text.partition(":")
+    if not (key.startswith("#") and sep):
+        raise TableParseError(
+            f"header line {text!r} does not read '# key: value'", path=path, line=line
+        )
+    headers[key[1:].strip()] = (value.strip(), line)
 
 
 def _require(headers, key, path):
+    """The ``(value, line)`` of header ``key``."""
     if key not in headers:
         raise TableParseError(f"missing mandatory header key {key!r}", path=path)
     return headers[key]
 
 
-def _parse_float(token, what, path):
+def _elements(headers, key, path):
+    """The elements of the body whose CSV row is header ``key``."""
+    row, line = _require(headers, key, path)
     try:
-        value = float(token)
-    except ValueError:
-        raise TableParseError(f"bad {what}: {token!r}", path=path) from None
-    if not math.isfinite(value):
-        raise TableParseError(f"non-finite {what}: {token!r}", path=path)
-    return value
-
-
-def _parse_kv_floats(text, what, path):
-    out = {}
-    for token in text.split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise TableParseError(f"malformed {what} token {token!r}", path=path)
-        out[key] = _parse_float(value, f"{what} field {key}", path)
-    return out
-
-
-def _parse_elements(name, headers, path, key="elements", corr_key="corrections"):
-    fields = _parse_kv_floats(_require(headers, key, path), key, path)
-    keys = ("a", "e", "i", "Omega", "omega", "P", "T_aph")
-    missing = set(keys) - set(fields)
-    if missing:
-        raise TableParseError(f"{key} header lacks {sorted(missing)}", path=path)
-    corrections = ()
-    if corr_key in headers:
-        corrections = _parse_corrections(headers[corr_key], path)
-    el = OrbitalElements(name, *(fields[k] for k in keys), corrections=corrections)
-    try:
-        validate_elements(el)
-    except Exception as exc:
-        raise TableParseError(f"invalid {key} header: {exc}", path=path) from None
-    return el
-
-
-def _parse_corrections(text, path) -> tuple[CorrectionTerm, ...]:
-    head, semi, rest = text.partition(";")
-    if not semi or not head.strip().startswith("k="):
-        raise TableParseError(f"malformed corrections header {text!r}", path=path)
-    try:
-        k = int(head.strip()[2:])
-    except ValueError:
-        raise TableParseError(f"bad corrections count in {text!r}", path=path) from None
-    fields = _parse_kv_floats(rest, "corrections", path)
-    terms = []
-    for j in range(1, k + 1):
-        try:
-            terms.append(
-                CorrectionTerm(
-                    amplitude=fields[f"amp_{j}"],
-                    period=fields[f"per_{j}"],
-                    phase=fields[f"ph_{j}"],
-                )
-            )
-        except KeyError as exc:
-            raise TableParseError(f"corrections header lacks {exc}", path=path) from None
-    return tuple(terms)
+        return elements_from_row(row.split(","))
+    except DomainError as exc:
+        raise TableParseError(f"invalid {key} header: {exc}", path=path, line=line) from None
 
 
 def _triples(values, count, what, columns, path):
@@ -329,40 +250,34 @@ def _triples(values, count, what, columns, path):
 
 
 def _read_single(path, headers, values):
-    name = _require(headers, "name", path)
-    el = _parse_elements(name, headers, path)
-    step = _parse_float(_require(headers, "step", path), "step", path)
+    el = _elements(headers, "body", path)
+    text, line = _require(headers, "step", path)
+    try:
+        step = float(text)
+    except ValueError:
+        raise TableParseError(f"step {text!r} is not a number", path=path, line=line) from None
     if not (0.0 < step <= el.P / 8.0):
-        raise TableParseError(f"step {step!r} out of range for P={el.P!r}", path=path)
+        raise TableParseError(f"step {step!r} out of range for P={el.P!r}", path=path, line=line)
 
     what = f"rows for P={el.P!r} step={step!r}"
     triples = _triples(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
     rows = [
-        TableRow(t=k * step, nu_aph=nu, r=r, motion_per_day=mday, motion_per_hour=mday / 24.0)
-        for k, (nu, r, mday) in enumerate(triples)
+        TableRow(k * step, nu, r, mday, mday / 24.0) for k, (nu, r, mday) in enumerate(triples)
     ]
     return PlanetTable(elements=el, step=step, rows=rows)
 
 
 def _read_double(path, headers, values):
-    name = _require(headers, "name", path)
-    planet_name, sep, earth_part = name.partition(",earth=")
-    if not sep:
-        raise TableParseError(
-            f"double-entry name header must read 'name=<planet>,earth=<earth>', got {name!r}",
-            path=path,
-        )
-    planet = _parse_elements(planet_name, headers, path)
-    earth = _parse_elements(
-        earth_part, headers, path, key="earth-elements", corr_key="earth-corrections"
-    )
+    planet, earth = _elements(headers, "body", path), _elements(headers, "earth", path)
+    text, line = _require(headers, "shape", path)
     try:
-        n_u = int(_require(headers, "n_u", path))
-        n_v = int(_require(headers, "n_v", path))
+        n_u, n_v = map(int, text.split("x"))
     except ValueError:
-        raise TableParseError("n_u / n_v must be integers", path=path) from None
+        raise TableParseError(
+            f"shape {text!r} does not read '<n_u>x<n_v>'", path=path, line=line
+        ) from None
     if n_u < 8 or n_v < 8:
-        raise TableParseError(f"grid {n_u}x{n_v} is below the 8x8 minimum", path=path)
+        raise TableParseError(f"grid {n_u}x{n_v} is below the 8x8 minimum", path=path, line=line)
 
     triples = _triples(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
     cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]

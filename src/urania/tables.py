@@ -7,6 +7,7 @@ later, at interpolation time.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .angles import wrap_diff_deg
 from .errors import DomainError
@@ -29,7 +30,6 @@ __all__ = [
     "calculation_census",
     "MOTION_STENCIL_DAYS",
     "SOLVES_PER_ROW",
-    "SOLVES_PER_CELL",
 ]
 
 # Half-day stencil: the motion column stores a centred daily rate.
@@ -41,8 +41,7 @@ MOTION_STENCIL_DAYS = 0.5
 SOLVES_PER_ROW = 3
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One single-entry table row.
 
     t: days since aphelion; nu_aph: true anomaly from aphelion (degrees);

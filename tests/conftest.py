@@ -43,10 +43,14 @@ def reseal(data: bytes) -> bytes:
 
 def edit_header(path, edit) -> None:
     """Rewrite the table file ``path`` with ``edit`` (str -> str) applied to
-    its header lines before the payload line, and its crc32 re-sealed."""
+    its header lines before the payload line, and its crc32 re-sealed. The
+    edit must change the header: one that matches nothing fails here."""
     data = path.read_bytes()
     cut = data.index(b"# payload:")
-    path.write_bytes(reseal(edit(data[:cut].decode()).encode() + data[cut:]))
+    header = data[:cut].decode()
+    edited = edit(header)
+    assert edited != header, "the header edit changed nothing"
+    path.write_bytes(reseal(edited.encode() + data[cut:]))
 
 
 @pytest.fixture(scope="session")

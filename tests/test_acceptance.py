@@ -225,7 +225,7 @@ def test_criterion_10_serialization_and_validate(tmp_path):
         read_table(truncated)
     mangled = tmp_path / "mangled.tbl"
     mangled.write_bytes(dpath.read_bytes())
-    edit_header(mangled, lambda text: text.replace("# n_u=8 n_v=8", "# n_u=8"))
+    edit_header(mangled, lambda text: text.replace("# shape: 8x8\n", "# shape: 8\n"))
     with pytest.raises(TableParseError, match="n_v"):
         read_table(mangled)
     truncated.unlink()

@@ -195,15 +195,27 @@ def test_query_rejects_renamed_double(capsys, table_dir):
 
 
 def test_query_table_rejects_v1_tables(capsys, table_dir):
-    (table_dir / "mars.earth.double.tbl").write_text(
-        "# urania-table v1\n# kind=double\n# name=mars,earth=earth\n"
-        "# columns: iu,iv,lambda,beta,delta\n0,0,121.5,1.25,2.5\n"
-    )
-    code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
-                         "--jd", "2451545.0", "--table-dir", str(table_dir))
-    assert code == 3
+    older = {
+        "v1": "# urania-table v1\n# kind=double\n# name=mars,earth=earth\n"
+              "# columns: iu,iv,lambda,beta,delta\n0,0,121.5,1.25,2.5\n",
+        "v2": "# urania-table v2\n# kind=double\n# name=mars,earth=earth\n"
+              "# n_u=8 n_v=8\n# payload: floats=192 crc32=00000000\n",
+    }
+    for version, text in older.items():
+        (table_dir / "mars.earth.double.tbl").write_text(text)
+        code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                             "--jd", "2451545.0", "--table-dir", str(table_dir))
+        assert code == 3
+        assert out == ""
+        assert version in err and "urania gen" in err
+
+
+def test_query_negative_precision_rejected(capsys):
+    code, out, err = run(capsys, "query", "--mode", "direct", "--planet", "mars",
+                         "--jd", "2451545.0", "--precision", "-1")
+    assert code == 2
     assert out == ""
-    assert "v1" in err and "urania gen" in err
+    assert "--precision" in err and "Traceback" not in err
 
 
 def test_query_unknown_planet(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -7,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import edit_header, make_el, reseal
 from urania import (
     CorrectionTerm,
+    DomainError,
+    OrbitalElements,
     TableParseError,
     TableVersionError,
     build_double_entry,
@@ -15,6 +16,7 @@ from urania import (
     table_filename,
     write_table,
 )
+from urania.dataset import elements_from_row, elements_row
 
 CORRECTIONS = (
     CorrectionTerm(amplitude=0.125, period=4000.0, phase=12.5),
@@ -27,6 +29,12 @@ V1_TEXT = (
     "# elements: a=1.5 e=0.34999999999999998 i=3 Omega=40 omega=110 P=96 T_aph=2451545\n"
     "# step=4\n# columns: t,nu_aph,r,motion_day,motion_hour\n"
     "0,0,2.0249999999999999,1.5466823237497036,0.064445096822904318\n"
+)
+# The header of a format v2 file: key=value pairs and a float64 payload.
+V2_TEXT = (
+    "# urania-table v2\n# kind=single\n# name=proto\n"
+    "# elements: a=1.5 e=0.34999999999999998 i=3 Omega=40 omega=110 P=96 T_aph=2451545\n"
+    "# step=4\n# payload: floats=72 crc32=00000000\n"
 )
 
 
@@ -50,7 +58,7 @@ def written(tmp_path, table):
 def _bits(table):
     """Every float of ``table``'s rows or cells as hex, so -0.0 != 0.0."""
     if hasattr(table, "rows"):
-        values = [x for row in table.rows for x in dataclasses.astuple(row)]
+        values = [x for row in table.rows for x in tuple(row)]
     else:
         values = [x for col in table.cells for cell in col for x in cell]
     return [float.hex(x) for x in values]
@@ -97,16 +105,17 @@ def test_write_is_deterministic(tmp_path):
 
 def test_version_mismatch(tmp_path):
     path = written(tmp_path, single_table())
-    path.write_bytes(path.read_bytes().replace(b"# urania-table v2", b"# urania-table v99", 1))
+    edit_header(path, lambda text: text.replace("# urania-table v3\n", "# urania-table v99\n"))
     with pytest.raises(TableVersionError):
         read_table(path)
 
 
 def test_v1_file_asks_for_gen(tmp_path):
     path = tmp_path / "proto.single.tbl"
-    path.write_text(V1_TEXT)
-    with pytest.raises(TableVersionError, match="urania gen"):
-        read_table(path)
+    for text in (V1_TEXT, V2_TEXT):
+        path.write_text(text)
+        with pytest.raises(TableVersionError, match="urania gen"):
+            read_table(path)
 
 
 def test_missing_magic(tmp_path):
@@ -171,7 +180,7 @@ def test_out_of_range_value_rejected(tmp_path):
     }
     for field, (value, message) in bad_rows.items():
         table = single_table()
-        table.rows[5] = dataclasses.replace(table.rows[5], **{field: value})
+        table.rows[5] = table.rows[5]._replace(**{field: value})
         with pytest.raises(TableParseError, match=message):
             read_table(written(tmp_path, table))
 
@@ -198,7 +207,7 @@ def test_crc_field_compared_as_text(tmp_path):
 def test_unknown_header_keys_ignored(tmp_path):
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: text.replace(
-        "# kind=single\n", "# kind=single\n# compiled-by=unit-test\n# note: free text header\n"
+        "# kind: single\n", "# kind: single\n# compiled-by: unit-test\n# note: free text header\n"
     ))
     table = read_table(path)
     assert table.elements.name == "proto"
@@ -207,7 +216,7 @@ def test_unknown_header_keys_ignored(tmp_path):
 def test_missing_mandatory_key(tmp_path):
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: "".join(
-        line for line in text.splitlines(True) if not line.startswith("# step=")
+        line for line in text.splitlines(True) if not line.startswith("# step:")
     ))
     with pytest.raises(TableParseError, match="step"):
         read_table(path)
@@ -215,9 +224,71 @@ def test_missing_mandatory_key(tmp_path):
 
 def test_invalid_elements_header_rejected(tmp_path):
     path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace("e=0.34999999999999998", "e=1.5"))
-    with pytest.raises(TableParseError, match="eccentricity"):
+    edit_header(path, lambda text: text.replace("proto,1.5,0.35,", "proto,1.5,1.5,"))
+    with pytest.raises(TableParseError, match="eccentricity") as err:
         read_table(path)
+    assert err.value.line == 4
+
+
+def test_header_line_without_key_rejected(tmp_path):
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace("# kind: single\n", "# kind: single\n# note\n"))
+    with pytest.raises(TableParseError, match="key: value") as err:
+        read_table(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", ".hidden"])
+def test_name_the_csv_cannot_hold_is_not_written(tmp_path, name):
+    table = build_planet_table(make_el(name=name, P=96.0), 4.0)
+    path = tmp_path / "t.tbl"
+    with pytest.raises(DomainError, match="name"):
+        write_table(table, path)
+    assert not path.exists()
+
+
+def _positive():
+    return st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _angle(top):
+    return st.floats(min_value=0.0, max_value=top, exclude_max=True)
+
+
+_ELEMENTS = st.builds(
+    OrbitalElements,
+    name=st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.-]*", fullmatch=True),
+    a=_positive(),
+    e=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    i=_angle(180.0),
+    Omega=_angle(360.0),
+    omega=_angle(360.0),
+    P=_positive(),
+    T_aph=st.floats(allow_nan=False, allow_infinity=False),
+    corrections=st.lists(
+        st.builds(
+            CorrectionTerm,
+            amplitude=st.floats(min_value=0.0, allow_infinity=False),
+            period=_positive(),
+            phase=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+def _element_bits(el):
+    terms = [x for c in el.corrections for x in (c.amplitude, c.period, c.phase)]
+    values = (el.a, el.e, el.i, el.Omega, el.omega, el.P, el.T_aph, *terms)
+    return el.name, [float.hex(x) for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(el=_ELEMENTS)
+def test_elements_row_round_trip_is_bit_exact(el):
+    again = elements_from_row(elements_row(el).split(","))
+    assert again == el
+    assert _element_bits(again) == _element_bits(el)
 
 
 def test_filenames():
