@@ -61,6 +61,7 @@ from .tables import (
     build_double_entry,
     build_planet_table,
     calculation_census,
+    compile_plan,
 )
 
 __version__ = "0.1.0"

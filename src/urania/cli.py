@@ -48,7 +48,7 @@ from .kepler import (
 from .opcount import OpCounter, counted_direct, measure_compile_ops
 from .tableio import double_planets, read_table, read_table_file, table_filename
 from .tableio import table_paths, write_table
-from .tables import build_double_entry, build_planet_table, calculation_census
+from .tables import build_double_entry, build_planet_table, calculation_census, compile_plan
 
 __all__ = ["main"]
 
@@ -119,40 +119,20 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def cmd_gen(args) -> int:
     dataset = _dataset(args)
-    if args.all:
-        names = dataset.names
-    elif args.planet:
-        names = list(dict.fromkeys(args.planet))
-    else:
+    if not (args.all or args.planet):
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
-    for name in names:
-        dataset[name]  # raises KeyError for unknown bodies
+    double_shape = _parse_double(args.double) if args.double else None
+    plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
+                        double_shape)
+    built = [builder(*build_args) for builder, build_args in plan]
 
     out_dir = _table_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    double_shape = _parse_double(args.double) if args.double else None
-    written = []
-    for name in names:
-        table = build_planet_table(dataset[name], args.step_days)
-        path = out_dir / table_filename(table)
+    written = [out_dir / table_filename(table) for table in built]
+    for table, path in zip(built, written):
         write_table(table, path)
-        written.append(path)
-    if double_shape is not None:
-        earth = dataset["earth"]
-        for name in names:
-            if name == earth.name:
-                continue
-            table = build_double_entry(dataset[name], earth, *double_shape)
-            path = out_dir / table_filename(table)
-            write_table(table, path)
-            written.append(path)
 
-    census = calculation_census(
-        {name: dataset[name] for name in names},
-        step_days=args.step_days,
-        double_shape=double_shape,
-    )
+    census = calculation_census(plan)
     lines = [f"wrote {p}" for p in written] + [census.summary_line()]
     payload = {
         "written": [str(p) for p in written],
@@ -362,7 +342,8 @@ def cmd_bench(args) -> int:
 def cmd_census(args) -> int:
     dataset = _dataset(args)
     double_shape = None if args.double in (None, "none") else _parse_double(args.double)
-    census = calculation_census(dataset.bodies, step_days=args.step_days, double_shape=double_shape)
+    plan = compile_plan(dataset, dataset.names, args.step_days, double_shape)
+    census = calculation_census(plan)
     lines = []
     for name, rows in census.single_rows.items():
         lines.append(f"single {name}: rows={rows}")
@@ -370,7 +351,7 @@ def cmd_census(args) -> int:
         lines.append(f"double {pair}: cells={cells}")
     lines.append(census.summary_line())
     payload = {
-        "step_days": census.step_days,
+        "step_days": args.step_days,
         "double_shape": list(double_shape) if double_shape else None,
         "single_rows": census.single_rows,
         "double_cells": census.double_cells,
@@ -380,9 +361,7 @@ def cmd_census(args) -> int:
         "solver_calls": census.solver_calls,
     }
     if args.measure_ops:
-        measured = measure_compile_ops(
-            dataset.bodies, step_days=args.step_days, double_shape=double_shape
-        )
+        measured = measure_compile_ops(plan)
         lines.append(
             "compile_ops: adds={adds} muls={muls} transcendental={transcendental_calls} "
             "total={total}".format(**measured.as_dict())
@@ -546,10 +525,12 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, tables=False):
+def _add_common(p, tables=False, report=True):
     p.add_argument("--elements", help="elements CSV (default: shipped dataset)")
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.add_argument("--no-timestamp", action="store_true", help="deterministic output for diffing")
+    if report:
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="deterministic output for diffing")
     if tables:
         p.add_argument("--table-dir", help="compiled table directory (default: $URANIA_DATA_DIR or ./tables)")
 
@@ -611,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("validate", help="run the built-in invariant checks")
-    _add_common(p, tables=True)
+    _add_common(p, tables=True, report=False)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -9,7 +9,7 @@ else must already satisfy the element invariants.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .angles import normalize_deg
@@ -40,7 +40,6 @@ class ElementsDataset:
     """Validated orbital elements keyed by unique body name."""
 
     bodies: dict[str, OrbitalElements]
-    source: Path | None = field(default=None, compare=False)
 
     def __getitem__(self, name: str) -> OrbitalElements:
         try:
@@ -177,4 +176,4 @@ def load_elements(path) -> ElementsDataset:
         raise ParseError("file contains no header row", path=path, line=1)
     if not bodies:
         raise ParseError("file contains no element rows", path=path, line=1)
-    return ElementsDataset(bodies=bodies, source=path)
+    return ElementsDataset(bodies=bodies)

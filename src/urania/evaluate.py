@@ -262,7 +262,6 @@ def counted_query(
     jd: float,
     dataset=None,
     tables: TableSet | None = None,
-    earth_name: str = "earth",
 ):
     """Run one geocentric query in either mode with a fresh counter.
 
@@ -278,6 +277,6 @@ def counted_query(
         if dataset is None:
             raise DomainError("direct mode requires an elements dataset")
         planet_el: OrbitalElements = dataset[planet]
-        earth_el: OrbitalElements = dataset[earth_name]
+        earth_el: OrbitalElements = dataset["earth"]
         return counted_direct(c, planet_el, earth_el, jd), c
     raise DomainError(f"unknown mode {mode!r}; expected 'direct' or 'table'")

@@ -173,7 +173,8 @@ _CHAIN = {
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
                "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
     "geocentric": ("helio_to_rect", "rect_to_spherical", "geocentric_reduce", "geocentric_at"),
-    "tables": ("row_count", "_check_monotone_rows", "build_planet_table", "build_double_entry"),
+    "tables": ("row_count", "_check_single", "_check_monotone_rows", "build_planet_table",
+               "build_double_entry"),
     "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",
                  "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }
@@ -203,20 +204,10 @@ def counted_direct(
     return _twins("geocentric")["geocentric_at"](c, planet_el, earth_el, jd)
 
 
-def measure_compile_ops(
-    bodies: dict[str, OrbitalElements],
-    step_days: float = 1.0,
-    double_shape: tuple[int, int] | None = (64, 64),
-    earth_name: str = "earth",
-) -> OpCounter:
-    """Arithmetic of compiling ``bodies`` as ``urania gen --all`` does, counted
-    by running the builders' twins: a single-entry table per body, and a
-    double-entry table per body paired with ``earth_name`` given a shape."""
+def measure_compile_ops(plan) -> OpCounter:
+    """Arithmetic of compiling a ``tables.compile_plan``, counted by running
+    its builders' twins over the same list that ``urania gen`` builds."""
     twins, c = _twins("tables"), OpCounter()
-    for el in bodies.values():
-        twins["build_planet_table"](c, el, step_days)
-    if double_shape is not None and earth_name in bodies:
-        for name, el in bodies.items():
-            if name != earth_name:
-                twins["build_double_entry"](c, el, bodies[earth_name], *double_shape)
+    for builder, args in plan:
+        twins[builder.__name__](c, *args)
     return c

@@ -3,9 +3,15 @@
 The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
 later, at interpolation time.
+
+``compile_plan`` is the one place that decides which tables a configuration
+compiles: it returns the checked list of (builder, args) pairs that
+``urania gen`` builds and writes, that ``calculation_census`` counts without
+building, and that ``opcount.measure_compile_ops`` runs counted.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,6 +31,7 @@ __all__ = [
     "DoubleEntryTable",
     "build_planet_table",
     "build_double_entry",
+    "compile_plan",
     "row_count",
     "CensusReport",
     "calculation_census",
@@ -90,6 +97,22 @@ def row_count(P: float, step: float) -> int:
     return n
 
 
+def _check_single(el: OrbitalElements, step: float) -> None:
+    validate_elements(el)
+    max_step = el.P / 8.0
+    if not (math.isfinite(step) and 0.0 < step <= max_step):
+        raise DomainError(f"{el.name}: step must satisfy 0 < step <= P/8, got {step!r}")
+
+
+def _check_double(
+    planet_el: OrbitalElements, earth_el: OrbitalElements, n_u: int, n_v: int
+) -> None:
+    validate_elements(planet_el)
+    validate_elements(earth_el)
+    if n_u < 8 or n_v < 8:
+        raise DomainError(f"double-entry grid must be at least 8x8, got {n_u}x{n_v}")
+
+
 def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     """Compile the single-entry table for one body.
 
@@ -97,11 +120,7 @@ def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     shorter). Motion columns come from a wrap-aware central difference of the
     direct chain, so the compiler and the evaluator stay independent.
     """
-    validate_elements(el)
-    max_step = el.P / 8.0
-    if not (math.isfinite(step) and 0.0 < step <= max_step):
-        raise DomainError(f"{el.name}: step must satisfy 0 < step <= P/8, got {step!r}")
-
+    _check_single(el, step)
     h = MOTION_STENCIL_DAYS
     rows = []
     n = row_count(el.P, step)
@@ -144,11 +163,7 @@ def build_double_entry(
     planet_el: OrbitalElements, earth_el: OrbitalElements, n_u: int, n_v: int
 ) -> DoubleEntryTable:
     """Compile the double-entry geocentric table for a planet/Earth pair."""
-    validate_elements(planet_el)
-    validate_elements(earth_el)
-    if n_u < 8 or n_v < 8:
-        raise DomainError(f"double-entry grid must be at least 8x8, got {n_u}x{n_v}")
-
+    _check_double(planet_el, earth_el, n_u, n_v)
     du = planet_el.P / n_u
     dv = earth_el.P / n_v
     earth_states = []
@@ -165,6 +180,33 @@ def build_double_entry(
     return DoubleEntryTable(planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, cells=cells)
 
 
+def compile_plan(
+    bodies, names, step_days: float, double_shape: tuple[int, int] | None
+) -> list[tuple[Callable, tuple]]:
+    """The tables that compiling ``names`` from ``bodies`` (a mapping of name
+    to OrbitalElements) makes, as (builder, args) pairs in build order: a
+    single-entry table per body, then, given a shape, a double-entry table
+    for every body but the Earth, paired with ``bodies["earth"]``.
+
+    Every builder's argument checks run here, so a bad configuration raises
+    (DomainError, or KeyError for a missing body) before anything is built.
+    """
+    names = list(dict.fromkeys(names))
+    plan = []
+    for name in names:
+        args = (bodies[name], step_days)
+        _check_single(*args)
+        plan.append((build_planet_table, args))
+    if double_shape is not None:
+        earth = bodies["earth"]
+        for name in names:
+            if name != "earth":
+                args = (bodies[name], earth, *double_shape)
+                _check_double(*args)
+                plan.append((build_double_entry, args))
+    return plan
+
+
 @dataclass
 class CensusReport:
     """Tally of the work a table-compilation configuration implies.
@@ -173,10 +215,9 @@ class CensusReport:
     solver evaluations, and (optionally, measured elsewhere) arithmetic ops.
     """
 
-    step_days: float
-    double_shape: tuple[int, int] | None
     single_rows: dict[str, int]
     double_cells: dict[str, int]
+    solver_calls: int
 
     @property
     def total_rows(self) -> int:
@@ -190,13 +231,6 @@ class CensusReport:
     def total_entries(self) -> int:
         return self.total_rows + self.total_cells
 
-    @property
-    def solver_calls(self) -> int:
-        per_pair = 0
-        if self.double_shape is not None:
-            per_pair = (self.double_shape[0] + self.double_shape[1]) * len(self.double_cells)
-        return SOLVES_PER_ROW * self.total_rows + per_pair
-
     def summary_line(self) -> str:
         return (
             f"census: rows={self.total_rows} cells={self.total_cells} "
@@ -204,35 +238,17 @@ class CensusReport:
         )
 
 
-def calculation_census(
-    bodies: dict[str, OrbitalElements],
-    step_days: float = 1.0,
-    double_shape: tuple[int, int] | None = (64, 64),
-    earth_name: str = "earth",
-) -> CensusReport:
-    """Count rows, cells and solver calls for compiling ``bodies``.
-
-    Single-entry tables are counted for every body; double-entry tables for
-    every body paired with ``earth_name`` (when present and a shape is given).
-    """
-    if not (math.isfinite(step_days) and step_days > 0.0):
-        raise DomainError(f"step_days must be > 0, got {step_days!r}")
-    single = {}
-    for name, el in bodies.items():
-        if step_days > el.P / 8.0:
-            raise DomainError(f"{name}: step {step_days!r} exceeds P/8")
-        single[name] = row_count(el.P, step_days)
-    double = {}
-    if double_shape is not None and earth_name in bodies:
-        n_u, n_v = double_shape
-        if n_u < 8 or n_v < 8:
-            raise DomainError(f"double-entry grid must be at least 8x8, got {n_u}x{n_v}")
-        for name in bodies:
-            if name != earth_name:
-                double[f"{name}*{earth_name}"] = n_u * n_v
-    return CensusReport(
-        step_days=step_days,
-        double_shape=double_shape,
-        single_rows=single,
-        double_cells=double,
-    )
+def calculation_census(plan: list[tuple[Callable, tuple]]) -> CensusReport:
+    """Count the rows, cells and Kepler solves of a ``compile_plan`` without
+    building its tables."""
+    single, double, solves = {}, {}, 0
+    for builder, args in plan:
+        if builder is build_planet_table:
+            el, step = args
+            single[el.name] = row_count(el.P, step)
+            solves += SOLVES_PER_ROW * single[el.name]
+        else:
+            planet_el, earth_el, n_u, n_v = args
+            double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v
+            solves += n_u + n_v
+    return CensusReport(single_rows=single, double_cells=double, solver_calls=solves)

@@ -7,8 +7,7 @@ import pytest
 from urania import (
     OrbitalElements,
     TableSet,
-    build_double_entry,
-    build_planet_table,
+    compile_plan,
     default_elements_path,
     load_elements,
 )
@@ -62,11 +61,8 @@ def dataset():
 def default_tables(dataset) -> TableSet:
     """The default fidelity configuration, compiled once per session."""
     tables = TableSet()
-    earth = dataset["earth"]
-    for el in dataset:
-        tables.add(build_planet_table(el, 1.0))
-        if el.name != "earth":
-            tables.add(build_double_entry(el, earth, 64, 64))
+    for builder, args in compile_plan(dataset, dataset.names, 1.0, (64, 64)):
+        tables.add(builder(*args))
     return tables
 
 

@@ -20,6 +20,7 @@ from urania import (
     build_double_entry,
     build_planet_table,
     calculation_census,
+    compile_plan,
     counted_query,
     geocentric_at,
     geocentric_reduce,
@@ -146,7 +147,7 @@ def test_criterion_6_convergence_order():
 
 
 def test_criterion_7_census_scale(dataset):
-    report = calculation_census(dataset.bodies, step_days=1.0, double_shape=(64, 64))
+    report = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
     assert 1e4 <= report.total_entries <= 1e5
     passed(7, f"default config compiles {report.total_entries} entries, within [1e4, 1e5]")
 

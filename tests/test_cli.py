@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from urania import DoubleEntryTable, calculation_census, geocentric_at
+from urania import DoubleEntryTable, calculation_census, compile_plan, geocentric_at
 from urania import cli
 from urania.cli import main
 
@@ -51,8 +51,30 @@ def test_gen_writes_files_and_census(tmp_path, capsys, dataset):
                        "--table-dir", str(d), "--no-timestamp")
     assert code == 0
     assert (d / "mars.single.tbl").is_file()
-    census = calculation_census({"mars": dataset["mars"]}, step_days=1.0, double_shape=None)
+    census = calculation_census(compile_plan(dataset, ["mars"], 1.0, None))
     assert census.summary_line() in out
+
+
+def test_gen_census_counts_the_double_it_writes(tmp_path, capsys, dataset):
+    d = tmp_path / "t"
+    code, out, _ = run(capsys, "gen", "--planet", "mars", "--double", "16x16",
+                       "--table-dir", str(d), "--no-timestamp")
+    assert code == 0
+    assert sorted(p.name for p in d.iterdir()) == ["mars.earth.double.tbl", "mars.single.tbl"]
+    census = calculation_census(compile_plan(dataset, ["mars"], 1.0, (16, 16)))
+    assert census.total_cells == 256
+    assert out.splitlines()[-1] == census.summary_line()
+
+
+@pytest.mark.parametrize("config", [
+    ["--all", "--double", "64x4"],
+    ["--planet", "saturn", "--planet", "mercury", "--step-days", "20"],
+])
+def test_gen_bad_config_writes_nothing(tmp_path, capsys, config):
+    code, _, err = run(capsys, "gen", *config, "--table-dir", str(tmp_path), "--no-timestamp")
+    assert code == 2
+    assert "8x8" in err or "P/8" in err
+    assert list(tmp_path.glob("*.tbl")) == []
 
 
 def test_gen_all_with_double(table_dir):
@@ -336,7 +358,7 @@ def test_census_json(capsys, dataset):
     code, out, _ = run(capsys, "census", "--json", "--no-timestamp")
     assert code == 0
     payload = json.loads(out)
-    want = calculation_census(dataset.bodies, step_days=1.0, double_shape=(64, 64))
+    want = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
     assert payload["entries"] == want.total_entries
     assert payload["solver_calls"] == want.solver_calls
     assert 1e4 <= payload["entries"] <= 1e5
@@ -351,6 +373,19 @@ def test_census_measure_ops(capsys, tmp_path):
     assert payload["compile_ops"]["total"] > payload["entries"]
 
 
+def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
+    csv = tmp_path / "no-earth.csv"
+    csv.write_text(f"{ELEMENTS_HEADER}\ncirc,2.0,0.0,0.0,0.0,0.0,800.0,2451545.0\n")
+    for argv in (["census"], ["gen", "--all", "--table-dir", str(tmp_path)]):
+        code, _, err = run(capsys, *argv, "--double", "8x8", "--elements", str(csv),
+                           "--no-timestamp")
+        assert code == 2
+        assert "earth" in err
+    code, out, _ = run(capsys, "census", "--double", "none", "--elements", str(csv))
+    assert code == 0
+    assert "cells=0" in out
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -362,6 +397,14 @@ def test_validate_fresh_checkout(capsys, tmp_path):
     assert "PASS solver-grid-residual" in out
     assert "PASS zero-transcendental-sweep" in out
     assert "all" in out and "passed" in out
+
+
+@pytest.mark.parametrize("flag", ["--json", "--no-timestamp"])
+def test_validate_rejects_report_flags(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["validate", flag])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_validate_flags_corrupt_table(capsys, table_dir):

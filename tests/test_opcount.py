@@ -16,9 +16,8 @@ from urania import (
     DegenerateGeometryError,
     OpCounter,
     OrbitalElements,
-    build_double_entry,
-    build_planet_table,
     calculation_census,
+    compile_plan,
     counted_direct,
     counted_query,
     geocentric_at,
@@ -134,7 +133,7 @@ def test_compile_tally_counts_the_builders_own_code(golden):
     # and one += per row pair, plus the closing full-revolution check.
     cfg = golden["compile"]
     bodies = {d["name"]: _elements(d) for d in cfg["bodies"]}
-    c = measure_compile_ops(bodies, cfg["step_days"], tuple(cfg["double_shape"]))
+    c = measure_compile_ops(compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"]))
     rows = sum(row_count(el.P, cfg["step_days"]) for el in bodies.values())
     tables = len(bodies)
     pairs = rows - tables
@@ -333,11 +332,8 @@ def test_census_solver_calls_are_the_builders_solves(dataset, monkeypatch):
         return real(M, e)
 
     monkeypatch.setattr(kepler, "solve_kepler", counting)
-    step, shape = 8.0, (8, 12)
-    earth = dataset["earth"]
-    for el in dataset:
-        build_planet_table(el, step)
-        if el.name != "earth":
-            build_double_entry(el, earth, *shape)
-    census = calculation_census(dataset.bodies, step_days=step, double_shape=shape)
+    plan = compile_plan(dataset, dataset.names, 8.0, (8, 12))
+    for builder, args in plan:
+        builder(*args)
+    census = calculation_census(plan)
     assert solves == census.solver_calls

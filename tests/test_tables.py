@@ -8,6 +8,7 @@ from urania import (
     build_double_entry,
     build_planet_table,
     calculation_census,
+    compile_plan,
     geocentric_reduce,
     normalize_deg,
     position_since_aphelion,
@@ -172,7 +173,7 @@ def test_grid_minimum_enforced():
 
 def test_census_single_only():
     el = make_el(name="solo", P=100.0)
-    report = calculation_census({"solo": el}, step_days=1.0, double_shape=None)
+    report = calculation_census(compile_plan({"solo": el}, ["solo"], 1.0, None))
     assert report.single_rows == {"solo": 100}
     assert report.total_cells == 0
     assert report.total_entries == 100
@@ -181,15 +182,14 @@ def test_census_single_only():
 
 def test_census_double_cells():
     planet, earth = circular_pair()
-    report = calculation_census(
-        {"outer": planet, "earth": earth}, step_days=40.0, double_shape=(64, 64)
-    )
+    bodies = {"outer": planet, "earth": earth}
+    report = calculation_census(compile_plan(bodies, bodies, 40.0, (64, 64)))
     assert report.double_cells == {"outer*earth": 4096}
     assert report.total_cells == 4096
 
 
 def test_census_default_scale(dataset):
-    report = calculation_census(dataset.bodies, step_days=1.0, double_shape=(64, 64))
+    report = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
     assert report.total_rows == sum(row_count(el.P, 1.0) for el in dataset)
     assert report.total_cells == 5 * 64 * 64
     assert 1e4 <= report.total_entries <= 1e5
@@ -197,8 +197,8 @@ def test_census_default_scale(dataset):
 
 def test_census_rejects_bad_config(dataset):
     with pytest.raises(DomainError):
-        calculation_census(dataset.bodies, step_days=0.0)
+        compile_plan(dataset, dataset.names, 0.0, None)
     with pytest.raises(DomainError):
-        calculation_census(dataset.bodies, step_days=1.0, double_shape=(4, 4))
+        compile_plan(dataset, dataset.names, 1.0, (4, 4))
     with pytest.raises(DomainError):
-        calculation_census(dataset.bodies, step_days=50.0)  # over P/8 for mercury
+        compile_plan(dataset, dataset.names, 50.0, None)  # over P/8 for mercury
