@@ -8,7 +8,7 @@ proving the absence of transcendental calls on the query path.
 """
 
 from .angles import aphelion_shift, normalize_deg, wrap_diff_deg
-from .compare import CompareReport, SingleCompareReport, sweep_double, sweep_single, synodic_period
+from .compare import double_errors, single_errors, sweep, synodic_period
 from .dataset import ElementsDataset, default_elements_path, load_elements
 from .errors import (
     DegenerateGeometryError,

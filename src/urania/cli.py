@@ -16,7 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .compare import sweep_double, sweep_single
+from .compare import double_errors, single_errors, sweep
 from .dataset import default_elements_path, load_elements
 from .errors import (
     DegenerateGeometryError,
@@ -96,19 +96,14 @@ def _query_jd(args) -> float:
     return _parse_date(args.date)
 
 
-def _timestamp_lines(args) -> list[str]:
-    if getattr(args, "no_timestamp", False):
-        return []
-    return [f"generated: {_dt.datetime.now().isoformat(timespec='seconds')}"]
-
-
 def _emit(args, lines: list[str], payload: dict) -> None:
+    if not getattr(args, "no_timestamp", False):
+        payload["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
+        lines = [f"generated: {payload['generated']}"] + lines
     if getattr(args, "json", False):
-        if not getattr(args, "no_timestamp", False):
-            payload["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in _timestamp_lines(args) + lines:
+        for line in lines:
             print(line)
 
 
@@ -192,7 +187,7 @@ def cmd_query(args) -> int:
         lines += _format_position(args, pos)
         payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
         if args.heliocentric:
-            nu, r = heliocentric_at_table(tables, args.planet, jd, counter=counter)
+            nu, r = heliocentric_at_table(tables, args.planet, jd)
             lines += [f"nu_aph: {nu:.{p}f}", f"r: {r:.6f}"]
             payload.update(nu_aph=nu, r=r)
 
@@ -221,29 +216,25 @@ def cmd_compare(args) -> int:
         earth_el = dataset["earth"]
         n_u, n_v = _parse_double(args.double)
         table = build_double_entry(planet_el, earth_el, n_u, n_v)
-        report = sweep_double(planet_el, earth_el, table, jd_start, jd_end, args.samples)
-        angle_max = report.max_lambda_err_deg
-        lines = [
-            f"planet: {report.planet}",
-            f"config: {report.table_config}",
-            f"jd: [{report.jd_start!r}, {report.jd_end!r}) samples={report.samples}",
-            f"lambda_err_deg: max={report.max_lambda_err_deg:.3e} mean={report.mean_lambda_err_deg:.3e}",
-            f"beta_err_deg: max={report.max_beta_err_deg:.3e} mean={report.mean_beta_err_deg:.3e}",
-            f"delta_err_au: max={report.max_delta_err_au:.3e} mean={report.mean_delta_err_au:.3e}",
-        ]
+        config = f"double {n_u}x{n_v}"
+        errors = double_errors(planet_el, earth_el, table)
     else:
         table = build_planet_table(planet_el, args.step_days)
-        report = sweep_single(planet_el, table, jd_start, jd_end, args.samples)
-        angle_max = report.max_nu_err_deg
-        lines = [
-            f"planet: {report.planet}",
-            f"config: {report.table_config}",
-            f"jd: [{report.jd_start!r}, {report.jd_end!r}) samples={report.samples}",
-            f"nu_err_deg: max={report.max_nu_err_deg:.3e} mean={report.mean_nu_err_deg:.3e}",
-            f"r_err_au: max={report.max_r_err_au:.3e} mean={report.mean_r_err_au:.3e}",
-        ]
-    payload = {k: v for k, v in vars(report).items()}
+        config = f"single step={table.step!r}"
+        errors = single_errors(planet_el, table)
+    stats = sweep(errors, jd_start, jd_end, args.samples)
+    lines = [
+        f"planet: {planet_el.name}",
+        f"config: {config}",
+        f"jd: [{jd_start!r}, {jd_end!r}) samples={args.samples}",
+    ]
+    names = [key[len("max_"):] for key in stats if key.startswith("max_")]
+    for name in names:
+        lines.append(f"{name}: max={stats['max_' + name]:.3e} mean={stats['mean_' + name]:.3e}")
+    payload = {"planet": planet_el.name, "jd_start": jd_start, "jd_end": jd_end,
+               "samples": args.samples, "table_config": config, **stats}
     status = 0
+    angle_max = stats["max_" + names[0]]  # lambda for a double table, nu for a single one
     if args.max_lambda_err is not None and angle_max > args.max_lambda_err:
         lines.append(
             f"threshold exceeded: max angle error {angle_max:.3e} > {args.max_lambda_err:.3e}"
@@ -260,6 +251,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 1:
+        raise DomainError(f"--queries must be >= 1, got {args.queries}")
     dataset = _dataset(args)
     table_dir = _table_dir(args)
     tables = load_tables(table_dir)
@@ -276,62 +269,39 @@ def cmd_bench(args) -> int:
     queries = [(planets[i % len(planets)], jd0 + rng.uniform(-36525.0, 36525.0))
                for i in range(args.queries)]
 
-    table_total = OpCounter()
-    bad_table_queries = 0
-    t0 = time.perf_counter()
-    for planet, jd in queries:
-        _, c = counted_query("table", planet, jd, tables=tables)
-        if c.transcendental_calls != 0:
-            bad_table_queries += 1
-        table_total.merge(c)
-    table_wall = time.perf_counter() - t0
+    lines = [f"planets: {','.join(planets)}"]
+    payload = {"planets": planets, "queries": args.queries}
+    failures = []
+    # Each mode's contract: whether its queries make transcendental calls.
+    for mode, transcendental, broken in (
+        ("table", False, "table queries used transcendental calls"),
+        ("direct", True, "direct queries reported no transcendental calls"),
+    ):
+        total = OpCounter()
+        bad = 0
+        t0 = time.perf_counter()
+        for planet, jd in queries:
+            _, c = counted_query(mode, planet, jd, dataset=dataset, tables=tables)
+            if (c.transcendental_calls > 0) != transcendental:
+                bad += 1
+            total.merge(c)
+        wall = time.perf_counter() - t0
 
-    direct_total = OpCounter()
-    bad_direct_queries = 0
-    t0 = time.perf_counter()
-    for planet, jd in queries:
-        _, c = counted_query("direct", planet, jd, dataset=dataset)
-        if c.transcendental_calls <= 0:
-            bad_direct_queries += 1
-        direct_total.merge(c)
-    direct_wall = time.perf_counter() - t0
-
-    def mode_line(mode, total, wall):
         line = (
             f"mode={mode} queries={args.queries} adds={total.adds} muls={total.muls} "
             f"transcendental={total.transcendental_calls} row_accesses={total.row_accesses} "
             f"total_ops={total.total_ops()}"
         )
+        payload[mode] = total.as_dict()
         if not args.no_timestamp:
             line += f" wall={wall:.3f}s"
-        return line
-
-    lines = [
-        f"planets: {','.join(planets)}",
-        mode_line("table", table_total, table_wall),
-        mode_line("direct", direct_total, direct_wall),
-    ]
-    payload = {
-        "planets": planets,
-        "queries": args.queries,
-        "table": table_total.as_dict(),
-        "direct": direct_total.as_dict(),
-    }
-    if not args.no_timestamp:
-        payload["table_wall_s"] = table_wall
-        payload["direct_wall_s"] = direct_wall
-
-    status = 0
-    if bad_table_queries:
-        lines.append(f"FAIL: {bad_table_queries} table queries used transcendental calls")
-        payload["table_contract"] = "fail"
-        status = 1
-    if bad_direct_queries:
-        lines.append(f"FAIL: {bad_direct_queries} direct queries reported no transcendental calls")
-        payload["direct_contract"] = "fail"
-        status = 1
-    _emit(args, lines, payload)
-    return status
+            payload[f"{mode}_wall_s"] = wall
+        lines.append(line)
+        if bad:
+            failures.append(f"FAIL: {bad} {broken}")
+            payload[f"{mode}_contract"] = "fail"
+    _emit(args, lines + failures, payload)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,23 @@ import json
 
 import pytest
 
-from urania import DoubleEntryTable, calculation_census, compile_plan, geocentric_at
+from urania import (
+    DoubleEntryTable,
+    OpCounter,
+    TableSet,
+    build_double_entry,
+    build_planet_table,
+    calculation_census,
+    compile_plan,
+    geocentric_at,
+    geocentric_at_table,
+    lookup_planet,
+    position_since_aphelion,
+    wrap_diff_deg,
+)
 from urania import cli
 from urania.cli import main
+from urania.evaluate import phase_days
 
 ELEMENTS_HEADER = "name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd"
 
@@ -139,6 +153,19 @@ def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
     code, plain, _ = run(capsys, *args)
     assert code == 0
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
+
+
+@pytest.mark.parametrize("mode", ["table", "direct"])
+def test_query_count_ops_tallies_the_geocentric_query_only(capsys, table_dir, mode):
+    args = ("query", "--mode", mode, "--planet", "mars", "--jd", "2451545.0", "--count-ops",
+            "--table-dir", str(table_dir), "--no-timestamp")
+
+    def ops_line(*extra):
+        code, out, _ = run(capsys, *args, *extra)
+        assert code == 0
+        return next(line for line in out.splitlines() if line.startswith("ops:"))
+
+    assert ops_line("--heliocentric") == ops_line()
 
 
 def test_query_deterministic(capsys):
@@ -292,6 +319,68 @@ def test_compare_threshold_failure(capsys):
     assert "threshold exceeded" in out
 
 
+def _compare_errors(dataset, kind):
+    """JD -> named errors for Mars, computed here apart from urania.compare."""
+    planet, earth = dataset["mars"], dataset["earth"]
+    if kind == "double":
+        tables = TableSet()
+        tables.add(build_double_entry(planet, earth, 16, 16))
+
+        def errors(jd):
+            got = geocentric_at_table(tables, "mars", jd)
+            want = geocentric_at(planet, earth, jd)
+            return {"lambda_err_deg": abs(wrap_diff_deg(got.lam, want.lam)),
+                    "beta_err_deg": abs(got.beta - want.beta),
+                    "delta_err_au": abs(got.delta - want.delta)}
+    else:
+        table = build_planet_table(planet, 2.0)
+
+        def errors(jd):
+            t = phase_days(None, jd, planet.T_aph, planet.P)
+            (nu_t, r_t), (nu_d, r_d) = lookup_planet(table, t), position_since_aphelion(planet, t)
+            return {"nu_err_deg": abs(wrap_diff_deg(nu_t, nu_d)), "r_err_au": abs(r_t - r_d)}
+    return errors
+
+
+@pytest.mark.parametrize("kind", ["double", "single"])
+def test_compare_report_is_pinned(capsys, dataset, kind):
+    argv = ("compare", "--planet", "mars", "--kind", kind, "--double", "16x16",
+            "--step-days", "2", "--from-jd", "2451545", "--span-days", "700",
+            "--samples", "300", "--no-timestamp")
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+
+    columns = {"double": ["lambda_err_deg", "beta_err_deg", "delta_err_au"],
+               "single": ["nu_err_deg", "r_err_au"]}[kind]
+    assert [line.split(":")[0] for line in text.splitlines()] == ["planet", "config", "jd"] + columns
+    stats = {f"{agg}_{name}" for name in columns for agg in ("max", "mean")}
+    assert set(payload) == {"planet", "jd_start", "jd_end", "samples", "table_config"} | stats
+
+    errors = _compare_errors(dataset, kind)
+    jd_start, span, samples = 2451545.0, 700.0, 300
+    maxes = dict.fromkeys(columns, 0.0)
+    sums = dict.fromkeys(columns, 0.0)
+    for i in range(samples):
+        for name, err in errors(jd_start + i * span / samples).items():
+            maxes[name] = max(maxes[name], err)
+            sums[name] += err
+    for name in columns:
+        assert payload[f"max_{name}"] == maxes[name]
+        assert payload[f"mean_{name}"] == sums[name] / samples
+
+
+@pytest.mark.parametrize("span", [("--to-jd", "inf"), ("--span-days", "inf"),
+                                  ("--to-jd", "nan")])
+def test_compare_rejects_non_finite_bounds(capsys, span):
+    code, _, err = run(capsys, "compare", "--planet", "mars", "--kind", "single",
+                       "--from-jd", "0", *span)
+    assert code == 2
+    assert "sweep bounds must be finite" in err
+    assert "[0.0, " in err
+
+
 def test_compare_halving_step_improves(capsys):
     def max_err(step):
         _, out, _ = run(capsys, "compare", "--planet", "mars", "--kind", "single",
@@ -324,6 +413,30 @@ def test_bench_deterministic(capsys, table_dir):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("calls, broken", [(0, "direct"), (1, "table")])
+def test_bench_reports_a_broken_contract(capsys, monkeypatch, table_dir, calls, broken):
+    monkeypatch.setattr(cli, "counted_query",
+                        lambda *_, **__: (None, OpCounter(transcendental_calls=calls)))
+    args = ("bench", "--queries", "7", "--table-dir", str(table_dir), "--no-timestamp")
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        {"direct": "FAIL: 7 direct queries reported no transcendental calls",
+         "table": "FAIL: 7 table queries used transcendental calls"}[broken]
+    ]
+    _, out, _ = run(capsys, *args, "--json")
+    assert {key for key in json.loads(out) if key.endswith("_contract")} == {f"{broken}_contract"}
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_bench_rejects_non_positive_queries(capsys, table_dir, count):
+    code, out, err = run(capsys, "bench", "--queries", count, "--table-dir", str(table_dir),
+                         "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert f"--queries must be >= 1, got {count}" in err
 
 
 def test_bench_without_tables(tmp_path, capsys):
