@@ -54,14 +54,15 @@ from .kepler import (
 from .opcount import OpCounter, counted_direct, measure_compile_ops
 from .tableio import read_table, table_filename, write_table
 from .tables import (
-    CensusReport,
     DoubleEntryTable,
     PlanetTable,
     TableRow,
     build_double_entry,
     build_planet_table,
     calculation_census,
+    census_line,
     compile_plan,
+    parse_shape,
 )
 
 __version__ = "0.1.0"

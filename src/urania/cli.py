@@ -48,7 +48,8 @@ from .kepler import (
 from .opcount import OpCounter, counted_direct, measure_compile_ops
 from .tableio import double_planets, read_table, read_table_file, table_filename
 from .tableio import table_paths, write_table
-from .tables import build_double_entry, build_planet_table, calculation_census, compile_plan
+from .tables import build_double_entry, build_planet_table, calculation_census, census_line
+from .tables import compile_plan, parse_shape
 
 __all__ = ["main"]
 
@@ -67,12 +68,11 @@ def _dataset(args):
     return load_elements(path)
 
 
-def _parse_double(text: str) -> tuple[int, int]:
-    try:
-        nu, _, nv = text.lower().partition("x")
-        return int(nu), int(nv)
-    except ValueError:
-        raise DomainError(f"--double expects UxV (e.g. 64x64), got {text!r}") from None
+def _observed(name: str) -> str:
+    """``name``, unless it is the Earth, the observer of a geocentric command."""
+    if name == "earth":
+        raise DomainError("--planet earth: the Earth is the observer, not an observed body")
+    return name
 
 
 def _parse_date(text: str) -> float:
@@ -116,7 +116,7 @@ def cmd_gen(args) -> int:
     dataset = _dataset(args)
     if not (args.all or args.planet):
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
-    double_shape = _parse_double(args.double) if args.double else None
+    double_shape = parse_shape(args.double) if args.double else None
     plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
                         double_shape)
     built = [builder(*build_args) for builder, build_args in plan]
@@ -128,16 +128,9 @@ def cmd_gen(args) -> int:
         write_table(table, path)
 
     census = calculation_census(plan)
-    lines = [f"wrote {p}" for p in written] + [census.summary_line()]
-    payload = {
-        "written": [str(p) for p in written],
-        "census": {
-            "rows": census.total_rows,
-            "cells": census.total_cells,
-            "entries": census.total_entries,
-            "solver_calls": census.solver_calls,
-        },
-    }
+    lines = [f"wrote {p}" for p in written] + [census_line(census)]
+    totals = {key: census[key] for key in ("rows", "cells", "entries", "solver_calls")}
+    payload = {"written": [str(p) for p in written], "census": totals}
     _emit(args, lines, payload)
     return 0
 
@@ -164,6 +157,7 @@ def cmd_query(args) -> int:
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
     counter = OpCounter() if args.count_ops else None
+    _observed(args.planet)
 
     if args.mode == "direct":
         dataset = _dataset(args)
@@ -213,8 +207,9 @@ def cmd_compare(args) -> int:
     jd_start = args.from_jd
     jd_end = args.to_jd if args.to_jd is not None else jd_start + args.span_days
     if args.kind == "double":
+        _observed(args.planet)
         earth_el = dataset["earth"]
-        n_u, n_v = _parse_double(args.double)
+        n_u, n_v = parse_shape(args.double)
         table = build_double_entry(planet_el, earth_el, n_u, n_v)
         config = f"double {n_u}x{n_v}"
         errors = double_errors(planet_el, earth_el, table)
@@ -258,7 +253,7 @@ def cmd_bench(args) -> int:
     tables = load_tables(table_dir)
     planets = list(dict.fromkeys(args.planet)) if args.planet else double_planets(table_dir)
     for name in planets:
-        tables.double_for(name)
+        tables.double_for(_observed(name))
     if not planets:
         raise TableNotFoundError(
             "no double-entry tables loaded; run 'urania gen --all --double 64x64'"
@@ -311,25 +306,14 @@ def cmd_bench(args) -> int:
 
 def cmd_census(args) -> int:
     dataset = _dataset(args)
-    double_shape = None if args.double in (None, "none") else _parse_double(args.double)
+    double_shape = None if args.double in (None, "none") else parse_shape(args.double)
     plan = compile_plan(dataset, dataset.names, args.step_days, double_shape)
     census = calculation_census(plan)
-    lines = []
-    for name, rows in census.single_rows.items():
-        lines.append(f"single {name}: rows={rows}")
-    for pair, cells in census.double_cells.items():
-        lines.append(f"double {pair}: cells={cells}")
-    lines.append(census.summary_line())
-    payload = {
-        "step_days": args.step_days,
-        "double_shape": list(double_shape) if double_shape else None,
-        "single_rows": census.single_rows,
-        "double_cells": census.double_cells,
-        "rows": census.total_rows,
-        "cells": census.total_cells,
-        "entries": census.total_entries,
-        "solver_calls": census.solver_calls,
-    }
+    lines = [f"single {name}: rows={rows}" for name, rows in census["single_rows"].items()]
+    lines += [f"double {pair}: cells={cells}" for pair, cells in census["double_cells"].items()]
+    lines.append(census_line(census))
+    payload = {"step_days": args.step_days,
+               "double_shape": list(double_shape) if double_shape else None, **census}
     if args.measure_ops:
         measured = measure_compile_ops(plan)
         lines.append(
@@ -443,18 +427,15 @@ def cmd_validate(args) -> int:
         if "earth" not in dataset:
             raise AssertionError("dataset lacks an 'earth' entry")
 
-    def synthetic_tables() -> TableSet:
-        ts = TableSet()
-        ts.add(build_planet_table(planet, planet.P / 64.0))
-        ts.add(build_planet_table(earth, earth.P / 64.0))
-        ts.add(build_double_entry(planet, earth, 16, 16))
-        return ts
-
     ts = None
 
     def build_check():
         nonlocal ts
-        ts = synthetic_tables()
+        bodies = {planet.name: planet, earth.name: earth}
+        built = TableSet()
+        for builder, build_args in compile_plan(bodies, bodies, earth.P / 64.0, (16, 16)):
+            built.add(builder(*build_args))
+        ts = built
 
     checks.append(("elements-dataset", dataset_check))
     checks.append(("solver-grid-residual", _check_solver_grid))

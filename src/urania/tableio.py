@@ -14,10 +14,11 @@ payload follows that line's newline: N little-endian float64 values,
 ``nu_aph, r, motion_day`` per row for a single-entry one, whose ``t = k * step``
 and ``motion_hour = motion_day / 24`` are rebuilt on read as the compiler
 computes them. No value goes through decimal text, so the round trip is
-bit-exact. A corrupt, truncated or out-of-range file raises TableParseError; a
-file of another format version (v1 was all text, v2 wrote its own key=value
-element header) raises TableVersionError, and ``urania gen`` rebuilds the
-tables.
+bit-exact. A corrupt, truncated or out-of-range file, one whose step or grid
+fails the compiler's checks or whose anomaly does not increase row by row,
+raises TableParseError; a file of another format version (v1 was all text, v2
+wrote its own key=value element header) raises TableVersionError, and
+``urania gen`` rebuilds the tables.
 """
 
 import math
@@ -25,11 +26,13 @@ import re
 import sys
 import zlib
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 from .dataset import elements_from_row, elements_row
-from .errors import DomainError, TableParseError, TableVersionError
-from .tables import DoubleEntryTable, PlanetTable, TableRow, row_count
+from .errors import TableParseError, TableVersionError
+from .tables import DoubleEntryTable, PlanetTable, TableRow, parse_shape, row_count
+from .tables import _check_double, _check_monotone_rows, _check_single
 
 __all__ = [
     "FORMAT_VERSION",
@@ -222,13 +225,20 @@ def _require(headers, key, path):
     return headers[key]
 
 
+@contextmanager
+def _invalid(what, path, line=None):
+    """Re-raise the block's ValueError (DomainError is one) as a TableParseError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise TableParseError(f"invalid {what}: {exc}", path=path, line=line) from None
+
+
 def _elements(headers, key, path):
     """The elements of the body whose CSV row is header ``key``."""
     row, line = _require(headers, key, path)
-    try:
+    with _invalid(f"{key} header", path, line):
         return elements_from_row(row.split(","))
-    except DomainError as exc:
-        raise TableParseError(f"invalid {key} header: {exc}", path=path, line=line) from None
 
 
 def _triples(values, count, what, columns, path):
@@ -252,32 +262,26 @@ def _triples(values, count, what, columns, path):
 def _read_single(path, headers, values):
     el = _elements(headers, "body", path)
     text, line = _require(headers, "step", path)
-    try:
+    with _invalid("step header", path, line):
         step = float(text)
-    except ValueError:
-        raise TableParseError(f"step {text!r} is not a number", path=path, line=line) from None
-    if not (0.0 < step <= el.P / 8.0):
-        raise TableParseError(f"step {step!r} out of range for P={el.P!r}", path=path, line=line)
+        _check_single(el, step)
 
     what = f"rows for P={el.P!r} step={step!r}"
     triples = _triples(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
     rows = [
         TableRow(k * step, nu, r, mday, mday / 24.0) for k, (nu, r, mday) in enumerate(triples)
     ]
+    with _invalid("payload", path):
+        _check_monotone_rows(el.name, rows)
     return PlanetTable(elements=el, step=step, rows=rows)
 
 
 def _read_double(path, headers, values):
     planet, earth = _elements(headers, "body", path), _elements(headers, "earth", path)
     text, line = _require(headers, "shape", path)
-    try:
-        n_u, n_v = map(int, text.split("x"))
-    except ValueError:
-        raise TableParseError(
-            f"shape {text!r} does not read '<n_u>x<n_v>'", path=path, line=line
-        ) from None
-    if n_u < 8 or n_v < 8:
-        raise TableParseError(f"grid {n_u}x{n_v} is below the 8x8 minimum", path=path, line=line)
+    with _invalid("shape header", path, line):
+        n_u, n_v = parse_shape(text)
+        _check_double(planet, earth, n_u, n_v)
 
     triples = _triples(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
     cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]

@@ -4,10 +4,11 @@ The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
 later, at interpolation time.
 
-``compile_plan`` is the one place that decides which tables a configuration
-compiles: it returns the checked list of (builder, args) pairs that
-``urania gen`` builds and writes, that ``calculation_census`` counts without
-building, and that ``opcount.measure_compile_ops`` runs counted.
+A configuration is known here alone: ``parse_shape`` reads its grid, the
+step and grid checks serve the table reader too, and ``compile_plan`` returns
+the checked list of (builder, args) pairs that ``urania gen`` builds and
+writes, that ``opcount.measure_compile_ops`` runs counted, and that
+``calculation_census`` counts without building into the record the CLI prints.
 """
 
 import math
@@ -32,9 +33,10 @@ __all__ = [
     "build_planet_table",
     "build_double_entry",
     "compile_plan",
+    "parse_shape",
     "row_count",
-    "CensusReport",
     "calculation_census",
+    "census_line",
     "MOTION_STENCIL_DAYS",
     "SOLVES_PER_ROW",
 ]
@@ -97,6 +99,15 @@ def row_count(P: float, step: float) -> int:
     return n
 
 
+def parse_shape(text: str) -> tuple[int, int]:
+    """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``, in either case."""
+    n_u, _, n_v = text.lower().partition("x")
+    try:
+        return int(n_u), int(n_v)
+    except ValueError:
+        raise DomainError(f"grid shape must read <n_u>x<n_v> (e.g. 64x64), got {text!r}") from None
+
+
 def _check_single(el: OrbitalElements, step: float) -> None:
     validate_elements(el)
     max_step = el.P / 8.0
@@ -126,8 +137,6 @@ def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     n = row_count(el.P, step)
     for k in range(n):
         t = k * step
-        if t >= el.P:
-            break
         nu, r = position_since_aphelion(el, t)
         nu_after, _ = position_since_aphelion(el, t + h)
         nu_before, _ = position_since_aphelion(el, t - h)
@@ -207,40 +216,9 @@ def compile_plan(
     return plan
 
 
-@dataclass
-class CensusReport:
-    """Tally of the work a table-compilation configuration implies.
-
-    Three readings of "how many calculations": table entries written, Kepler
-    solver evaluations, and (optionally, measured elsewhere) arithmetic ops.
-    """
-
-    single_rows: dict[str, int]
-    double_cells: dict[str, int]
-    solver_calls: int
-
-    @property
-    def total_rows(self) -> int:
-        return sum(self.single_rows.values())
-
-    @property
-    def total_cells(self) -> int:
-        return sum(self.double_cells.values())
-
-    @property
-    def total_entries(self) -> int:
-        return self.total_rows + self.total_cells
-
-    def summary_line(self) -> str:
-        return (
-            f"census: rows={self.total_rows} cells={self.total_cells} "
-            f"entries={self.total_entries} solver_calls={self.solver_calls}"
-        )
-
-
-def calculation_census(plan: list[tuple[Callable, tuple]]) -> CensusReport:
-    """Count the rows, cells and Kepler solves of a ``compile_plan`` without
-    building its tables."""
+def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
+    """The record ``urania census`` prints for a ``compile_plan``, counted
+    without building: rows and cells per table, their totals, Kepler solves."""
     single, double, solves = {}, {}, 0
     for builder, args in plan:
         if builder is build_planet_table:
@@ -251,4 +229,13 @@ def calculation_census(plan: list[tuple[Callable, tuple]]) -> CensusReport:
             planet_el, earth_el, n_u, n_v = args
             double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v
             solves += n_u + n_v
-    return CensusReport(single_rows=single, double_cells=double, solver_calls=solves)
+    rows, cells = sum(single.values()), sum(double.values())
+    return {"single_rows": single, "double_cells": double, "rows": rows, "cells": cells,
+            "entries": rows + cells, "solver_calls": solves}
+
+
+def census_line(census: dict) -> str:
+    """The one-line summary of a ``calculation_census`` record."""
+    return (
+        "census: rows={rows} cells={cells} entries={entries} solver_calls={solver_calls}"
+    ).format(**census)

@@ -148,8 +148,8 @@ def test_criterion_6_convergence_order():
 
 def test_criterion_7_census_scale(dataset):
     report = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
-    assert 1e4 <= report.total_entries <= 1e5
-    passed(7, f"default config compiles {report.total_entries} entries, within [1e4, 1e5]")
+    assert 1e4 <= report["entries"] <= 1e5
+    passed(7, f"default config compiles {report['entries']} entries, within [1e4, 1e5]")
 
 
 def test_criterion_8_accuracy_regression(default_tables, dataset, frozen_bounds):

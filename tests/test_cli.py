@@ -2,19 +2,25 @@ import json
 
 import pytest
 
+from conftest import reseal
 from urania import (
     DoubleEntryTable,
     OpCounter,
+    TableParseError,
     TableSet,
     build_double_entry,
     build_planet_table,
     calculation_census,
+    census_line,
     compile_plan,
     geocentric_at,
     geocentric_at_table,
     lookup_planet,
     position_since_aphelion,
+    read_table,
+    table_filename,
     wrap_diff_deg,
+    write_table,
 )
 from urania import cli
 from urania.cli import main
@@ -66,7 +72,7 @@ def test_gen_writes_files_and_census(tmp_path, capsys, dataset):
     assert code == 0
     assert (d / "mars.single.tbl").is_file()
     census = calculation_census(compile_plan(dataset, ["mars"], 1.0, None))
-    assert census.summary_line() in out
+    assert census_line(census) in out
 
 
 def test_gen_census_counts_the_double_it_writes(tmp_path, capsys, dataset):
@@ -76,8 +82,8 @@ def test_gen_census_counts_the_double_it_writes(tmp_path, capsys, dataset):
     assert code == 0
     assert sorted(p.name for p in d.iterdir()) == ["mars.earth.double.tbl", "mars.single.tbl"]
     census = calculation_census(compile_plan(dataset, ["mars"], 1.0, (16, 16)))
-    assert census.total_cells == 256
-    assert out.splitlines()[-1] == census.summary_line()
+    assert census["cells"] == 256
+    assert out.splitlines()[-1] == census_line(census)
 
 
 @pytest.mark.parametrize("config", [
@@ -284,6 +290,53 @@ def test_query_json(capsys, dataset):
     assert payload["ops"]["transcendental_calls"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["query", "--mode", "direct", "--jd", "2451545.0"],
+    ["query", "--mode", "table", "--jd", "2451545.0"],
+    ["bench", "--queries", "10"],
+    ["compare", "--kind", "double", "--double", "16x16", "--from-jd", "2451545",
+     "--span-days", "70", "--samples", "10"],
+], ids=["query-direct", "query-table", "bench", "compare-double"])
+def test_earth_is_the_observer_of_geocentric_commands(capsys, tmp_path, argv):
+    if argv[0] != "compare":
+        argv = argv + ["--table-dir", str(tmp_path)]
+    code, out, err = run(capsys, *argv, "--planet", "earth")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --planet earth: the Earth is the observer, not an observed body\n"
+
+
+def test_compare_single_earth_is_heliocentric(capsys):
+    code, out, _ = run(capsys, "compare", "--kind", "single", "--planet", "earth",
+                       "--from-jd", "2451545", "--span-days", "70", "--samples", "10")
+    assert code == 0
+    assert "nu_err_deg: max=" in out
+
+
+@pytest.mark.parametrize("spelling, shape", [
+    ("64x64", (64, 64)), ("64X64", (64, 64)),
+    ("8", None), ("8x8x8", None), ("x8", None), ("7x8", None),
+])
+def test_double_option_and_shape_header_agree(capsys, tmp_path, dataset, spelling, shape):
+    code, out, err = run(capsys, "census", "--double", spelling, "--json", "--no-timestamp")
+    table = build_double_entry(dataset["mars"], dataset["earth"], *(shape or (8, 8)))
+    path = tmp_path / table_filename(table)
+    write_table(table, path)
+    canonical = b"# shape: %dx%d\n" % (table.n_u, table.n_v)
+    respelled = path.read_bytes().replace(canonical, f"# shape: {spelling}\n".encode())
+    path.write_bytes(reseal(respelled))
+    if shape is None:
+        assert code == 2
+        assert "<n_u>x<n_v>" in err or "8x8" in err
+        with pytest.raises(TableParseError, match="invalid shape header") as exc:
+            read_table(path)
+        assert exc.value.line == 3
+    else:
+        assert code == 0
+        assert json.loads(out)["double_shape"] == list(shape)
+        assert read_table(path) == table
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["query", "--mode", "sideways", "--planet", "mars", "--jd", "1"])
@@ -472,8 +525,8 @@ def test_census_json(capsys, dataset):
     assert code == 0
     payload = json.loads(out)
     want = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
-    assert payload["entries"] == want.total_entries
-    assert payload["solver_calls"] == want.solver_calls
+    assert payload["entries"] == want["entries"]
+    assert payload["solver_calls"] == want["solver_calls"]
     assert 1e4 <= payload["entries"] <= 1e5
 
 

@@ -336,4 +336,4 @@ def test_census_solver_calls_are_the_builders_solves(dataset, monkeypatch):
     for builder, args in plan:
         builder(*args)
     census = calculation_census(plan)
-    assert solves == census.solver_calls
+    assert solves == census["solver_calls"]

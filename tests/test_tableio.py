@@ -185,6 +185,23 @@ def test_out_of_range_value_rejected(tmp_path):
             read_table(written(tmp_path, table))
 
 
+def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
+    table = single_table()
+    fifth, sixth = table.rows[5], table.rows[6]
+    table.rows[5] = fifth._replace(nu_aph=sixth.nu_aph)
+    table.rows[6] = sixth._replace(nu_aph=fifth.nu_aph)
+    with pytest.raises(TableParseError, match="not strictly increasing"):
+        read_table(written(tmp_path, table))
+
+
+def test_step_header_passes_the_compilers_check(tmp_path):
+    path = written(tmp_path, single_table())  # P = 96, so step <= 12
+    edit_header(path, lambda text: text.replace("# step: 4.0\n", "# step: 12.5\n"))
+    with pytest.raises(TableParseError, match="P/8") as err:
+        read_table(path)
+    assert err.value.line == 3
+
+
 def test_crc_mismatch_rejected(tmp_path):
     path = written(tmp_path, double_table())
     data = bytearray(path.read_bytes())

@@ -174,25 +174,25 @@ def test_grid_minimum_enforced():
 def test_census_single_only():
     el = make_el(name="solo", P=100.0)
     report = calculation_census(compile_plan({"solo": el}, ["solo"], 1.0, None))
-    assert report.single_rows == {"solo": 100}
-    assert report.total_cells == 0
-    assert report.total_entries == 100
-    assert report.solver_calls == 300
+    assert report["single_rows"] == {"solo": 100}
+    assert report["cells"] == 0
+    assert report["entries"] == 100
+    assert report["solver_calls"] == 300
 
 
 def test_census_double_cells():
     planet, earth = circular_pair()
     bodies = {"outer": planet, "earth": earth}
     report = calculation_census(compile_plan(bodies, bodies, 40.0, (64, 64)))
-    assert report.double_cells == {"outer*earth": 4096}
-    assert report.total_cells == 4096
+    assert report["double_cells"] == {"outer*earth": 4096}
+    assert report["cells"] == 4096
 
 
 def test_census_default_scale(dataset):
     report = calculation_census(compile_plan(dataset, dataset.names, 1.0, (64, 64)))
-    assert report.total_rows == sum(row_count(el.P, 1.0) for el in dataset)
-    assert report.total_cells == 5 * 64 * 64
-    assert 1e4 <= report.total_entries <= 1e5
+    assert report["rows"] == sum(row_count(el.P, 1.0) for el in dataset)
+    assert report["cells"] == 5 * 64 * 64
+    assert 1e4 <= report["entries"] <= 1e5
 
 
 def test_census_rejects_bad_config(dataset):
