@@ -45,9 +45,8 @@ from .kepler import (
     solve_kepler,
     time_since_aphelion,
 )
-from .opcount import OpCounter, counted_direct, measure_compile_ops
-from .tableio import double_planets, read_table, read_table_file, table_filename
-from .tableio import table_paths, write_table
+from .opcount import OpCounter, measure_compile_ops
+from .tableio import double_planets, read_table_file, table_filename, table_paths, write_table
 from .tables import build_double_entry, build_planet_table, calculation_census, census_line
 from .tables import compile_plan, parse_shape
 
@@ -66,6 +65,11 @@ def _table_dir(args) -> Path:
 def _dataset(args):
     path = getattr(args, "elements", None) or default_elements_path()
     return load_elements(path)
+
+
+def _double_shape(text):
+    """The grid of a gen or census ``--double``: None for no option or 'none'."""
+    return None if text in (None, "none") else parse_shape(text)
 
 
 def _observed(name: str) -> str:
@@ -116,9 +120,8 @@ def cmd_gen(args) -> int:
     dataset = _dataset(args)
     if not (args.all or args.planet):
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
-    double_shape = parse_shape(args.double) if args.double else None
     plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
-                        double_shape)
+                        _double_shape(args.double))
     built = [builder(*build_args) for builder, build_args in plan]
 
     out_dir = _table_dir(args)
@@ -156,31 +159,30 @@ def cmd_query(args) -> int:
         raise DomainError(f"--precision must be >= 0, got {p}")
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
-    counter = OpCounter() if args.count_ops else None
     _observed(args.planet)
-
     if args.mode == "direct":
-        dataset = _dataset(args)
-        planet_el = dataset[args.planet]
-        earth_el = dataset["earth"]
-        pos = (counted_direct(counter, planet_el, earth_el, jd) if args.count_ops
-               else geocentric_at(planet_el, earth_el, jd))
-        lines += _format_position(args, pos)
-        payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
-        if args.heliocentric:
-            state = heliocentric_state(planet_el, jd)
+        dataset, tables = _dataset(args), None
+    else:
+        dataset, tables = None, load_tables(_table_dir(args))
+    if args.count_ops:
+        pos, counter = counted_query(args.mode, args.planet, jd, dataset=dataset, tables=tables)
+    elif tables is None:
+        pos = geocentric_at(dataset[args.planet], dataset["earth"], jd)
+    else:
+        pos = geocentric_at_table(tables, args.planet, jd)
+    lines += _format_position(args, pos)
+    payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
+
+    if args.heliocentric:
+        if tables is None:
+            state = heliocentric_state(dataset[args.planet], jd)
             lines += [
                 f"helio_l: {state.l:.{p}f}",
                 f"helio_b: {state.b:.{p}f}",
                 f"helio_r: {state.r:.6f}",
             ]
             payload.update(helio_l=state.l, helio_b=state.b, helio_r=state.r)
-    else:
-        tables = load_tables(_table_dir(args))
-        pos = geocentric_at_table(tables, args.planet, jd, counter=counter)
-        lines += _format_position(args, pos)
-        payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
-        if args.heliocentric:
+        else:
             nu, r = heliocentric_at_table(tables, args.planet, jd)
             lines += [f"nu_aph: {nu:.{p}f}", f"r: {r:.6f}"]
             payload.update(nu_aph=nu, r=r)
@@ -306,7 +308,7 @@ def cmd_bench(args) -> int:
 
 def cmd_census(args) -> int:
     dataset = _dataset(args)
-    double_shape = None if args.double in (None, "none") else parse_shape(args.double)
+    double_shape = _double_shape(args.double)
     plan = compile_plan(dataset, dataset.names, args.step_days, double_shape)
     census = calculation_census(plan)
     lines = [f"single {name}: rows={rows}" for name, rows in census["single_rows"].items()]
@@ -393,15 +395,14 @@ def _check_knot_exactness(tables: TableSet) -> None:
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 
-def _check_zero_transcendental(tables: TableSet, planet, earth) -> None:
+def _check_zero_transcendental(tables: TableSet, bodies, name: str) -> None:
     rng = random.Random(11)
     for _ in range(300):
         jd = 2451545.0 + rng.uniform(-5000.0, 5000.0)
-        _, c = counted_query("table", planet.name, jd, tables=tables)
+        _, c = counted_query("table", name, jd, tables=tables)
         if c.transcendental_calls != 0:
             raise AssertionError(f"table query at jd={jd} used {c.transcendental_calls} calls")
-        c2 = OpCounter()
-        counted_direct(c2, planet, earth, jd)
+        _, c2 = counted_query("direct", name, jd, dataset=bodies)
         if c2.transcendental_calls <= 0:
             raise AssertionError("direct query reported no transcendental calls")
         if c.total_ops() >= c2.total_ops():
@@ -410,28 +411,28 @@ def _check_zero_transcendental(tables: TableSet, planet, earth) -> None:
 
 def _check_serialization(tables: TableSet) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for table in list(tables.single.values()) + list(tables.double.values()):
-            path = Path(tmp) / table_filename(table)
-            write_table(table, path)
-            if read_table(path) != table:
-                raise AssertionError(f"round trip altered {table_filename(table)}")
+        back = load_tables(tmp)  # the lazy reader of query and bench
+        for held, read_back in ((tables.single, back.single_for),
+                                (tables.double, back.double_for)):
+            for name, table in held.items():
+                write_table(table, Path(tmp) / table_filename(table))
+                if read_back(name) != table:
+                    raise AssertionError(f"round trip altered {table_filename(table)}")
 
 
 def cmd_validate(args) -> int:
     checks = []
     planet, earth = _synthetic_pair()
+    bodies = {planet.name: planet, earth.name: earth}
 
     def dataset_check():
-        path = getattr(args, "elements", None) or default_elements_path()
-        dataset = load_elements(path)
-        if "earth" not in dataset:
+        if "earth" not in _dataset(args):
             raise AssertionError("dataset lacks an 'earth' entry")
 
     ts = None
 
     def build_check():
         nonlocal ts
-        bodies = {planet.name: planet, earth.name: earth}
         built = TableSet()
         for builder, build_args in compile_plan(bodies, bodies, earth.P / 64.0, (16, 16)):
             built.add(builder(*build_args))
@@ -443,7 +444,8 @@ def cmd_validate(args) -> int:
     checks.append(("anomaly-round-trip", _check_anomaly_round_trip))
     checks.append(("table-build", build_check))
     checks.append(("knot-exactness", lambda: _check_knot_exactness(ts)))
-    checks.append(("zero-transcendental-sweep", lambda: _check_zero_transcendental(ts, planet, earth)))
+    checks.append(("zero-transcendental-sweep",
+                   lambda: _check_zero_transcendental(ts, bodies, planet.name)))
     checks.append(("serialization-round-trip", lambda: _check_serialization(ts)))
 
     table_files = table_paths(_table_dir(args))

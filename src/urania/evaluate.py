@@ -55,35 +55,25 @@ class TableSet:
             raise DomainError(f"a {type(table).__name__} for {key!r} is already held")
         held[key] = table
 
-    def _read(self, kind: str, name: str, missing: str):
+    def single_for(self, name: str) -> PlanetTable:
+        return self.single.get(name) or self._read("single", name)
+
+    def double_for(self, planet: str) -> DoubleEntryTable:
+        return self.double.get(planet) or self._read("double", planet)
+
+    def _read(self, kind: str, name: str):
         table = None
         if self.directory is not None:
             table = read_named_table(self.directory, kind, name)
         if table is None:
-            raise TableNotFoundError(missing)
+            raise TableNotFoundError(
+                f"no single-entry table loaded for {name!r}; run 'urania gen'"
+                if kind == "single" else
+                f"no double-entry table loaded for the pair {name}*earth; "
+                "run 'urania gen --double'"
+            )
         self.add(table)
         return table
-
-    def single_for(self, name: str) -> PlanetTable:
-        try:
-            return self.single[name]
-        except KeyError:
-            pass
-        return self._read(
-            "single", name, f"no single-entry table loaded for {name!r}; run 'urania gen'"
-        )
-
-    def double_for(self, planet: str) -> DoubleEntryTable:
-        try:
-            return self.double[planet]
-        except KeyError:
-            pass
-        return self._read(
-            "double",
-            planet,
-            f"no double-entry table loaded for the pair {planet}*earth; "
-            "run 'urania gen --double'",
-        )
 
 
 def load_tables(directory) -> TableSet:
@@ -133,10 +123,10 @@ def _wrap180(d: float) -> float:
 
 def _renormalize(angle: float) -> float:
     """Bounded arithmetic normalization for interpolation results."""
-    while angle >= 360.0:
-        angle -= 360.0
     while angle < 0.0:
         angle += 360.0
+    while angle >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
+        angle -= 360.0
     return angle
 
 
@@ -263,7 +253,8 @@ def counted_query(
     dataset=None,
     tables: TableSet | None = None,
 ):
-    """Run one geocentric query in either mode with a fresh counter.
+    """Run one geocentric query in either mode with a fresh counter: the
+    counted query of ``urania query --count-ops``, ``bench`` and ``validate``.
 
     Returns (GeocentricPosition, OpCounter). ``dataset`` (a mapping of name
     to OrbitalElements) backs direct mode; ``tables`` backs table mode.

@@ -76,13 +76,11 @@ def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> Ge
     """Combine heliocentric planet and Earth states into a geocentric position."""
     p = helio_to_rect(planet)
     e = helio_to_rect(earth)
-    diff = RectVec(x=p.x - e.x, y=p.y - e.y, z=p.z - e.z)
-    sep = math.sqrt(diff.x * diff.x + diff.y * diff.y + diff.z * diff.z)
-    if sep < COINCIDENCE_AU:
+    lam, beta, delta = rect_to_spherical(RectVec(x=p.x - e.x, y=p.y - e.y, z=p.z - e.z))
+    if delta < COINCIDENCE_AU:
         raise DegenerateGeometryError(
-            f"planet and Earth positions coincide (separation {sep:.3e} AU)"
+            f"planet and Earth positions coincide (separation {delta:.3e} AU)"
         )
-    lam, beta, delta = rect_to_spherical(diff)
     return GeocentricPosition(lam=lam, beta=beta, delta=delta)
 
 

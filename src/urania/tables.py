@@ -12,6 +12,7 @@ writes, that ``opcount.measure_compile_ops`` runs counted, and that
 """
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -100,12 +101,12 @@ def row_count(P: float, step: float) -> int:
 
 
 def parse_shape(text: str) -> tuple[int, int]:
-    """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``, in either case."""
-    n_u, _, n_v = text.lower().partition("x")
-    try:
-        return int(n_u), int(n_v)
-    except ValueError:
-        raise DomainError(f"grid shape must read <n_u>x<n_v> (e.g. 64x64), got {text!r}") from None
+    """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``: ASCII
+    digits either side of an ``x`` or ``X``, and nothing else."""
+    match = re.fullmatch(r"([0-9]+)[xX]([0-9]+)", text)
+    if match is None:
+        raise DomainError(f"grid shape must read <n_u>x<n_v> (e.g. 64x64), got {text!r}")
+    return int(match[1]), int(match[2])
 
 
 def _check_single(el: OrbitalElements, step: float) -> None:

@@ -22,7 +22,7 @@ from urania import (
     wrap_diff_deg,
     write_table,
 )
-from urania import cli
+from urania import cli, tableio
 from urania.cli import main
 from urania.evaluate import phase_days
 
@@ -141,7 +141,7 @@ def test_query_direct_counts_only_with_count_ops(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("counted chain used without --count-ops")
 
-    monkeypatch.setattr(cli, "counted_direct", refuse)
+    monkeypatch.setattr(cli, "counted_query", refuse)
     code, plain, _ = run(capsys, *args)
     assert code == 0
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
@@ -316,6 +316,7 @@ def test_compare_single_earth_is_heliocentric(capsys):
 @pytest.mark.parametrize("spelling, shape", [
     ("64x64", (64, 64)), ("64X64", (64, 64)),
     ("8", None), ("8x8x8", None), ("x8", None), ("7x8", None),
+    ("1_6x16", None), ("+16x16", None), ("16 x 16", None), ("\u0661\u0666x16", None),
 ])
 def test_double_option_and_shape_header_agree(capsys, tmp_path, dataset, spelling, shape):
     code, out, err = run(capsys, "census", "--double", spelling, "--json", "--no-timestamp")
@@ -547,9 +548,10 @@ def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
                            "--no-timestamp")
         assert code == 2
         assert "earth" in err
-    code, out, _ = run(capsys, "census", "--double", "none", "--elements", str(csv))
-    assert code == 0
-    assert "cells=0" in out
+    for argv in (["census"], ["gen", "--all", "--table-dir", str(tmp_path)]):
+        code, out, _ = run(capsys, *argv, "--double", "none", "--elements", str(csv))
+        assert code == 0
+        assert "cells=0" in out
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +591,7 @@ def test_validate_flags_moved_table(capsys, table_dir):
 
 
 def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):
-    real = cli.read_table
+    real = tableio.read_table
 
     def perturbed(path):
         table = real(path)
@@ -598,7 +600,7 @@ def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):
             table.cells[3][5] = (lam, beta, delta + 1e-12)
         return table
 
-    monkeypatch.setattr(cli, "read_table", perturbed)
+    monkeypatch.setattr(tableio, "read_table", perturbed)
     code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
     assert code == 1
     assert "FAIL serialization-round-trip" in out

@@ -134,6 +134,17 @@ def test_wrap_aware_longitude_midpoint():
     assert delta == 2.0
 
 
+def test_longitude_just_below_the_seam_folds_to_zero():
+    # lambda = 0 - 1e-15 folds up to 360.0 exactly, which must fold on to 0.0
+    table = wrap_seam_table()
+    for col in table.cells:
+        col[:] = [(0.0, 0.0, 1.0)] * table.n_v
+    table.cells[1][0] = (359.9, 0.0, 1.0)
+    lam, beta, delta = lookup_double(table, 1e-12, 0.0)
+    assert 0.0 <= lam < 360.0
+    assert (lam, beta, delta) == (0.0, 0.0, 1.0)
+
+
 def test_double_lookup_matches_direct_between_knots(dataset):
     jupiter, earth = dataset["jupiter"], dataset["earth"]
     table = build_double_entry(jupiter, earth, 64, 64)
