@@ -5,64 +5,88 @@ geocentric positions on demand. Table mode answers the same queries from
 pre-compiled single- and double-entry tables using only additions,
 multiplications, comparisons and row fetches, with an operation counter
 proving the absence of transcendental calls on the query path.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first use (PEP 562), so a one-shot ``urania
+query`` loads only the modules its mode runs.
 """
 
-from .angles import aphelion_shift, normalize_deg, wrap_diff_deg
-from .compare import double_errors, single_errors, sweep, synodic_period
-from .dataset import ElementsDataset, default_elements_path, load_elements
-from .errors import (
-    DegenerateGeometryError,
-    DomainError,
-    ParseError,
-    TableNotFoundError,
-    TableParseError,
-    TableVersionError,
-    UnsupportedInversionError,
-    UraniaError,
-)
-from .evaluate import (
-    TableSet,
-    counted_query,
-    geocentric_at_table,
-    heliocentric_at_table,
-    load_tables,
-    lookup_double,
-    lookup_planet,
-)
-from .geocentric import (
-    GeocentricPosition,
-    RectVec,
-    geocentric_at,
-    geocentric_reduce,
-    helio_to_rect,
-    rect_to_spherical,
-)
-from .juliandate import calendar_to_jd, jd_to_calendar
-from .kepler import (
-    CorrectionTerm,
-    HeliocentricState,
-    OrbitalElements,
-    heliocentric_state,
-    mean_anomaly_aph,
-    position_since_aphelion,
-    radius,
-    solve_kepler,
-    time_since_aphelion,
-    true_anomaly,
-    validate_elements,
-)
-from .opcount import OpCounter, counted_direct, measure_compile_ops
-from .tableio import read_table, table_filename, write_table
-from .tables import (
-    DoubleEntryTable,
-    PlanetTable,
-    TableRow,
-    build_double_entry,
-    build_planet_table,
-    calculation_census,
-    census_line,
-    compile_plan,
-    parse_shape,
-)
+import importlib
 
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "angles": ("aphelion_shift", "normalize_deg", "wrap_diff_deg"),
+    "compare": ("double_errors", "single_errors", "sweep", "synodic_period"),
+    "dataset": ("ElementsDataset", "default_elements_path", "load_elements"),
+    "errors": (
+        "DegenerateGeometryError",
+        "DomainError",
+        "ParseError",
+        "TableNotFoundError",
+        "TableParseError",
+        "TableVersionError",
+        "UnsupportedInversionError",
+        "UraniaError",
+    ),
+    "evaluate": (
+        "TableSet",
+        "counted_query",
+        "geocentric_at_table",
+        "heliocentric_at_table",
+        "load_tables",
+        "lookup_double",
+        "lookup_planet",
+    ),
+    "geocentric": (
+        "GeocentricPosition",
+        "RectVec",
+        "geocentric_at",
+        "geocentric_reduce",
+        "helio_to_rect",
+        "rect_to_spherical",
+    ),
+    "juliandate": ("calendar_to_jd", "jd_to_calendar"),
+    "kepler": (
+        "CorrectionTerm",
+        "HeliocentricState",
+        "OrbitalElements",
+        "heliocentric_state",
+        "mean_anomaly_aph",
+        "position_since_aphelion",
+        "radius",
+        "solve_kepler",
+        "time_since_aphelion",
+        "true_anomaly",
+        "validate_elements",
+    ),
+    "opcount": ("OpCounter", "measure_compile_ops"),
+    "tableio": ("read_table", "table_filename", "write_table"),
+    "tables": (
+        "DoubleEntryTable",
+        "PlanetTable",
+        "TableRow",
+        "build_double_entry",
+        "build_planet_table",
+        "calculation_census",
+        "census_line",
+        "compile_plan",
+        "parse_shape",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,21 +3,16 @@
 Exit codes: 0 success, 1 validation or threshold failure, 2 usage error,
 3 I/O or parse error. The table directory resolves from --table-dir, then
 the URANIA_DATA_DIR environment variable, then ./tables.
+
+Each command imports what it runs when it runs, so that a one-shot ``urania
+query`` loads only its own mode's modules: ``opcount`` for a counted query,
+``datetime`` for ``--date`` or a timestamp, ``json`` for ``--json``.
 """
 
 import argparse
-import datetime as _dt
-import json
-import math
 import os
-import random
 import sys
-import tempfile
-import time
-from pathlib import Path
 
-from .compare import double_errors, single_errors, sweep
-from .dataset import default_elements_path, load_elements
 from .errors import (
     DegenerateGeometryError,
     DomainError,
@@ -26,34 +21,13 @@ from .errors import (
     TableVersionError,
     UnsupportedInversionError,
 )
-from .evaluate import (
-    TableSet,
-    counted_query,
-    geocentric_at_table,
-    heliocentric_at_table,
-    load_tables,
-    lookup_double,
-    lookup_planet,
-)
-from .geocentric import geocentric_at
-from .juliandate import calendar_to_jd, jd_to_calendar
-from .kepler import (
-    KEPLER_TOL,
-    OrbitalElements,
-    heliocentric_state,
-    position_since_aphelion,
-    solve_kepler,
-    time_since_aphelion,
-)
-from .opcount import OpCounter, measure_compile_ops
-from .tableio import double_planets, read_table_file, table_filename, table_paths, write_table
-from .tables import build_double_entry, build_planet_table, calculation_census, census_line
-from .tables import compile_plan, parse_shape
 
 __all__ = ["main"]
 
 
-def _table_dir(args) -> Path:
+def _table_dir(args):
+    from pathlib import Path
+
     if getattr(args, "table_dir", None):
         return Path(args.table_dir)
     env = os.environ.get("URANIA_DATA_DIR")
@@ -63,12 +37,16 @@ def _table_dir(args) -> Path:
 
 
 def _dataset(args):
+    from .dataset import default_elements_path, load_elements
+
     path = getattr(args, "elements", None) or default_elements_path()
     return load_elements(path)
 
 
 def _double_shape(text):
     """The grid of a gen or census ``--double``: None for no option or 'none'."""
+    from .tables import parse_shape
+
     return None if text in (None, "none") else parse_shape(text)
 
 
@@ -80,8 +58,12 @@ def _observed(name: str) -> str:
 
 
 def _parse_date(text: str) -> float:
+    from datetime import datetime
+
+    from .juliandate import calendar_to_jd
+
     try:
-        stamp = _dt.datetime.fromisoformat(text)
+        stamp = datetime.fromisoformat(text)
     except ValueError:
         raise DomainError(f"--date expects an ISO date-time, got {text!r}") from None
     if stamp.tzinfo is not None:
@@ -93,6 +75,8 @@ def _parse_date(text: str) -> float:
 
 
 def _query_jd(args) -> float:
+    import math
+
     if args.jd is not None:
         if not math.isfinite(args.jd):
             raise DomainError("--jd must be finite")
@@ -102,9 +86,13 @@ def _query_jd(args) -> float:
 
 def _emit(args, lines: list[str], payload: dict) -> None:
     if not getattr(args, "no_timestamp", False):
-        payload["generated"] = _dt.datetime.now().isoformat(timespec="seconds")
+        from datetime import datetime
+
+        payload["generated"] = datetime.now().isoformat(timespec="seconds")
         lines = [f"generated: {payload['generated']}"] + lines
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -117,6 +105,9 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    from .tableio import table_filename, write_table
+    from .tables import calculation_census, census_line, compile_plan
+
     dataset = _dataset(args)
     if not (args.all or args.planet):
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
@@ -163,18 +154,28 @@ def cmd_query(args) -> int:
     if args.mode == "direct":
         dataset, tables = _dataset(args), None
     else:
+        from .evaluate import load_tables
+
         dataset, tables = None, load_tables(_table_dir(args))
     if args.count_ops:
+        from .evaluate import counted_query
+
         pos, counter = counted_query(args.mode, args.planet, jd, dataset=dataset, tables=tables)
     elif tables is None:
+        from .geocentric import geocentric_at
+
         pos = geocentric_at(dataset[args.planet], dataset["earth"], jd)
     else:
+        from .evaluate import geocentric_at_table
+
         pos = geocentric_at_table(tables, args.planet, jd)
     lines += _format_position(args, pos)
     payload.update(lam=pos.lam, beta=pos.beta, delta=pos.delta)
 
     if args.heliocentric:
         if tables is None:
+            from .kepler import heliocentric_state
+
             state = heliocentric_state(dataset[args.planet], jd)
             lines += [
                 f"helio_l: {state.l:.{p}f}",
@@ -183,6 +184,8 @@ def cmd_query(args) -> int:
             ]
             payload.update(helio_l=state.l, helio_b=state.b, helio_r=state.r)
         else:
+            from .evaluate import heliocentric_at_table
+
             nu, r = heliocentric_at_table(tables, args.planet, jd)
             lines += [f"nu_aph: {nu:.{p}f}", f"r: {r:.6f}"]
             payload.update(nu_aph=nu, r=r)
@@ -204,6 +207,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .compare import double_errors, single_errors, sweep
+    from .tables import build_double_entry, build_planet_table, parse_shape
+
     dataset = _dataset(args)
     planet_el = dataset[args.planet]
     jd_start = args.from_jd
@@ -248,6 +254,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import random
+    import time
+
+    from .evaluate import counted_query, load_tables
+    from .opcount import OpCounter
+    from .tableio import double_planets
+
     if args.queries < 1:
         raise DomainError(f"--queries must be >= 1, got {args.queries}")
     dataset = _dataset(args)
@@ -307,6 +320,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .tables import calculation_census, census_line, compile_plan
+
     dataset = _dataset(args)
     double_shape = _double_shape(args.double)
     plan = compile_plan(dataset, dataset.names, args.step_days, double_shape)
@@ -317,6 +332,8 @@ def cmd_census(args) -> int:
     payload = {"step_days": args.step_days,
                "double_shape": list(double_shape) if double_shape else None, **census}
     if args.measure_ops:
+        from .opcount import measure_compile_ops
+
         measured = measure_compile_ops(plan)
         lines.append(
             "compile_ops: adds={adds} muls={muls} transcendental={transcendental_calls} "
@@ -332,7 +349,10 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_pair() -> tuple[OrbitalElements, OrbitalElements]:
+def _synthetic_pair():
+    """A made-up planet and Earth whose tables build in milliseconds."""
+    from .kepler import OrbitalElements
+
     planet = OrbitalElements(
         name="check-planet", a=2.1, e=0.3, i=4.0, Omega=40.0, omega=120.0,
         P=400.0, T_aph=2451545.0,
@@ -345,6 +365,10 @@ def _synthetic_pair() -> tuple[OrbitalElements, OrbitalElements]:
 
 
 def _check_solver_grid() -> None:
+    import math
+
+    from .kepler import KEPLER_TOL, solve_kepler
+
     eccs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.97]
     for e in eccs:
         for k in range(500):
@@ -355,6 +379,8 @@ def _check_solver_grid() -> None:
 
 
 def _check_calendar_round_trip() -> None:
+    from .juliandate import calendar_to_jd, jd_to_calendar
+
     for year in range(1500, 2501, 37):
         for month, day in ((1, 1), (2, 28), (6, 15), (12, 31)):
             for frac in (0.0, 0.25, 0.875):
@@ -365,6 +391,10 @@ def _check_calendar_round_trip() -> None:
 
 
 def _check_anomaly_round_trip() -> None:
+    import random
+
+    from .kepler import OrbitalElements, position_since_aphelion, time_since_aphelion
+
     rng = random.Random(7)
     for _ in range(200):
         el = OrbitalElements(
@@ -379,7 +409,9 @@ def _check_anomaly_round_trip() -> None:
             raise AssertionError(f"|{back} - {t}| too large for e={el.e} P={el.P}")
 
 
-def _check_knot_exactness(tables: TableSet) -> None:
+def _check_knot_exactness(tables) -> None:
+    from .evaluate import lookup_double, lookup_planet
+
     for name, table in sorted(tables.single.items()):
         for row in table.rows:
             nu, r = lookup_planet(table, row.t)
@@ -395,7 +427,11 @@ def _check_knot_exactness(tables: TableSet) -> None:
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 
-def _check_zero_transcendental(tables: TableSet, bodies, name: str) -> None:
+def _check_zero_transcendental(tables, bodies, name: str) -> None:
+    import random
+
+    from .evaluate import counted_query
+
     rng = random.Random(11)
     for _ in range(300):
         jd = 2451545.0 + rng.uniform(-5000.0, 5000.0)
@@ -409,7 +445,13 @@ def _check_zero_transcendental(tables: TableSet, bodies, name: str) -> None:
             raise AssertionError("table query cost at least as much as direct query")
 
 
-def _check_serialization(tables: TableSet) -> None:
+def _check_serialization(tables) -> None:
+    import tempfile
+    from pathlib import Path
+
+    from .evaluate import load_tables
+    from .tableio import table_filename, write_table
+
     with tempfile.TemporaryDirectory() as tmp:
         back = load_tables(tmp)  # the lazy reader of query and bench
         for held, read_back in ((tables.single, back.single_for),
@@ -421,6 +463,10 @@ def _check_serialization(tables: TableSet) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .evaluate import TableSet
+    from .tableio import read_table_file, table_paths
+    from .tables import compile_plan
+
     checks = []
     planet, earth = _synthetic_pair()
     bodies = {planet.name: planet, earth.name: earth}

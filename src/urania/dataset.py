@@ -9,7 +9,6 @@ else must already satisfy the element invariants.
 
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .angles import normalize_deg
@@ -35,11 +34,11 @@ def default_elements_path() -> Path:
     return Path(__file__).parent / "data" / "elements.csv"
 
 
-@dataclass
 class ElementsDataset:
     """Validated orbital elements keyed by unique body name."""
 
-    bodies: dict[str, OrbitalElements]
+    def __init__(self, bodies: dict[str, OrbitalElements]):
+        self.bodies = bodies
 
     def __getitem__(self, name: str) -> OrbitalElements:
         try:

@@ -3,16 +3,18 @@
 The table path is written once, as plain float code. An entry point given a
 counter runs the counted twin opcount derives from this source, so the
 zero-transcendental property of the table path is measured on every counted
-query rather than merely claimed; without one, nothing is counted or derived.
+query rather than merely claimed; without one, nothing is counted or derived,
+and opcount is not imported. So ``OpCounter`` annotations are strings: the
+name is bound neither here nor where the twins are compiled, a copy of this
+module's namespace.
 """
 
+import functools
 import math
 from pathlib import Path
 
 from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition
-from .kepler import OrbitalElements
-from .opcount import OpCounter, _twins, counted_direct
 from .tableio import read_named_table
 from .tables import DoubleEntryTable, PlanetTable
 
@@ -89,6 +91,22 @@ def load_tables(directory) -> TableSet:
     return TableSet(root)
 
 
+@functools.cache
+def _opcount():
+    """The opcount module, imported on the first counted call. The import
+    sits outside opcount's chain, since a chain function cannot hold an
+    import statement, and runs once: one per counted query made a counted
+    table query half as slow again."""
+    from . import opcount
+
+    return opcount
+
+
+def _twin(name: str):
+    """The counted twin of this module's chain function ``name``."""
+    return _opcount()._twins("evaluate")[name]
+
+
 def _locate(x: float, dx: float, n: int):
     """Index and left knot of the interval containing x on a uniform grid.
 
@@ -130,7 +148,7 @@ def _renormalize(angle: float) -> float:
     return angle
 
 
-def lookup_planet(table: PlanetTable, t: float, counter: OpCounter | None = None):
+def lookup_planet(table: PlanetTable, t: float, counter: "OpCounter | None" = None):
     """(true anomaly from aphelion deg, radius AU) at ``t`` days past aphelion.
 
     The anomaly is advanced from the located row by whole leftover days at
@@ -139,7 +157,7 @@ def lookup_planet(table: PlanetTable, t: float, counter: OpCounter | None = None
     a row's own abscissa returns the stored values unchanged.
     """
     if counter is not None:
-        return _twins("evaluate")["lookup_planet"](counter, table, t)
+        return _twin("lookup_planet")(counter, table, t)
     el = table.elements
     if not (math.isfinite(t) and 0.0 <= t < el.P):
         raise DomainError(f"t={t!r} outside [0, {el.P!r}); reduce time modulo the period first")
@@ -161,14 +179,14 @@ def lookup_planet(table: PlanetTable, t: float, counter: OpCounter | None = None
     return nu, row.r + dt / gap * (nxt.r - row.r)
 
 
-def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounter | None = None):
+def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: "OpCounter | None" = None):
     """Bilinear (lambda, beta, delta) at planet phase ``u``, Earth phase ``v``.
 
     Longitudes interpolate through wrap-aware offsets from the corner cell,
     so a 359 -> 1 degree seam interpolates through 0, never through 180.
     """
     if counter is not None:
-        return _twins("evaluate")["lookup_double"](counter, table, u, v)
+        return _twin("lookup_double")(counter, table, u, v)
     if not (math.isfinite(u) and 0.0 <= u < table.planet.P):
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
     if not (math.isfinite(v) and 0.0 <= v < table.earth.P):
@@ -204,13 +222,13 @@ def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: OpCounte
     return lam, beta, delta
 
 
-def phase_days(counter: OpCounter | None, jd: float, t_aph: float, period: float) -> float:
+def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: float) -> float:
     """Time since the last aphelion passage, in [0, period), by plain arithmetic.
 
     Counted into ``counter`` unless it is None.
     """
     if counter is not None:
-        return _twins("evaluate")["phase_days"](counter, None, jd, t_aph, period)
+        return _twin("phase_days")(counter, None, jd, t_aph, period)
     if not math.isfinite(jd):
         raise DomainError(f"jd must be finite, got {jd!r}")
     dt = jd - t_aph
@@ -224,12 +242,12 @@ def phase_days(counter: OpCounter | None, jd: float, t_aph: float, period: float
 
 
 def geocentric_at_table(
-    tables: TableSet, planet: str, jd: float, counter: OpCounter | None = None
+    tables: TableSet, planet: str, jd: float, counter: "OpCounter | None" = None
 ) -> GeocentricPosition:
     """Table-mode geocentric position at ``jd``: phase reduction plus one
     double-entry lookup, no transcendental calls anywhere on the path."""
     if counter is not None:
-        return _twins("evaluate")["geocentric_at_table"](counter, tables, planet, jd)
+        return _twin("geocentric_at_table")(counter, tables, planet, jd)
     table = tables.double_for(planet)
     u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
     v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
@@ -237,11 +255,11 @@ def geocentric_at_table(
 
 
 def heliocentric_at_table(
-    tables: TableSet, planet: str, jd: float, counter: OpCounter | None = None
+    tables: TableSet, planet: str, jd: float, counter: "OpCounter | None" = None
 ):
     """(nu_aph, r) from the single-entry table at ``jd``."""
     if counter is not None:
-        return _twins("evaluate")["heliocentric_at_table"](counter, tables, planet, jd)
+        return _twin("heliocentric_at_table")(counter, tables, planet, jd)
     table = tables.single_for(planet)
     return lookup_planet(table, phase_days(None, jd, table.elements.T_aph, table.elements.P))
 
@@ -259,15 +277,15 @@ def counted_query(
     Returns (GeocentricPosition, OpCounter). ``dataset`` (a mapping of name
     to OrbitalElements) backs direct mode; ``tables`` backs table mode.
     """
-    c = OpCounter()
+    opcount = _opcount()
+    c = opcount.OpCounter()
     if mode == "table":
         if tables is None:
             raise DomainError("table mode requires loaded tables")
-        return geocentric_at_table(tables, planet, jd, counter=c), c
+        return opcount._twins("evaluate")["geocentric_at_table"](c, tables, planet, jd), c
     if mode == "direct":
         if dataset is None:
             raise DomainError("direct mode requires an elements dataset")
-        planet_el: OrbitalElements = dataset[planet]
-        earth_el: OrbitalElements = dataset["earth"]
-        return counted_direct(c, planet_el, earth_el, jd), c
+        twin = opcount._twins("geocentric")["geocentric_at"]
+        return twin(c, dataset[planet], dataset["earth"], jd), c
     raise DomainError(f"unknown mode {mode!r}; expected 'direct' or 'table'")

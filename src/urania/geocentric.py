@@ -1,7 +1,7 @@
 """Reduction of heliocentric states to geocentric ecliptic positions."""
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .angles import DEG2RAD, RAD2DEG, normalize_deg
 from .errors import DegenerateGeometryError
@@ -21,8 +21,7 @@ __all__ = [
 COINCIDENCE_AU = 1e-12
 
 
-@dataclass(frozen=True)
-class RectVec:
+class RectVec(NamedTuple):
     """Ecliptic rectangular coordinates in AU."""
 
     x: float
@@ -30,8 +29,7 @@ class RectVec:
     z: float
 
 
-@dataclass(frozen=True)
-class GeocentricPosition:
+class GeocentricPosition(NamedTuple):
     """Geocentric ecliptic longitude/latitude (degrees) and distance (AU)."""
 
     lam: float

@@ -6,7 +6,7 @@ formulas live inside and are bridged by a 180-degree shift.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .angles import DEG2RAD, RAD2DEG, TWO_PI, aphelion_shift, normalize_deg
 from .errors import DomainError, UnsupportedInversionError
@@ -37,8 +37,7 @@ _MAX_NEWTON = 50
 _MAX_BISECT = 200
 
 
-@dataclass(frozen=True)
-class CorrectionTerm:
+class CorrectionTerm(NamedTuple):
     """Additive periodic correction to the mean anomaly.
 
     amplitude in degrees, period in days, phase in degrees.
@@ -49,8 +48,7 @@ class CorrectionTerm:
     phase: float
 
 
-@dataclass(frozen=True)
-class OrbitalElements:
+class OrbitalElements(NamedTuple):
     """Keplerian elements of one body, with period and an aphelion epoch.
 
     a in AU, angles in degrees, P in days, T_aph a Julian Date at which the
@@ -65,11 +63,10 @@ class OrbitalElements:
     omega: float
     P: float
     T_aph: float
-    corrections: tuple[CorrectionTerm, ...] = field(default=())
+    corrections: tuple[CorrectionTerm, ...] = ()
 
 
-@dataclass(frozen=True)
-class HeliocentricState:
+class HeliocentricState(NamedTuple):
     """Heliocentric ecliptic longitude/latitude (degrees) and radius (AU)."""
 
     l: float

@@ -30,10 +30,7 @@ import importlib
 import inspect
 from dataclasses import dataclass
 
-from .geocentric import GeocentricPosition
-from .kepler import OrbitalElements
-
-__all__ = ["OpCounter", "counted_direct", "derive_counted", "measure_compile_ops"]
+__all__ = ["OpCounter", "derive_counted", "measure_compile_ops"]
 
 
 @dataclass(slots=True)
@@ -166,8 +163,9 @@ def derive_counted(source: str, names, namespace: dict, calls=None, filename="<c
 
 
 # The plain functions that get counted twins, by module name (imported when
-# first derived: evaluate imports this module). Their names are unique across
-# the chain, so a chain name bound in one of these modules is that function.
+# first derived, so a counted query imports only the modules it counts). Their
+# names are unique across the chain, so a chain name bound in one of these
+# modules is that function.
 _CHAIN = {
     "angles": ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
@@ -195,13 +193,6 @@ def _twins(module_name: str) -> dict:
     names = _CHAIN[module_name]
     derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
     return {name: namespace[name] for name in names}
-
-
-def counted_direct(
-    c: OpCounter, planet_el: OrbitalElements, earth_el: OrbitalElements, jd: float
-) -> GeocentricPosition:
-    """geocentric.geocentric_at counted into ``c``."""
-    return _twins("geocentric")["geocentric_at"](c, planet_el, earth_el, jd)
 
 
 def measure_compile_ops(plan) -> OpCounter:

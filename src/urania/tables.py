@@ -14,7 +14,6 @@ writes, that ``opcount.measure_compile_ops`` runs counted, and that
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .angles import wrap_diff_deg
@@ -65,8 +64,7 @@ class TableRow(NamedTuple):
     motion_per_hour: float
 
 
-@dataclass
-class PlanetTable:
+class PlanetTable(NamedTuple):
     """Single-entry table: time since aphelion -> (nu_aph, r, motion columns)."""
 
     elements: OrbitalElements
@@ -74,8 +72,7 @@ class PlanetTable:
     rows: list[TableRow]
 
 
-@dataclass
-class DoubleEntryTable:
+class DoubleEntryTable(NamedTuple):
     """Grid over (planet phase, Earth phase) -> geocentric (lambda, beta, delta).
 
     Cell (iu, iv) is evaluated with the planet iu*P_planet/n_u days past its
@@ -87,7 +84,12 @@ class DoubleEntryTable:
     earth: OrbitalElements
     n_u: int
     n_v: int
-    cells: list[list[tuple[float, float, float]]] = field(repr=False)
+    cells: list[list[tuple[float, float, float]]]
+
+    def __repr__(self) -> str:
+        # The cells are n_u * n_v triples: too many to print.
+        return (f"DoubleEntryTable(planet={self.planet!r}, earth={self.earth!r}, "
+                f"n_u={self.n_u!r}, n_v={self.n_v!r})")
 
 
 def row_count(P: float, step: float) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import urania
 from conftest import reseal
 from urania import (
     DoubleEntryTable,
@@ -22,7 +27,7 @@ from urania import (
     wrap_diff_deg,
     write_table,
 )
-from urania import cli, tableio
+from urania import tableio
 from urania.cli import main
 from urania.evaluate import phase_days
 
@@ -141,10 +146,51 @@ def test_query_direct_counts_only_with_count_ops(capsys, monkeypatch):
     def refuse(*_):
         raise AssertionError("counted chain used without --count-ops")
 
-    monkeypatch.setattr(cli, "counted_query", refuse)
+    monkeypatch.setattr("urania.evaluate.counted_query", refuse)
     code, plain, _ = run(capsys, *args)
     assert code == 0
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
+
+
+# Runs cli.main on its arguments in a fresh interpreter (nothing, given
+# none), then prints the names in sys.modules to stderr.
+_FRESH_MAIN = (
+    "import sys\n"
+    "status = 0\n"
+    "if len(sys.argv) > 1:\n"
+    "    from urania.cli import main\n"
+    "    status = main(sys.argv[1:])\n"
+    "print(*sys.modules, file=sys.stderr)\n"
+    "sys.exit(status)\n"
+)
+# What a plain query of either mode leaves unloaded: the counting machinery,
+# dataclasses and what it pulls in, the --date path and other commands' code.
+_NOT_FOR_A_PLAIN_QUERY = {"dataclasses", "inspect", "ast", "datetime", "urania.opcount",
+                          "urania.compare", "urania.juliandate"}
+_TABLE_MODE_ONLY = {"urania.evaluate", "urania.tableio", "urania.tables"}
+
+
+def _fresh_main(*argv):
+    """(stdout, loaded module names) of ``_FRESH_MAIN`` run on ``argv``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(urania.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout, set(out.stderr.split())
+
+
+@pytest.mark.parametrize("mode", ["table", "direct"])
+def test_plain_query_imports_only_its_own_mode(table_dir, mode):
+    _, bare = _fresh_main()
+    args = ("query", "--mode", mode, "--planet", "mars", "--jd", "2451545.0",
+            "--table-dir", str(table_dir), "--no-timestamp")
+    out, loaded = _fresh_main(*args)
+    assert "lambda: " in out
+    refused = _NOT_FOR_A_PLAIN_QUERY | (_TABLE_MODE_ONLY if mode == "direct" else set())
+    assert (loaded - bare) & refused == set()
+    out, loaded = _fresh_main(*args, "--count-ops")
+    assert "ops: adds=" in out
+    assert "urania.opcount" in loaded - bare
 
 
 def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
@@ -155,7 +201,7 @@ def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
     def refuse(*_):
         raise AssertionError("counted table path used without --count-ops")
 
-    monkeypatch.setattr("urania.evaluate._twins", refuse)
+    monkeypatch.setattr("urania.opcount._twins", refuse)
     code, plain, _ = run(capsys, *args)
     assert code == 0
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))
@@ -471,7 +517,7 @@ def test_bench_deterministic(capsys, table_dir):
 
 @pytest.mark.parametrize("calls, broken", [(0, "direct"), (1, "table")])
 def test_bench_reports_a_broken_contract(capsys, monkeypatch, table_dir, calls, broken):
-    monkeypatch.setattr(cli, "counted_query",
+    monkeypatch.setattr("urania.evaluate.counted_query",
                         lambda *_, **__: (None, OpCounter(transcendental_calls=calls)))
     args = ("bench", "--queries", "7", "--table-dir", str(table_dir), "--no-timestamp")
     code, out, _ = run(capsys, *args)

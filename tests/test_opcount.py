@@ -18,7 +18,6 @@ from urania import (
     OrbitalElements,
     calculation_census,
     compile_plan,
-    counted_direct,
     counted_query,
     geocentric_at,
     geocentric_at_table,
@@ -69,8 +68,7 @@ def test_golden_direct_tallies(golden, dataset):
     earth = dataset["earth"]
     assert len(golden["queries"]) == 200
     for planet, jd, *want in golden["queries"]:
-        c = OpCounter()
-        pos = counted_direct(c, dataset[planet], earth, jd)
+        pos, c = counted_query("direct", planet, jd, dataset=dataset)
         assert pos == geocentric_at(dataset[planet], earth, jd)  # bit-identical
         assert _tally(c) == want, (planet, jd)
         assert c.row_accesses == 0
@@ -81,9 +79,10 @@ def test_golden_tallies_with_corrections_and_high_eccentricity(golden):
     assert any(len(s["planet"]["corrections"]) == 3 for s in golden["element_sets"])
     for s in golden["element_sets"]:
         planet, earth = _elements(s["planet"]), _elements(s["earth"])
+        bodies = {planet.name: planet, earth.name: earth}
         for jd, *want in s["records"]:
-            c = OpCounter()
-            assert counted_direct(c, planet, earth, jd) == geocentric_at(planet, earth, jd)
+            pos, c = counted_query("direct", planet.name, jd, dataset=bodies)
+            assert pos == geocentric_at(planet, earth, jd)
             assert _tally(c) == want, (planet.name, earth.corrections, jd)
 
 
@@ -291,14 +290,15 @@ def _valid_elements(name):
 @settings(max_examples=200, deadline=None)
 @given(_valid_elements("planet"), _valid_elements("earth"), st.floats(2.35e6, 2.55e6))
 def test_counted_direct_is_the_plain_chain(planet, earth, jd):
+    bodies = {planet.name: planet, earth.name: earth}
     try:
         plain = geocentric_at(planet, earth, jd)
     except DegenerateGeometryError:
         with pytest.raises(DegenerateGeometryError):
-            counted_direct(OpCounter(), planet, earth, jd)
+            counted_query("direct", planet.name, jd, dataset=bodies)
         return
-    c = OpCounter()
-    assert counted_direct(c, planet, earth, jd) == plain  # bit for bit
+    pos, c = counted_query("direct", planet.name, jd, dataset=bodies)
+    assert pos == plain  # bit for bit
     assert c.transcendental_calls > 0
 
 

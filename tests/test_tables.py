@@ -158,6 +158,13 @@ def test_cells_equal_direct_mode_at_grid_phases(dataset):
             assert table.cells[iu][iv] == (want.lam, want.beta, want.delta)
 
 
+def test_double_entry_repr_leaves_out_the_cells():
+    planet, earth = circular_pair()
+    table = build_double_entry(planet, earth, 8, 8)
+    assert repr(table) == f"DoubleEntryTable(planet={planet!r}, earth={earth!r}, n_u=8, n_v=8)"
+    assert repr(table.cells[0][0][0]) not in repr(table)
+
+
 def test_grid_minimum_enforced():
     planet, earth = circular_pair()
     with pytest.raises(DomainError):
