@@ -44,6 +44,7 @@ _EXPORTS = {
         "geocentric_reduce",
         "helio_to_rect",
         "rect_to_spherical",
+        "reduce_rect",
     ),
     "juliandate": ("calendar_to_jd", "jd_to_calendar"),
     "kepler": (

@@ -4,8 +4,10 @@ The table path is written once, as plain float code. An entry point given a
 counter runs the counted twin opcount derives from this source, so the
 zero-transcendental property of the table path is measured on every counted
 query rather than merely claimed; without one, nothing is counted or derived,
-and opcount is not imported. So ``OpCounter`` annotations are strings: the
-name is bound neither here nor where the twins are compiled, a copy of this
+and opcount is not imported. Nor are tableio and tables until a table is read
+or held, so a counted direct query, which comes through ``counted_query``,
+loads neither. So the ``OpCounter`` and table annotations are strings: these
+names are bound neither here nor where the twins are compiled, a copy of this
 module's namespace.
 """
 
@@ -15,8 +17,7 @@ from pathlib import Path
 
 from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition
-from .tableio import read_named_table
-from .tables import DoubleEntryTable, PlanetTable
+from .kepler import MAX_ELAPSED_DAYS
 
 __all__ = [
     "TableSet",
@@ -43,10 +44,12 @@ class TableSet:
 
     def __init__(self, directory=None):
         self.directory = directory
-        self.single: dict[str, PlanetTable] = {}
-        self.double: dict[str, DoubleEntryTable] = {}
+        self.single: "dict[str, PlanetTable]" = {}
+        self.double: "dict[str, DoubleEntryTable]" = {}
 
     def add(self, table) -> None:
+        from .tables import DoubleEntryTable, PlanetTable
+
         if isinstance(table, PlanetTable):
             held, key = self.single, table.elements.name
         elif isinstance(table, DoubleEntryTable):
@@ -57,15 +60,17 @@ class TableSet:
             raise DomainError(f"a {type(table).__name__} for {key!r} is already held")
         held[key] = table
 
-    def single_for(self, name: str) -> PlanetTable:
+    def single_for(self, name: str) -> "PlanetTable":
         return self.single.get(name) or self._read("single", name)
 
-    def double_for(self, planet: str) -> DoubleEntryTable:
+    def double_for(self, planet: str) -> "DoubleEntryTable":
         return self.double.get(planet) or self._read("double", planet)
 
     def _read(self, kind: str, name: str):
         table = None
         if self.directory is not None:
+            from .tableio import read_named_table
+
             table = read_named_table(self.directory, kind, name)
         if table is None:
             raise TableNotFoundError(
@@ -148,7 +153,7 @@ def _renormalize(angle: float) -> float:
     return angle
 
 
-def lookup_planet(table: PlanetTable, t: float, counter: "OpCounter | None" = None):
+def lookup_planet(table: "PlanetTable", t: float, counter: "OpCounter | None" = None):
     """(true anomaly from aphelion deg, radius AU) at ``t`` days past aphelion.
 
     The anomaly is advanced from the located row by whole leftover days at
@@ -179,7 +184,9 @@ def lookup_planet(table: PlanetTable, t: float, counter: "OpCounter | None" = No
     return nu, row.r + dt / gap * (nxt.r - row.r)
 
 
-def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: "OpCounter | None" = None):
+def lookup_double(
+    table: "DoubleEntryTable", u: float, v: float, counter: "OpCounter | None" = None
+):
     """Bilinear (lambda, beta, delta) at planet phase ``u``, Earth phase ``v``.
 
     Longitudes interpolate through wrap-aware offsets from the corner cell,
@@ -225,13 +232,19 @@ def lookup_double(table: DoubleEntryTable, u: float, v: float, counter: "OpCount
 def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: float) -> float:
     """Time since the last aphelion passage, in [0, period), by plain arithmetic.
 
-    Counted into ``counter`` unless it is None.
+    Counted into ``counter`` unless it is None. Defined for |jd - t_aph| <
+    MAX_ELAPSED_DAYS, the domain direct mode accepts too.
     """
     if counter is not None:
         return _twin("phase_days")(counter, None, jd, t_aph, period)
     if not math.isfinite(jd):
         raise DomainError(f"jd must be finite, got {jd!r}")
     dt = jd - t_aph
+    if not abs(dt) < MAX_ELAPSED_DAYS:
+        raise DomainError(
+            f"jd={jd!r} is {dt!r} days from the aphelion epoch {t_aph!r}, outside the "
+            f"valid domain |jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
+        )
     k = math.floor(dt / period)
     u = dt - k * period
     if u < 0.0:

@@ -13,6 +13,7 @@ __all__ = [
     "helio_to_rect",
     "rect_to_spherical",
     "geocentric_reduce",
+    "reduce_rect",
     "geocentric_at",
     "COINCIDENCE_AU",
 ]
@@ -72,8 +73,13 @@ def rect_to_spherical(v: RectVec) -> tuple[float, float, float]:
 
 def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> GeocentricPosition:
     """Combine heliocentric planet and Earth states into a geocentric position."""
-    p = helio_to_rect(planet)
-    e = helio_to_rect(earth)
+    return reduce_rect(helio_to_rect(planet), helio_to_rect(earth))
+
+
+def reduce_rect(p: RectVec, e: RectVec) -> GeocentricPosition:
+    """The geocentric position of the planet at ``p`` seen from the Earth at
+    ``e``, both rectangular: the table compiler converts each grid line's
+    state once and reduces every cell here."""
     lam, beta, delta = rect_to_spherical(RectVec(x=p.x - e.x, y=p.y - e.y, z=p.z - e.z))
     if delta < COINCIDENCE_AU:
         raise DegenerateGeometryError(

@@ -26,6 +26,7 @@ __all__ = [
     "heliocentric_state_elapsed",
     "time_since_aphelion",
     "KEPLER_TOL",
+    "MAX_ELAPSED_DAYS",
 ]
 
 # Guaranteed residual bound for Kepler's equation, radians.
@@ -35,6 +36,13 @@ KEPLER_TOL = 1e-12
 _EXIT_TOL = 1e-14
 _MAX_NEWTON = 50
 _MAX_BISECT = 200
+# Largest |jd - T_aph| accepted, in days (about 188 million years), by both
+# modes. Below it one ulp of an elapsed time is at most 2**-17 days, which at
+# the default set's fastest mean motion (Mercury, 4.09 deg/day) is 3.1e-5 deg:
+# over a thousand times below table mode's frozen 0.042 deg Jupiter bound.
+# Further out the rounding of the elapsed time alone outgrows that budget,
+# and a phase reduced modulo the period no longer lands in [0, P).
+MAX_ELAPSED_DAYS = 2.0**36
 
 
 class CorrectionTerm(NamedTuple):
@@ -107,6 +115,11 @@ def validate_elements(el: OrbitalElements) -> None:
 
 def mean_anomaly_elapsed(el: OrbitalElements, dt_days: float) -> float:
     """Mean anomaly from aphelion, degrees in [0, 360), dt days after T_aph."""
+    if not abs(dt_days) < MAX_ELAPSED_DAYS:
+        raise DomainError(
+            f"{el.name}: {dt_days!r} days from aphelion is outside the valid domain "
+            f"|jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
+        )
     M = 360.0 / el.P * dt_days
     for c in el.corrections:
         M += c.amplitude * math.sin((360.0 * dt_days / c.period + c.phase) * DEG2RAD)

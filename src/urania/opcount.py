@@ -4,11 +4,21 @@ The direct chain (angles.py, kepler.py, geocentric.py), the table builders
 (tables.py) and the table path (evaluate.py) are written once, as plain
 float code. Their counted twins are derived from that source, one module at
 a time, on the first counted call that needs them, and cached: a counted
-table query derives evaluate.py's twins only. Each statement of a twin
-keeps its plain float operators, preceded by one increment per counter
-field (``_c.muls += 2``), so its results are bit-identical to the plain
-code's. A twin takes the
-counter first and passes it on to the twins it calls.
+table query derives evaluate.py's twins only. A twin keeps every statement
+of the plain function with its plain float operators, so its results are
+bit-identical to the plain code's, and adds the counter increments. A twin
+takes the counter first and passes it on to the twins it calls.
+
+Increments are written per stretch of statements that run together: the
+tallies of consecutive statements of one block, ``if`` and ``for`` headers
+included, are summed into one ``_c.<field> += n`` per field at the start of
+the stretch. A stretch ends after a statement that can pass control out of
+its block: a ``return``, ``break`` or ``continue``, or a compound statement
+that holds one that leaves the block. Loop and branch bodies are blocks of
+their own, counted each time they run. So the tally of a call that returns
+is exact; a call that raises leaves its counter unspecified (it may hold
+increments of statements that never ran), and no caller reads such a
+counter.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
 ``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
@@ -74,6 +84,7 @@ _REFUSED[ast.Lambda] = "a lambda"
 _HEADERS = {ast.If: ("test",), ast.For: ("target", "iter"), ast.While: ("test",)}
 _SIMPLE = (ast.Assign, ast.AugAssign, ast.Expr, ast.Return, ast.Raise, ast.Pass, ast.Break,
            ast.Continue)
+_FIELD_NAMES = ("adds", "muls", "transcendental_calls", "row_accesses")
 
 
 def _refusal(node, what) -> ValueError:
@@ -105,7 +116,7 @@ def _counted(node) -> bool:
 
 def _tally(nodes) -> dict[str, int]:
     """Increments per counter field that one evaluation of ``nodes`` makes."""
-    counts = {"adds": 0, "muls": 0, "transcendental_calls": 0, "row_accesses": 0}
+    counts = dict.fromkeys(_FIELD_NAMES, 0)
     for sub in (sub for node in nodes for sub in ast.walk(node)):
         field = _field(sub)
         if field is not None:
@@ -117,26 +128,51 @@ def _tally(nodes) -> dict[str, int]:
     return counts
 
 
+def _leaves(stmt, in_loop=False) -> bool:
+    """Whether running ``stmt`` can pass control out of the block that holds
+    it: by a return, or by a break or continue not bound to a loop inside
+    that block (``in_loop``: ``stmt`` lies in the body of such a loop)."""
+    if isinstance(stmt, ast.Return):
+        return True
+    if isinstance(stmt, (ast.Break, ast.Continue)):
+        return not in_loop
+    if isinstance(stmt, (ast.For, ast.While)):
+        return (any(_leaves(sub, True) for sub in stmt.body)
+                or any(_leaves(sub, in_loop) for sub in stmt.orelse))
+    if isinstance(stmt, ast.If):
+        return any(_leaves(sub, in_loop) for sub in stmt.body + stmt.orelse)
+    return False
+
+
 def _count_block(stmts) -> list:
-    """``stmts``, each preceded by the increments its own evaluation makes."""
-    out = []
+    """``stmts``, each stretch of statements that run together preceded by
+    one increment per counter field of the stretch's summed tally."""
+    out, stretch, counts = [], [], dict.fromkeys(_FIELD_NAMES, 0)
     for stmt in stmts:
         header = _HEADERS.get(type(stmt))
         if header is not None:
-            counts = _tally([getattr(stmt, name) for name in header])
-            if isinstance(stmt, ast.While) and any(counts.values()):
+            own = _tally([getattr(stmt, name) for name in header])
+            if isinstance(stmt, ast.While) and any(own.values()):
                 raise _refusal(stmt, "arithmetic inside a while test")
             stmt.body, stmt.orelse = _count_block(stmt.body), _count_block(stmt.orelse)
         elif isinstance(stmt, _SIMPLE):
-            counts = _tally([stmt])
+            own = _tally([stmt])
         else:
             raise _refusal(stmt, f"a {type(stmt).__name__} statement")
-        for field, n in counts.items():
-            if n:
-                target = ast.Attribute(ast.Name(_COUNTER, ast.Load()), field, ast.Store())
-                out.append(ast.AugAssign(target, ast.Add(), ast.Constant(n)))
-        out.append(stmt)
-    return out
+        for field, n in own.items():
+            counts[field] += n
+        stretch.append(stmt)
+        if _leaves(stmt):
+            out += _increments(counts) + stretch
+            stretch, counts = [], dict.fromkeys(_FIELD_NAMES, 0)
+    return out + _increments(counts) + stretch
+
+
+def _increments(counts) -> list:
+    """One ``_c.<field> += n`` statement per nonzero field of ``counts``."""
+    return [ast.AugAssign(ast.Attribute(ast.Name(_COUNTER, ast.Load()), field, ast.Store()),
+                          ast.Add(), ast.Constant(n))
+            for field, n in counts.items() if n]
 
 
 def derive_counted(source: str, names, namespace: dict, calls=None, filename="<counted>") -> None:
@@ -170,9 +206,10 @@ _CHAIN = {
     "angles": ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
                "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
-    "geocentric": ("helio_to_rect", "rect_to_spherical", "geocentric_reduce", "geocentric_at"),
-    "tables": ("row_count", "_check_single", "_check_monotone_rows", "build_planet_table",
-               "build_double_entry"),
+    "geocentric": ("helio_to_rect", "rect_to_spherical", "reduce_rect", "geocentric_reduce",
+                   "geocentric_at"),
+    "tables": ("row_count", "stencil_points", "_check_single", "_check_monotone_rows",
+               "build_planet_table", "build_double_entry"),
     "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",
                  "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }

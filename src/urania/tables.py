@@ -2,13 +2,19 @@
 
 The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
-later, at interpolation time.
+later, at interpolation time. It does no step of that chain twice: a
+single-entry table solves Kepler's equation once per distinct abscissa of its
+rows' motion stencils (``stencil_points``), and a double-entry table solves
+and converts to rectangular form once per grid line, then reduces each cell
+from the two rectangular vectors (``geocentric.reduce_rect``).
 
 A configuration is known here alone: ``parse_shape`` reads its grid, the
 step and grid checks serve the table reader too, and ``compile_plan`` returns
 the checked list of (builder, args) pairs that ``urania gen`` builds and
 writes, that ``opcount.measure_compile_ops`` runs counted, and that
-``calculation_census`` counts without building into the record the CLI prints.
+``calculation_census`` counts without building into the record the CLI prints:
+its Kepler solves come from the builders' own ``stencil_points`` and grid
+lines, so they are the solves ``urania gen`` makes.
 """
 
 import math
@@ -18,7 +24,7 @@ from typing import NamedTuple
 
 from .angles import wrap_diff_deg
 from .errors import DomainError
-from .geocentric import geocentric_reduce
+from .geocentric import helio_to_rect, reduce_rect
 from .kepler import (
     OrbitalElements,
     heliocentric_state_elapsed,
@@ -35,19 +41,16 @@ __all__ = [
     "compile_plan",
     "parse_shape",
     "row_count",
+    "stencil_points",
     "calculation_census",
     "census_line",
     "MOTION_STENCIL_DAYS",
-    "SOLVES_PER_ROW",
 ]
 
-# Half-day stencil: the motion column stores a centred daily rate.
+# Half-day stencil: the motion column stores a centred daily rate, from the
+# anomaly at t - h and t + h. At the default 1-day step a row's t - h is the
+# previous row's t + h, so n rows need 2n + 1 Kepler solves, not 3n.
 MOTION_STENCIL_DAYS = 0.5
-
-# Kepler solves per single-entry row: anomaly at t-h, t, t+h. A double-entry
-# table of shape n_u x n_v needs n_u + n_v solves, one per grid line, because
-# each body's state is shared along its axis.
-SOLVES_PER_ROW = 3
 
 
 class TableRow(NamedTuple):
@@ -102,6 +105,28 @@ def row_count(P: float, step: float) -> int:
     return n
 
 
+def stencil_points(P: float, step: float) -> tuple[list[float], list[int]]:
+    """The abscissae a single-entry table of period ``P`` solves at, each
+    once, and the index among them of each row's own abscissa.
+
+    Row k sits at t = k*step, at ``points[j]`` for ``j = centres[k]``; its
+    motion stencil t - h and t + h is ``points[j - 1]`` and ``points[j + 1]``.
+    A row whose t - h equals the previous row's t + h exactly shares that
+    point, as every row after the first does at the default 1-day step.
+    """
+    h = MOTION_STENCIL_DAYS
+    points, centres = [], []
+    for k in range(row_count(P, step)):
+        t = k * step
+        before = t - h
+        if not points or points[-1] != before:
+            points.append(before)
+        centres.append(len(points))
+        points.append(t)
+        points.append(t + h)
+    return points, centres
+
+
 def parse_shape(text: str) -> tuple[int, int]:
     """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``: ASCII
     digits either side of an ``x`` or ``X``, and nothing else."""
@@ -132,18 +157,19 @@ def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
 
     Rows sit at t = 0, step, 2*step, ... < P (the last interval may be
     shorter). Motion columns come from a wrap-aware central difference of the
-    direct chain, so the compiler and the evaluator stay independent.
+    direct chain, so the compiler and the evaluator stay independent; each
+    distinct abscissa of ``stencil_points`` is solved once.
     """
     _check_single(el, step)
-    h = MOTION_STENCIL_DAYS
+    points, centres = stencil_points(el.P, step)
+    solved = []
+    for x in points:
+        solved.append(position_since_aphelion(el, x))
     rows = []
-    n = row_count(el.P, step)
-    for k in range(n):
-        t = k * step
-        nu, r = position_since_aphelion(el, t)
-        nu_after, _ = position_since_aphelion(el, t + h)
-        nu_before, _ = position_since_aphelion(el, t - h)
-        per_day = wrap_diff_deg(nu_after, nu_before) / (2.0 * h)
+    for j in centres:
+        t = points[j]
+        nu, r = solved[j]
+        per_day = wrap_diff_deg(solved[j + 1][0], solved[j - 1][0]) / (2.0 * MOTION_STENCIL_DAYS)
         if per_day <= 0.0:
             raise DomainError(
                 f"{el.name}: non-positive daily motion {per_day!r} at t={t!r}; "
@@ -174,19 +200,23 @@ def _check_monotone_rows(name: str, rows: list[TableRow]) -> None:
 def build_double_entry(
     planet_el: OrbitalElements, earth_el: OrbitalElements, n_u: int, n_v: int
 ) -> DoubleEntryTable:
-    """Compile the double-entry geocentric table for a planet/Earth pair."""
+    """Compile the double-entry geocentric table for a planet/Earth pair.
+
+    Each grid line's heliocentric state is solved and made rectangular once,
+    so the cells cost n_u + n_v states and n_u * n_v ``reduce_rect`` calls.
+    """
     _check_double(planet_el, earth_el, n_u, n_v)
     du = planet_el.P / n_u
     dv = earth_el.P / n_v
-    earth_states = []
+    earth_vecs = []
     for iv in range(n_v):
-        earth_states.append(heliocentric_state_elapsed(earth_el, iv * dv))
+        earth_vecs.append(helio_to_rect(heliocentric_state_elapsed(earth_el, iv * dv)))
     cells = []
     for iu in range(n_u):
-        planet_state = heliocentric_state_elapsed(planet_el, iu * du)
+        planet_vec = helio_to_rect(heliocentric_state_elapsed(planet_el, iu * du))
         col = []
-        for iv in range(n_v):
-            g = geocentric_reduce(planet_state, earth_states[iv])
+        for earth_vec in earth_vecs:
+            g = reduce_rect(planet_vec, earth_vec)
             col.append((g.lam, g.beta, g.delta))
         cells.append(col)
     return DoubleEntryTable(planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, cells=cells)
@@ -226,8 +256,9 @@ def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
     for builder, args in plan:
         if builder is build_planet_table:
             el, step = args
-            single[el.name] = row_count(el.P, step)
-            solves += SOLVES_PER_ROW * single[el.name]
+            points, centres = stencil_points(el.P, step)
+            single[el.name] = len(centres)
+            solves += len(points)
         else:
             planet_el, earth_el, n_u, n_v = args
             double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v

@@ -191,6 +191,8 @@ def test_plain_query_imports_only_its_own_mode(table_dir, mode):
     out, loaded = _fresh_main(*args, "--count-ops")
     assert "ops: adds=" in out
     assert "urania.opcount" in loaded - bare
+    if mode == "direct":
+        assert (loaded - bare) & {"urania.tableio", "urania.tables"} == set()
 
 
 def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
@@ -218,6 +220,23 @@ def test_query_count_ops_tallies_the_geocentric_query_only(capsys, table_dir, mo
         return next(line for line in out.splitlines() if line.startswith("ops:"))
 
     assert ops_line("--heliocentric") == ops_line()
+
+
+@pytest.mark.parametrize("mode", ["table", "direct"])
+def test_query_refuses_jds_beyond_the_elapsed_bound(capsys, table_dir, mode):
+    # Every default body's aphelion epoch is within 1e4 days of J2000, and
+    # the bound on |jd - T_aph| is 2**36 = 6.87e10 days.
+    args = ("query", "--mode", mode, "--planet", "jupiter", "--table-dir", str(table_dir),
+            "--no-timestamp")
+    for jd in ("2451545.0", "6.8e10", "-6.8e10"):
+        code, out, _ = run(capsys, *args, f"--jd={jd}")
+        assert code == 0
+        assert "lambda: " in out
+    for jd in ("6.9e10", "-6.9e10", "1e20", "1e300"):
+        code, out, err = run(capsys, *args, f"--jd={jd}")
+        assert code == 2
+        assert out == ""
+        assert "outside the valid domain" in err
 
 
 def test_query_deterministic(capsys):

@@ -1,8 +1,10 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_el
 from oracles import wrap_abs_deg
@@ -28,6 +30,7 @@ from urania import (
 )
 from urania import tableio
 from urania.evaluate import phase_days
+from urania.kepler import MAX_ELAPSED_DAYS
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,34 @@ def test_phase_days_reduces_into_period():
         u = phase_days(c, jd, T, P)
         assert 0.0 <= u < P
     assert c.transcendental_calls == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    t_aph=st.floats(2.3e6, 2.6e6),
+    period=st.floats(10.0, 1e5),
+    dt=st.floats(-MAX_ELAPSED_DAYS, MAX_ELAPSED_DAYS, exclude_min=True, exclude_max=True),
+)
+def test_phase_days_lands_in_the_period_over_the_whole_domain(t_aph, period, dt):
+    jd = t_aph + dt
+    assume(abs(jd - t_aph) < MAX_ELAPSED_DAYS)
+    u = phase_days(None, jd, t_aph, period)
+    assert 0.0 <= u < period
+    # Within a few ulps of the elapsed time of the exact reduction, around the circle.
+    exact = float((Fraction(jd) - Fraction(t_aph)) % Fraction(period))
+    gap = abs(u - exact)
+    assert min(gap, period - gap) <= 2.0**-15
+
+
+def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
+    below = math.nextafter(MAX_ELAPSED_DAYS, 0.0)
+    for jd in (below, -below):
+        assert 0.0 <= phase_days(OpCounter(), jd, 0.0, 687.0) < 687.0
+    for jd in (MAX_ELAPSED_DAYS, -MAX_ELAPSED_DAYS, 1e20, 1e300):
+        with pytest.raises(DomainError, match=re.escape(f"jd={jd!r} ") + ".*outside"):
+            phase_days(None, jd, 0.0, 687.0)
+        with pytest.raises(DomainError, match="outside the valid domain"):
+            phase_days(OpCounter(), jd, 0.0, 687.0)
 
 
 @pytest.mark.parametrize("jd", [math.nan, math.inf, -math.inf])

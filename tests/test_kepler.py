@@ -19,6 +19,7 @@ from urania import (
     validate_elements,
     wrap_diff_deg,
 )
+from urania.kepler import MAX_ELAPSED_DAYS, mean_anomaly_elapsed
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,6 +140,16 @@ def test_mean_anomaly_half_period():
 def test_mean_anomaly_linear():
     el = make_el(P=100.0)
     assert mean_anomaly_aph(el, el.T_aph + 10.0) == pytest.approx(36.0, abs=1e-12)
+
+
+def test_mean_anomaly_refuses_elapsed_times_beyond_the_bound():
+    el = make_el(P=128.0)
+    below = math.nextafter(MAX_ELAPSED_DAYS, 0.0)
+    for dt in (below, -below):
+        assert 0.0 <= mean_anomaly_elapsed(el, dt) < 360.0
+    for dt in (MAX_ELAPSED_DAYS, -MAX_ELAPSED_DAYS, 1e20, math.nan):
+        with pytest.raises(DomainError, match="outside the valid domain"):
+            mean_anomaly_elapsed(el, dt)
 
 
 def test_mean_anomaly_correction_term():

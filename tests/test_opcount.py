@@ -129,18 +129,25 @@ def test_compile_tally_counts_the_builders_own_code(golden):
     # former hand-written grid walk skipped. Per single-entry table, row_count
     # computes P/step and (n - 1)*step once (no overshoot here), and
     # _check_monotone_rows makes one wrap_diff_deg (a - b, fmod, no wrap)
-    # and one += per row pair, plus the closing full-revolution check.
+    # and one += per row pair, plus the closing full-revolution check. The
+    # double-entry builder converts each grid line's state to rectangular
+    # form once, not once per cell and body: 2*n_u*n_v - (n_u + n_v) fewer
+    # helio_to_rect calls, at 6 muls and 4 transcendental calls each. At this
+    # 5-day step no row shares a stencil point with the next, so the
+    # single-entry solves are the hand-written twin's.
     cfg = golden["compile"]
     bodies = {d["name"]: _elements(d) for d in cfg["bodies"]}
     c = measure_compile_ops(compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"]))
     rows = sum(row_count(el.P, cfg["step_days"]) for el in bodies.values())
     tables = len(bodies)
     pairs = rows - tables
+    n_u, n_v = cfg["double_shape"]
+    unconverted = 2 * n_u * n_v - (n_u + n_v)
     twin = cfg["twin"]
     assert _tally(c) == [
         twin["adds"] + 2 * pairs + tables,
-        twin["muls"] + rows + tables + 2 * tables + pairs,
-        twin["transcendental_calls"],
+        twin["muls"] + rows + tables + 2 * tables + pairs - 6 * unconverted,
+        twin["transcendental_calls"] - 4 * unconverted,
     ]
     assert c.row_accesses == 0
 
@@ -185,6 +192,51 @@ def test_tally_rules():
     c = OpCounter()
     assert counted(c, t, 1) == plain(t, 1) == 5.0
     assert [*_tally(c), c.row_accesses] == [1, 0, 0, 2]
+
+
+_EARLY_EXITS = (
+    "def f(x, n):\n"
+    "    y = x * 2.0\n"
+    "    if y > 10.0:\n"
+    "        return y - 1.0\n"
+    "    z = y + 1.0\n"
+    "    for i in range(n):\n"
+    "        z = z * 1.5\n"
+    "        if z > 20.0:\n"
+    "            break\n"
+    "        if i == 1:\n"
+    "            continue\n"
+    "        z = z - 0.5\n"
+    "    return z + math.sqrt(x)\n"
+)
+
+
+def _hand_count(x, n):
+    """[adds, muls, transcendental_calls] of ``_EARLY_EXITS`` at (x, n), by hand."""
+    adds, muls = 0, 1
+    y = x * 2.0
+    if y > 10.0:
+        return [adds + 1, muls, 0]
+    z, adds = y + 1.0, adds + 1
+    for i in range(n):
+        z, muls = z * 1.5, muls + 1
+        if z > 20.0:
+            break
+        if i == 1:
+            continue
+        z, adds = z - 0.5, adds + 1
+    return [adds + 1, muls, 1]
+
+
+@pytest.mark.parametrize("x, n", [(6.0, 5), (1.0, 0), (1.0, 1), (1.0, 3), (1.0, 10)])
+def test_block_counting_is_exact_on_every_path(x, n):
+    # Increments are written once per stretch of statements that run
+    # together; an early return, a break and a continue each end a stretch,
+    # so every path that returns still counts exactly what it ran.
+    plain, counted = _derive(_EARLY_EXITS)
+    c = OpCounter()
+    assert counted(c, x, n) == plain(x, n)
+    assert _tally(c) == _hand_count(x, n)
 
 
 def test_counter_passes_to_derived_callees():
@@ -332,8 +384,14 @@ def test_census_solver_calls_are_the_builders_solves(dataset, monkeypatch):
         return real(M, e)
 
     monkeypatch.setattr(kepler, "solve_kepler", counting)
-    plan = compile_plan(dataset, dataset.names, 8.0, (8, 12))
-    for builder, args in plan:
-        builder(*args)
-    census = calculation_census(plan)
-    assert solves == census["solver_calls"]
+    # At 8 days no stencil point is shared; at the default 1 day every row
+    # after a table's first shares its t - h with the row before.
+    for step in (8.0, 1.0):
+        solves = 0
+        plan = compile_plan(dataset, dataset.names, step, (8, 12))
+        for builder, args in plan:
+            builder(*args)
+        census = calculation_census(plan)
+        assert solves == census["solver_calls"]
+    rows = sum(row_count(el.P, 1.0) for el in dataset)
+    assert census["solver_calls"] == 2 * rows + len(dataset.names) + 5 * (8 + 12)

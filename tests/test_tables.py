@@ -14,8 +14,9 @@ from urania import (
     position_since_aphelion,
     wrap_diff_deg,
 )
+from urania import tables
 from urania.kepler import heliocentric_state_elapsed
-from urania.tables import MOTION_STENCIL_DAYS, row_count
+from urania.tables import MOTION_STENCIL_DAYS, row_count, stencil_points
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,16 @@ def test_rows_match_direct_chain_exactly(dataset):
         nu_after, _ = position_since_aphelion(mars, row.t + h)
         nu_before, _ = position_since_aphelion(mars, row.t - h)
         assert row.motion_per_day == wrap_diff_deg(nu_after, nu_before) / (2.0 * h)
+
+
+@pytest.mark.parametrize("step, solves", [(1.0, 2 * 100 + 1), (3.0, 3 * 34)])
+def test_stencil_points_solve_each_shared_abscissa_once(step, solves):
+    points, centres = stencil_points(100.0, step)
+    h = MOTION_STENCIL_DAYS
+    assert len(points) == len(set(points)) == solves
+    for k, j in enumerate(centres):
+        t = k * step
+        assert points[j - 1:j + 2] == [t - h, t, t + h]
 
 
 def test_row_grid_and_counts():
@@ -158,6 +169,21 @@ def test_cells_equal_direct_mode_at_grid_phases(dataset):
             assert table.cells[iu][iv] == (want.lam, want.beta, want.delta)
 
 
+def test_double_entry_converts_each_grid_line_once(dataset, monkeypatch):
+    calls = 0
+    real = tables.helio_to_rect
+
+    def counting(state):
+        nonlocal calls
+        calls += 1
+        return real(state)
+
+    monkeypatch.setattr(tables, "helio_to_rect", counting)
+    table = build_double_entry(dataset["mars"], dataset["earth"], 8, 12)
+    assert calls == 8 + 12
+    assert (len(table.cells), len(table.cells[0])) == (8, 12)
+
+
 def test_double_entry_repr_leaves_out_the_cells():
     planet, earth = circular_pair()
     table = build_double_entry(planet, earth, 8, 8)
@@ -184,7 +210,7 @@ def test_census_single_only():
     assert report["single_rows"] == {"solo": 100}
     assert report["cells"] == 0
     assert report["entries"] == 100
-    assert report["solver_calls"] == 300
+    assert report["solver_calls"] == 201  # 2n + 1: each row shares t - h with the row before
 
 
 def test_census_double_cells():
