@@ -113,7 +113,8 @@ def cmd_gen(args) -> int:
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
     plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
                         _double_shape(args.double))
-    built = [builder(*build_args) for builder, build_args in plan]
+    built = []
+    census = calculation_census(plan, built)
 
     out_dir = _table_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -121,7 +122,6 @@ def cmd_gen(args) -> int:
     for table, path in zip(built, written):
         write_table(table, path)
 
-    census = calculation_census(plan)
     lines = [f"wrote {p}" for p in written] + [census_line(census)]
     totals = {key: census[key] for key in ("rows", "cells", "entries", "solver_calls")}
     payload = {"written": [str(p) for p in written], "census": totals}
@@ -174,15 +174,13 @@ def cmd_query(args) -> int:
 
     if args.heliocentric:
         if tables is None:
+            from .geocentric import rect_to_spherical
             from .kepler import heliocentric_state
 
             state = heliocentric_state(dataset[args.planet], jd)
-            lines += [
-                f"helio_l: {state.l:.{p}f}",
-                f"helio_b: {state.b:.{p}f}",
-                f"helio_r: {state.r:.6f}",
-            ]
-            payload.update(helio_l=state.l, helio_b=state.b, helio_r=state.r)
+            l, b, _ = rect_to_spherical(state[:3])
+            lines += [f"helio_l: {l:.{p}f}", f"helio_b: {b:.{p}f}", f"helio_r: {state.r:.6f}"]
+            payload.update(helio_l=l, helio_b=b, helio_r=state.r)
         else:
             from .evaluate import heliocentric_at_table
 
@@ -258,7 +256,7 @@ def cmd_bench(args) -> int:
     import time
 
     from .evaluate import counted_query, load_tables
-    from .opcount import OpCounter
+    from .opcount import OpCounter, _twins
     from .tableio import double_planets
 
     if args.queries < 1:
@@ -310,6 +308,14 @@ def cmd_bench(args) -> int:
         if bad:
             failures.append(f"FAIL: {bad} {broken}")
             payload[f"{mode}_contract"] = "fail"
+    # A direct query's frames are counted once per element set, not per query
+    frame = OpCounter()
+    _twins("kepler")["orbit_frame"](frame, dataset["earth"])
+    lines.append(
+        "frame_ops per element set: adds={adds} muls={muls} transcendental={transcendental_calls} "
+        "total={total}".format(**frame.as_dict())
+    )
+    payload["frame_ops"] = frame.as_dict()
     _emit(args, lines + failures, payload)
     return 1 if failures else 0
 

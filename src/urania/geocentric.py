@@ -1,11 +1,12 @@
-"""Reduction of heliocentric states to geocentric ecliptic positions."""
+"""Reduction of rectangular heliocentric positions to geocentric ecliptic
+positions: one ``rect_to_spherical`` of the planet-minus-Earth vector."""
 
 import math
 from typing import NamedTuple
 
-from .angles import DEG2RAD, RAD2DEG, normalize_deg
+from .angles import RAD2DEG, normalize_deg
 from .errors import DegenerateGeometryError
-from .kepler import HeliocentricState, OrbitalElements, heliocentric_state
+from .kepler import HeliocentricState, OrbitalElements, cached_frame, heliocentric_xyz
 
 __all__ = [
     "RectVec",
@@ -39,30 +40,24 @@ class GeocentricPosition(NamedTuple):
 
 
 def helio_to_rect(s: HeliocentricState) -> RectVec:
-    """Spherical (l, b, r) to rectangular ecliptic coordinates."""
-    lam = s.l * DEG2RAD
-    bet = s.b * DEG2RAD
-    r_cos_b = s.r * math.cos(bet)
-    return RectVec(
-        x=r_cos_b * math.cos(lam),
-        y=r_cos_b * math.sin(lam),
-        z=s.r * math.sin(bet),
-    )
+    """The rectangular position of a heliocentric state, without its radius."""
+    return RectVec(s.x, s.y, s.z)
 
 
-def rect_to_spherical(v: RectVec) -> tuple[float, float, float]:
-    """Rectangular to (longitude deg, latitude deg, distance).
+def rect_to_spherical(v) -> tuple[float, float, float]:
+    """Rectangular (x, y, z) to (longitude deg, latitude deg, distance).
 
     At the poles (x = y = 0) the longitude is 0 by convention.
     """
-    d = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+    x, y, z = v
+    d = math.sqrt(x * x + y * y + z * z)
     if d == 0.0:
         raise DegenerateGeometryError("zero vector has no direction")
-    if v.x == 0.0 and v.y == 0.0:
+    if x == 0.0 and y == 0.0:
         lam = 0.0
     else:
-        lam = normalize_deg(math.atan2(v.y, v.x) * RAD2DEG)
-    sin_b = v.z / d
+        lam = normalize_deg(math.atan2(y, x) * RAD2DEG)
+    sin_b = z / d
     if sin_b > 1.0:
         sin_b = 1.0
     elif sin_b < -1.0:
@@ -73,26 +68,28 @@ def rect_to_spherical(v: RectVec) -> tuple[float, float, float]:
 
 def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> GeocentricPosition:
     """Combine heliocentric planet and Earth states into a geocentric position."""
-    return reduce_rect(helio_to_rect(planet), helio_to_rect(earth))
+    return reduce_rect(planet, earth)
 
 
-def reduce_rect(p: RectVec, e: RectVec) -> GeocentricPosition:
+def reduce_rect(p, e) -> GeocentricPosition:
     """The geocentric position of the planet at ``p`` seen from the Earth at
-    ``e``, both rectangular: the table compiler converts each grid line's
-    state once and reduces every cell here."""
-    lam, beta, delta = rect_to_spherical(RectVec(x=p.x - e.x, y=p.y - e.y, z=p.z - e.z))
+    ``e``, each an (x, y, z, ...) sequence: a ``HeliocentricState``, a
+    ``RectVec`` or a ``kepler.heliocentric_xyz`` tuple."""
+    lam, beta, delta = rect_to_spherical((p[0] - e[0], p[1] - e[1], p[2] - e[2]))
     if delta < COINCIDENCE_AU:
         raise DegenerateGeometryError(
             f"planet and Earth positions coincide (separation {delta:.3e} AU)"
         )
-    return GeocentricPosition(lam=lam, beta=beta, delta=delta)
+    return GeocentricPosition(lam, beta, delta)
 
 
 def geocentric_at(
     planet_el: OrbitalElements, earth_el: OrbitalElements, jd: float
 ) -> GeocentricPosition:
-    """Direct-mode geocentric position of ``planet_el`` as seen from ``earth_el``."""
-    return geocentric_reduce(
-        heliocentric_state(planet_el, jd),
-        heliocentric_state(earth_el, jd),
+    """Direct-mode geocentric position of ``planet_el`` as seen from
+    ``earth_el``: each body's rectangular position in its cached frame, the
+    difference vector, one ``rect_to_spherical``."""
+    return reduce_rect(
+        heliocentric_xyz(planet_el, cached_frame(planet_el), jd - planet_el.T_aph),
+        heliocentric_xyz(earth_el, cached_frame(earth_el), jd - earth_el.T_aph),
     )

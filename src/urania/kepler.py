@@ -3,8 +3,12 @@
 Anomalies at public boundaries are measured from aphelion in degrees (the
 convention the compiled tables index by); the textbook perihelion-referenced
 formulas live inside and are bridged by a 180-degree shift.
+
+Positions are rectangular, (cos E - e)*P + sin E*Q in the body's orbit frame,
+which the direct chain computes once per element set (``cached_frame``).
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -16,6 +20,8 @@ __all__ = [
     "OrbitalElements",
     "HeliocentricState",
     "validate_elements",
+    "orbit_frame",
+    "cached_frame",
     "mean_anomaly_elapsed",
     "mean_anomaly_aph",
     "solve_kepler",
@@ -23,7 +29,7 @@ __all__ = [
     "radius",
     "position_since_aphelion",
     "heliocentric_state",
-    "heliocentric_state_elapsed",
+    "heliocentric_xyz",
     "time_since_aphelion",
     "KEPLER_TOL",
     "MAX_ELAPSED_DAYS",
@@ -75,10 +81,11 @@ class OrbitalElements(NamedTuple):
 
 
 class HeliocentricState(NamedTuple):
-    """Heliocentric ecliptic longitude/latitude (degrees) and radius (AU)."""
+    """Heliocentric ecliptic position (x, y, z) and radius r, all in AU."""
 
-    l: float
-    b: float
+    x: float
+    y: float
+    z: float
     r: float
 
 
@@ -220,50 +227,55 @@ def position_since_aphelion(el: OrbitalElements, t_days: float) -> tuple[float, 
     return _nu_aph_from_E(E, el.e), radius(E, el.e, el.a)
 
 
-def heliocentric_state(el: OrbitalElements, jd: float) -> HeliocentricState:
-    """Heliocentric ecliptic state of ``el`` at Julian Date ``jd``.
-
-    Chain: mean anomaly (aphelion-referenced, with corrections) -> Kepler
-    solve -> true anomaly and radius -> rotation through omega, i, Omega into
-    the ecliptic frame.
-    """
-    return heliocentric_state_elapsed(el, jd - el.T_aph)
-
-
-def heliocentric_state_elapsed(el: OrbitalElements, dt_days: float) -> HeliocentricState:
-    """Heliocentric state ``dt_days`` after the aphelion passage.
-
-    Same chain as :func:`heliocentric_state`; taking elapsed time directly
-    keeps table abscissae exact (no T_aph round trip).
-    """
-    M_aph = mean_anomaly_elapsed(el, dt_days)
-    M_peri = aphelion_shift(M_aph)
-    E = solve_kepler(M_peri * DEG2RAD, el.e)
-    nu = true_anomaly(E, el.e)
-    r = radius(E, el.e, el.a)
-
-    u = el.omega * DEG2RAD + nu  # argument of latitude
+def orbit_frame(el: OrbitalElements) -> tuple[float, float, float, float, float, float]:
+    """The ecliptic unit vectors P (towards perihelion) and Q (90 degrees
+    ahead in the orbit plane) of ``el``, scaled by a and by a*sqrt(1 - e^2):
+    (aPx, aPy, aPz, bQx, bQy, bQz). It depends on the elements alone."""
+    w = el.omega * DEG2RAD
     node = el.Omega * DEG2RAD
     incl = el.i * DEG2RAD
-    sin_u = math.sin(u)
-    cos_u = math.cos(u)
-    sin_O = math.sin(node)
+    cos_w = math.cos(w)
+    sin_w = math.sin(w)
     cos_O = math.cos(node)
-    sin_i = math.sin(incl)
+    sin_O = math.sin(node)
     cos_i = math.cos(incl)
+    sin_i = math.sin(incl)
+    a = el.a
+    b = a * math.sqrt(1.0 - el.e * el.e)
+    return (
+        a * (cos_O * cos_w - sin_O * sin_w * cos_i),
+        a * (sin_O * cos_w + cos_O * sin_w * cos_i),
+        a * (sin_w * sin_i),
+        b * (-cos_O * sin_w - sin_O * cos_w * cos_i),
+        b * (cos_O * cos_w * cos_i - sin_O * sin_w),
+        b * (cos_w * sin_i),
+    )
 
-    x = r * (cos_O * cos_u - sin_O * sin_u * cos_i)
-    y = r * (sin_O * cos_u + cos_O * sin_u * cos_i)
-    z = r * (sin_u * sin_i)
 
-    l = normalize_deg(math.atan2(y, x) * RAD2DEG)
-    sin_b = z / r
-    if sin_b > 1.0:
-        sin_b = 1.0
-    elif sin_b < -1.0:
-        sin_b = -1.0
-    b = math.asin(sin_b) * RAD2DEG
-    return HeliocentricState(l=l, b=b, r=r)
+# Each element set's frame, computed on its first query. A call outside the
+# chain: a frame is counted once per element set, as compile work (opcount).
+cached_frame = functools.lru_cache(maxsize=64)(orbit_frame)
+
+
+def heliocentric_xyz(el: OrbitalElements, frame: tuple, dt_days: float) -> tuple:
+    """Ecliptic (x, y, z, r) in AU of ``el`` ``dt_days`` after its aphelion
+    passage, in its ``orbit_frame`` ``frame``. Chain: mean anomaly (from
+    aphelion, with corrections) -> Kepler solve -> (cos E - e)*P + sin E*Q,
+    and r = a*(1 - e*cos E)."""
+    M_aph = mean_anomaly_elapsed(el, dt_days)
+    E = solve_kepler(aphelion_shift(M_aph) * DEG2RAD, el.e)
+    cos_E = math.cos(E)
+    sin_E = math.sin(E)
+    c = cos_E - el.e
+    Px, Py, Pz, Qx, Qy, Qz = frame
+    return (c * Px + sin_E * Qx, c * Py + sin_E * Qy, c * Pz + sin_E * Qz,
+            el.a * (1.0 - el.e * cos_E))
+
+
+def heliocentric_state(el: OrbitalElements, jd: float) -> HeliocentricState:
+    """Heliocentric ecliptic state of ``el`` at Julian Date ``jd``: the
+    ``heliocentric_xyz`` chain in the body's cached frame."""
+    return HeliocentricState(*heliocentric_xyz(el, cached_frame(el), jd - el.T_aph))
 
 
 def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:

@@ -20,6 +20,12 @@ is exact; a call that raises leaves its counter unspecified (it may hold
 increments of statements that never ran), and no caller reads such a
 counter.
 
+A body's orbit frame (``kepler.orbit_frame``, 37 ops) is counted once per
+element set, as compile work, the way a table's cells are: ``census
+--measure-ops`` counts it through ``build_double_entry``. A direct query
+fetches it from ``kepler.cached_frame``, a call outside the chain, so it is
+free in the query's tally; ``bench`` prints its tally beside the query's.
+
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
 ``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
 a subscript of a ``.rows`` or ``.cells`` attribute one row access (so
@@ -204,10 +210,9 @@ def derive_counted(source: str, names, namespace: dict, calls=None, filename="<c
 # modules is that function.
 _CHAIN = {
     "angles": ("normalize_deg", "wrap_diff_deg", "aphelion_shift"),
-    "kepler": ("mean_anomaly_elapsed", "solve_kepler", "true_anomaly", "radius", "_nu_aph_from_E",
-               "position_since_aphelion", "heliocentric_state", "heliocentric_state_elapsed"),
-    "geocentric": ("helio_to_rect", "rect_to_spherical", "reduce_rect", "geocentric_reduce",
-                   "geocentric_at"),
+    "kepler": ("mean_anomaly_elapsed", "solve_kepler", "radius", "_nu_aph_from_E",
+               "position_since_aphelion", "orbit_frame", "heliocentric_xyz"),
+    "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
     "tables": ("row_count", "stencil_points", "_check_single", "_check_monotone_rows",
                "build_planet_table", "build_double_entry"),
     "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",

@@ -4,17 +4,18 @@ The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
 later, at interpolation time. It does no step of that chain twice: a
 single-entry table solves Kepler's equation once per distinct abscissa of its
-rows' motion stencils (``stencil_points``), and a double-entry table solves
-and converts to rectangular form once per grid line, then reduces each cell
-from the two rectangular vectors (``geocentric.reduce_rect``).
+rows' motion stencils (``stencil_points``), and a double-entry table computes
+each body's orbit frame once, places each grid line's body in it once
+(``kepler.heliocentric_xyz``), then reduces each cell from the two
+rectangular positions (``geocentric.reduce_rect``).
 
 A configuration is known here alone: ``parse_shape`` reads its grid, the
 step and grid checks serve the table reader too, and ``compile_plan`` returns
 the checked list of (builder, args) pairs that ``urania gen`` builds and
 writes, that ``opcount.measure_compile_ops`` runs counted, and that
-``calculation_census`` counts without building into the record the CLI prints:
-its Kepler solves come from the builders' own ``stencil_points`` and grid
-lines, so they are the solves ``urania gen`` makes.
+``calculation_census`` counts, without building or while building, into the
+record the CLI prints: its Kepler solves come from the builders' own
+``stencil_points`` and grid lines, so they are the solves ``urania gen`` makes.
 """
 
 import math
@@ -24,10 +25,11 @@ from typing import NamedTuple
 
 from .angles import wrap_diff_deg
 from .errors import DomainError
-from .geocentric import helio_to_rect, reduce_rect
+from .geocentric import reduce_rect
 from .kepler import (
     OrbitalElements,
-    heliocentric_state_elapsed,
+    heliocentric_xyz,
+    orbit_frame,
     position_since_aphelion,
     validate_elements,
 )
@@ -152,16 +154,17 @@ def _check_double(
         raise DomainError(f"double-entry grid must be at least 8x8, got {n_u}x{n_v}")
 
 
-def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
+def build_planet_table(el: OrbitalElements, step: float, stencil=None) -> PlanetTable:
     """Compile the single-entry table for one body.
 
     Rows sit at t = 0, step, 2*step, ... < P (the last interval may be
     shorter). Motion columns come from a wrap-aware central difference of the
     direct chain, so the compiler and the evaluator stay independent; each
-    distinct abscissa of ``stencil_points`` is solved once.
+    distinct abscissa of ``stencil_points`` is solved once. ``stencil`` is
+    ``stencil_points(el.P, step)`` when the caller has it already.
     """
     _check_single(el, step)
-    points, centres = stencil_points(el.P, step)
+    points, centres = stencil or stencil_points(el.P, step)
     solved = []
     for x in points:
         solved.append(position_since_aphelion(el, x))
@@ -202,18 +205,21 @@ def build_double_entry(
 ) -> DoubleEntryTable:
     """Compile the double-entry geocentric table for a planet/Earth pair.
 
-    Each grid line's heliocentric state is solved and made rectangular once,
-    so the cells cost n_u + n_v states and n_u * n_v ``reduce_rect`` calls.
+    Each body's orbit frame is computed once and each grid line's position
+    once, so the cells cost 2 frames, n_u + n_v positions and n_u * n_v
+    ``reduce_rect`` calls.
     """
     _check_double(planet_el, earth_el, n_u, n_v)
     du = planet_el.P / n_u
     dv = earth_el.P / n_v
+    planet_frame = orbit_frame(planet_el)
+    earth_frame = orbit_frame(earth_el)
     earth_vecs = []
     for iv in range(n_v):
-        earth_vecs.append(helio_to_rect(heliocentric_state_elapsed(earth_el, iv * dv)))
+        earth_vecs.append(heliocentric_xyz(earth_el, earth_frame, iv * dv))
     cells = []
     for iu in range(n_u):
-        planet_vec = helio_to_rect(heliocentric_state_elapsed(planet_el, iu * du))
+        planet_vec = heliocentric_xyz(planet_el, planet_frame, iu * du)
         col = []
         for earth_vec in earth_vecs:
             g = reduce_rect(planet_vec, earth_vec)
@@ -249,9 +255,11 @@ def compile_plan(
     return plan
 
 
-def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
-    """The record ``urania census`` prints for a ``compile_plan``, counted
-    without building: rows and cells per table, their totals, Kepler solves."""
+def calculation_census(plan: list[tuple[Callable, tuple]], built: list | None = None) -> dict:
+    """The record ``urania census`` prints for a ``compile_plan``: rows and
+    cells per table, their totals, Kepler solves. Given a list ``built``, it
+    also builds each table into it, in plan order, from the same stencils:
+    the tables ``urania gen`` writes."""
     single, double, solves = {}, {}, 0
     for builder, args in plan:
         if builder is build_planet_table:
@@ -259,10 +267,14 @@ def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
             points, centres = stencil_points(el.P, step)
             single[el.name] = len(centres)
             solves += len(points)
+            if built is not None:
+                built.append(build_planet_table(el, step, (points, centres)))
         else:
             planet_el, earth_el, n_u, n_v = args
             double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v
             solves += n_u + n_v
+            if built is not None:
+                built.append(builder(*args))
     rows, cells = sum(single.values()), sum(double.values())
     return {"single_rows": single, "double_cells": double, "rows": rows, "cells": cells,
             "entries": rows + cells, "solver_calls": solves}

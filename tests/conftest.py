@@ -1,10 +1,14 @@
 import json
+import math
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from urania import (
+    CorrectionTerm,
+    HeliocentricState,
     OrbitalElements,
     TableSet,
     compile_plan,
@@ -30,6 +34,36 @@ def make_el(**overrides) -> OrbitalElements:
     )
     fields.update(overrides)
     return OrbitalElements(**fields)
+
+
+def valid_elements(name):
+    """Hypothesis strategy: an OrbitalElements record named ``name`` that
+    passes validate_elements, with up to three correction terms."""
+    angle = st.floats(0.0, 360.0, exclude_max=True)
+    correction = st.builds(
+        CorrectionTerm, st.floats(0.0, 2.0), st.floats(1.0, 1e4), st.floats(0.0, 360.0)
+    )
+    return st.builds(
+        OrbitalElements,
+        name=st.just(name),
+        a=st.floats(0.1, 50.0),
+        e=st.floats(0.0, 0.999),
+        i=st.floats(0.0, 180.0, exclude_max=True),
+        Omega=angle,
+        omega=angle,
+        P=st.floats(10.0, 1e5),
+        T_aph=st.floats(2.4e6, 2.5e6),
+        corrections=st.lists(correction, max_size=3).map(tuple),
+    )
+
+
+def helio_state(l, b, r) -> HeliocentricState:
+    """The heliocentric state at ecliptic longitude ``l`` and latitude ``b``
+    (degrees) and radius ``r``."""
+    lam = math.radians(l)
+    bet = math.radians(b)
+    r_cos_b = r * math.cos(bet)
+    return HeliocentricState(r_cos_b * math.cos(lam), r_cos_b * math.sin(lam), r * math.sin(bet), r)
 
 
 def reseal(data: bytes) -> bytes:

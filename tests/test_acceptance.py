@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import edit_header, make_el
+from conftest import edit_header, helio_state, make_el
 from oracles import bisect_kepler, wrap_abs_deg
 from urania import (
     HeliocentricState,
@@ -153,41 +153,46 @@ def test_criterion_7_census_scale(dataset):
 
 
 def test_criterion_8_accuracy_regression(default_tables, dataset, frozen_bounds):
-    jupiter, earth = dataset["jupiter"], dataset["earth"]
+    # Each planet's 64x64 table over one synodic period from J2000, against
+    # the bound frozen for it. Jupiter's is the paper's figure, under a hard
+    # 0.5 degree ceiling; Venus and Mars sit near 0.9 degrees.
+    earth = dataset["earth"]
     proc = frozen_bounds["procedure"]
-    frozen = frozen_bounds["jupiter_double64_max_lambda_deg"]
-    assert frozen < 0.5  # sanity ceiling on the frozen measurement itself
-    span = synodic_period(earth.P, jupiter.P)
-    assert span == pytest.approx(proc["jupiter_span_days"], rel=1e-12)
-
-    tables = TableSet()
-    tables.add(default_tables.double["jupiter"])
-    worst = 0.0
+    assert synodic_period(earth.P, dataset["jupiter"].P) == pytest.approx(
+        proc["jupiter_span_days"], rel=1e-12)
     jd0 = proc["jd_start"]
     n = proc["samples"]
-    for i in range(n):
-        jd = jd0 + i * span / n
-        got, _ = counted_query("table", "jupiter", jd, tables=tables)
-        want = geocentric_at(jupiter, earth, jd)
-        worst = max(worst, wrap_abs_deg(got.lam, want.lam))
-    assert worst < 0.5
-    assert worst <= frozen * 1.10
-    passed(8, f"max |lambda_table - lambda_direct| = {worst:.6f} deg <= frozen {frozen:.6f} + 10%")
+    report = []
+    for name in ("mercury", "venus", "mars", "jupiter", "saturn"):
+        planet = dataset[name]
+        frozen = frozen_bounds[f"{name}_double64_max_lambda_deg"]
+        ceiling = 0.5 if name == "jupiter" else 1.0
+        assert frozen < ceiling  # sanity ceiling on the frozen measurement itself
+        span = synodic_period(earth.P, planet.P)
+        tables = TableSet()
+        tables.add(default_tables.double[name])
+        worst = 0.0
+        for i in range(n):
+            jd = jd0 + i * span / n
+            got, _ = counted_query("table", name, jd, tables=tables)
+            want = geocentric_at(planet, earth, jd)
+            worst = max(worst, wrap_abs_deg(got.lam, want.lam))
+        assert worst < ceiling
+        assert worst <= frozen * 1.10, name
+        report.append(f"{name} {worst:.6f} <= {frozen:.6f}")
+    passed(8, "max |lambda_table - lambda_direct| + 10%: " + ", ".join(report))
 
 
 def test_criterion_9_geometric_exactness():
-    opposition = geocentric_reduce(
-        HeliocentricState(l=0.0, b=0.0, r=2.0), HeliocentricState(l=0.0, b=0.0, r=1.0)
-    )
+    opposition = geocentric_reduce(helio_state(0.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
     assert wrap_abs_deg(opposition.lam, 0.0) < 1e-9 and opposition.delta == 1.0
-    conjunction = geocentric_reduce(
-        HeliocentricState(l=180.0, b=0.0, r=2.0), HeliocentricState(l=0.0, b=0.0, r=1.0)
-    )
+    conjunction = geocentric_reduce(helio_state(180.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
     assert wrap_abs_deg(conjunction.lam, 180.0) < 1e-9 and conjunction.delta == pytest.approx(3.0, rel=1e-12)
 
-    v = helio_to_rect(HeliocentricState(l=0.0, b=0.0, r=1.0))
+    assert helio_to_rect(HeliocentricState(0.5, -1.0, 2.0, 2.29)) == RectVec(0.5, -1.0, 2.0)
+    v = helio_to_rect(helio_state(0.0, 0.0, 1.0))
     assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
-    v = helio_to_rect(HeliocentricState(l=0.0, b=90.0, r=1.0))
+    v = helio_to_rect(helio_state(0.0, 90.0, 1.0))
     assert abs(v.x) < 1e-12 and abs(v.y) < 1e-12 and abs(v.z - 1.0) < 1e-12
     lam, beta, delta = rect_to_spherical(RectVec(0.0, 0.0, 2.0))
     assert (lam, beta, delta) == (0.0, 90.0, 2.0)

@@ -91,6 +91,28 @@ def test_gen_census_counts_the_double_it_writes(tmp_path, capsys, dataset):
     assert out.splitlines()[-1] == census_line(census)
 
 
+def test_gen_solves_each_stencil_once(tmp_path, capsys, dataset, monkeypatch):
+    # gen takes its census from the stencils it builds with: one
+    # stencil_points pass per single-entry table, not a second for the census.
+    from urania import tables
+
+    calls = []
+    real = tables.stencil_points
+
+    def counting(P, step):
+        calls.append(P)
+        return real(P, step)
+
+    monkeypatch.setattr(tables, "stencil_points", counting)
+    code, out, _ = run(capsys, "gen", "--all", "--double", "8x8", "--step-days", "2",
+                       "--table-dir", str(tmp_path / "t"), "--no-timestamp")
+    assert code == 0
+    assert sorted(calls) == sorted(el.P for el in dataset)
+    monkeypatch.setattr(tables, "stencil_points", real)
+    census = calculation_census(compile_plan(dataset, dataset.names, 2.0, (8, 8)))
+    assert out.splitlines()[-1] == census_line(census)
+
+
 @pytest.mark.parametrize("config", [
     ["--all", "--double", "64x4"],
     ["--planet", "saturn", "--planet", "mercury", "--step-days", "20"],
@@ -524,6 +546,21 @@ def test_bench_contract(capsys, table_dir):
     direct_line = next(l for l in out.splitlines() if l.startswith("mode=direct"))
     assert "transcendental=0" in table_line
     assert "transcendental=0" not in direct_line
+
+
+def test_bench_reports_the_frame_tally_next_to_the_direct_one(capsys, table_dir):
+    # The orbit frame is counted once per element set, not per query, so
+    # bench shows its tally beside the per-query ones.
+    code, out, _ = run(capsys, "bench", "--queries", "200", "--table-dir", str(table_dir),
+                       "--json", "--no-timestamp")
+    assert code == 0
+    report = json.loads(out)
+    frame = {"adds": 5, "muls": 25, "transcendental_calls": 7, "row_accesses": 0, "total": 37}
+    assert report["frame_ops"] == frame
+    assert report["table"]["total"] < report["direct"]["total"]
+    _, out, _ = run(capsys, "bench", "--queries", "200", "--table-dir", str(table_dir),
+                    "--no-timestamp")
+    assert "frame_ops per element set: adds=5 muls=25 transcendental=7 total=37" in out
 
 
 def test_bench_deterministic(capsys, table_dir):

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_el
+from conftest import make_el, valid_elements
 from oracles import wrap_abs_deg
 from urania import (
+    DegenerateGeometryError,
     DomainError,
     DoubleEntryTable,
     OpCounter,
@@ -30,7 +31,8 @@ from urania import (
 )
 from urania import tableio
 from urania.evaluate import phase_days
-from urania.kepler import MAX_ELAPSED_DAYS
+from urania.geocentric import reduce_rect
+from urania.kepler import MAX_ELAPSED_DAYS, heliocentric_xyz, orbit_frame
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,31 @@ def test_knot_identity_double(dataset):
             assert lookup_double(table, iu * du, iv * dv) == table.cells[iu][iv]
 
 
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 20), st.integers(8, 20))
+def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v):
+    try:
+        table = build_double_entry(planet, earth, n_u, n_v)
+    except DegenerateGeometryError:
+        assume(False)
+    du = planet.P / n_u
+    dv = earth.P / n_v
+    planet_frame, earth_frame = orbit_frame(planet), orbit_frame(earth)
+    for iu in range(n_u):
+        for iv in range(n_v):
+            cell = table.cells[iu][iv]
+            # == as in validate's knot check: a stored -0.0 latitude comes
+            # back as +0.0 (-0.0 * 1.0 + 0.0 * x rounds to +0.0)
+            assert lookup_double(table, iu * du, iv * dv) == cell
+            want = reduce_rect(heliocentric_xyz(planet, planet_frame, iu * du),
+                               heliocentric_xyz(earth, earth_frame, iv * dv))
+            assert _hex(cell) == _hex(want)
+
+
 def wrap_seam_table():
     """Hand-built grid whose longitudes straddle the 0/360 seam."""
     planet = make_el(name="outer", P=800.0)
@@ -145,6 +172,31 @@ def test_longitude_just_below_the_seam_folds_to_zero():
     lam, beta, delta = lookup_double(table, 1e-12, 0.0)
     assert 0.0 <= lam < 360.0
     assert (lam, beta, delta) == (0.0, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam0=st.floats(300.0, 360.0, exclude_max=True),
+    slope_u=st.floats(-20.0, 20.0),
+    slope_v=st.floats(-20.0, 20.0),
+    fu=st.floats(0.0, 7.0, exclude_max=True),
+    fv=st.floats(0.0, 7.0, exclude_max=True),
+)
+def test_lookup_double_is_continuous_across_the_seam(lam0, slope_u, slope_v, fu, fv):
+    # Cells hold the plane lam0 + iu*slope_u + iv*slope_v folded into
+    # [0, 360), so neighbouring cells straddle the 359 -> 0 edge wherever the
+    # plane crosses it. Bilinear interpolation reproduces a plane, so away
+    # from the periodic last interval the lookup follows it across the seam.
+    table = wrap_seam_table()
+    for iu, col in enumerate(table.cells):
+        for iv in range(table.n_v):
+            col[iv] = ((lam0 + iu * slope_u + iv * slope_v) % 360.0, 0.5, 2.0)
+    du = table.planet.P / table.n_u
+    dv = table.earth.P / table.n_v
+    lam, beta, delta = lookup_double(table, fu * du, fv * dv)
+    assert 0.0 <= lam < 360.0
+    assert wrap_abs_deg(lam, lam0 + fu * slope_u + fv * slope_v) < 1e-9
+    assert abs(beta - 0.5) < 1e-15 and abs(delta - 2.0) < 1e-15
 
 
 def test_double_lookup_matches_direct_between_knots(dataset):

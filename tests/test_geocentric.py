@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import make_el
+from conftest import helio_state as state, make_el
 from oracles import mp_geocentric, wrap_abs_deg
 from urania import (
     DegenerateGeometryError,
@@ -18,16 +18,14 @@ from urania import (
 )
 
 
-def state(l, b, r):
-    return HeliocentricState(l=l, b=b, r=r)
-
-
 # ---------------------------------------------------------------------------
 # helio_to_rect / rect_to_spherical
 # ---------------------------------------------------------------------------
 
 
 def test_rect_axis_cases():
+    # helio_to_rect views a state's position without its radius
+    assert helio_to_rect(HeliocentricState(1.0, -2.0, 0.5, 2.29)) == RectVec(1.0, -2.0, 0.5)
     v = helio_to_rect(state(0.0, 0.0, 1.0))
     assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
     v = helio_to_rect(state(90.0, 0.0, 2.0))
@@ -63,11 +61,11 @@ def test_zero_vector_rejected():
 def test_round_trip_spherical_rect():
     rng = random.Random(8)
     for _ in range(500):
-        s = state(rng.uniform(0.0, 360.0), rng.uniform(-89.9, 89.9), rng.uniform(0.1, 40.0))
-        lam, beta, delta = rect_to_spherical(helio_to_rect(s))
-        assert wrap_abs_deg(lam, s.l) < 1e-10
-        assert abs(beta - s.b) < 1e-10
-        assert abs(delta - s.r) / s.r < 1e-12
+        l, b, r = rng.uniform(0.0, 360.0), rng.uniform(-89.9, 89.9), rng.uniform(0.1, 40.0)
+        lam, beta, delta = rect_to_spherical(helio_to_rect(state(l, b, r)))
+        assert wrap_abs_deg(lam, l) < 1e-10
+        assert abs(beta - b) < 1e-10
+        assert abs(delta - r) / r < 1e-12
 
 
 def test_round_trip_rect_spherical_rect():
@@ -116,13 +114,13 @@ def test_coincident_positions_rejected():
 def test_translation_consistency():
     rng = random.Random(21)
     for _ in range(200):
-        p = state(rng.uniform(0, 360), rng.uniform(-10, 10), rng.uniform(1.2, 9.0))
-        e = state(rng.uniform(0, 360), rng.uniform(-1, 1), 1.0)
+        pl, pb, pr = rng.uniform(0, 360), rng.uniform(-10, 10), rng.uniform(1.2, 9.0)
+        el, eb, er = rng.uniform(0, 360), rng.uniform(-1, 1), 1.0
         delta_l = rng.uniform(0, 360)
-        base = geocentric_reduce(p, e)
+        base = geocentric_reduce(state(pl, pb, pr), state(el, eb, er))
         moved = geocentric_reduce(
-            state(normalize_deg(p.l + delta_l), p.b, p.r),
-            state(normalize_deg(e.l + delta_l), e.b, e.r),
+            state(normalize_deg(pl + delta_l), pb, pr),
+            state(normalize_deg(el + delta_l), eb, er),
         )
         assert wrap_abs_deg(moved.lam, base.lam + delta_l) < 1e-9
         assert abs(moved.beta - base.beta) < 1e-9
@@ -132,9 +130,10 @@ def test_translation_consistency():
 def test_triangle_inequality_coplanar():
     rng = random.Random(22)
     for _ in range(300):
-        p = state(rng.uniform(0, 360), 0.0, rng.uniform(0.5, 9.0))
-        e = state(rng.uniform(0, 360), 0.0, rng.uniform(0.5, 9.0))
-        if abs(p.l - e.l) < 1e-9 and abs(p.r - e.r) < 1e-9:
+        pl, el = rng.uniform(0, 360), rng.uniform(0, 360)
+        p = state(pl, 0.0, rng.uniform(0.5, 9.0))
+        e = state(el, 0.0, rng.uniform(0.5, 9.0))
+        if abs(pl - el) < 1e-9 and abs(p.r - e.r) < 1e-9:
             continue
         pos = geocentric_reduce(p, e)
         assert abs(p.r - e.r) - 1e-12 <= pos.delta <= p.r + e.r + 1e-12

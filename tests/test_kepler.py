@@ -2,24 +2,28 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_el
+from conftest import make_el, valid_elements
 from oracles import bisect_kepler, mp_heliocentric, mp_time_since_aphelion, wrap_abs_deg
 from urania import (
     CorrectionTerm,
     DomainError,
+    OrbitalElements,
     UnsupportedInversionError,
+    helio_to_rect,
     heliocentric_state,
     mean_anomaly_aph,
     position_since_aphelion,
     radius,
+    rect_to_spherical,
     solve_kepler,
     time_since_aphelion,
     true_anomaly,
     validate_elements,
     wrap_diff_deg,
 )
-from urania.kepler import MAX_ELAPSED_DAYS, mean_anomaly_elapsed
+from urania.kepler import MAX_ELAPSED_DAYS, cached_frame, mean_anomaly_elapsed, orbit_frame
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,19 +176,26 @@ def test_empty_corrections_change_nothing():
 # ---------------------------------------------------------------------------
 
 
+def spherical(state):
+    """(l, b, r) of a heliocentric state: its longitude and latitude, degrees."""
+    l, b, _ = rect_to_spherical(helio_to_rect(state))
+    return l, b, state.r
+
+
 def test_planar_orbit_has_zero_latitude():
     el = make_el(i=0.0, Omega=0.0)
     rng = random.Random(1)
     for _ in range(50):
         state = heliocentric_state(el, el.T_aph + rng.uniform(0.0, el.P))
-        assert state.b == 0.0
+        assert state.z == 0.0
+        assert spherical(state)[1] == 0.0
 
 
 def test_pole_case():
     # e=0, omega=90: at t = P/2 the argument of latitude is 90 degrees
     el = make_el(e=0.0, i=90.0, Omega=0.0, omega=90.0, P=128.0)
     state = heliocentric_state(el, el.T_aph + 64.0)
-    assert state.b == 90.0
+    assert spherical(state)[1] == 90.0
 
 
 def test_radius_bounds_invariant():
@@ -193,25 +204,53 @@ def test_radius_bounds_invariant():
     for _ in range(100):
         state = heliocentric_state(el, el.T_aph + rng.uniform(-3000.0, 3000.0))
         assert el.a * (1.0 - el.e) - 1e-12 <= state.r <= el.a * (1.0 + el.e) + 1e-12
-        assert abs(state.b) <= el.i
+        assert abs(spherical(state)[1]) <= el.i
 
 
 def test_matches_extended_precision_oracle(dataset):
     mars = dataset["mars"]
     for jd in (2451545.0, 2451545.0 + 321.77, 2451545.0 - 4567.25):
-        state = heliocentric_state(mars, jd)
+        l, b, r = spherical(heliocentric_state(mars, jd))
         l_mp, b_mp, r_mp = mp_heliocentric(mars, jd)
-        assert wrap_abs_deg(state.l, float(l_mp)) < 1e-9
-        assert abs(state.b - float(b_mp)) < 1e-9
-        assert abs(state.r - float(r_mp)) / float(r_mp) < 1e-12
+        assert wrap_abs_deg(l, float(l_mp)) < 1e-9
+        assert abs(b - float(b_mp)) < 1e-9
+        assert abs(r - float(r_mp)) / float(r_mp) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_elements("body"), st.floats(-3.0, 3.0))
+def test_rectangular_chain_matches_the_oracle_on_drawn_elements(el, revolutions):
+    # Within three revolutions of the aphelion epoch, and with correction
+    # periods of 10 days or more, the rounding of the mean anomaly's inputs
+    # stays far below the tolerances: a 1-day correction term 1e5 days out
+    # has an argument of 4e7 degrees, whose rounding alone moves r by 2e-12.
+    # The longitude error is measured on the sky (times cos b): at the poles
+    # a longitude has no meaning.
+    assume(all(c.period >= 10.0 for c in el.corrections))
+    jd = el.T_aph + revolutions * el.P
+    l, b, r = spherical(heliocentric_state(el, jd))
+    l_mp, b_mp, r_mp = mp_heliocentric(el, jd)
+    assert abs(b - float(b_mp)) < 1e-9
+    assert wrap_abs_deg(l, float(l_mp)) * math.cos(math.radians(float(b_mp))) < 1e-9
+    assert abs(r - float(r_mp)) / float(r_mp) < 1e-12
+
+
+def test_frame_cache_is_bounded_and_keyed_by_value():
+    el = make_el(name="frame-probe", a=2.5, omega=33.0)
+    same = OrbitalElements(*el)  # an equal record, another object
+    assert same is not el
+    assert cached_frame(el) is cached_frame(same)
+    assert cached_frame(el) == orbit_frame(el)
+    assert cached_frame(make_el(name="frame-probe", a=2.5, omega=34.0)) != orbit_frame(el)
+    assert 0 < cached_frame.cache_info().maxsize <= 1024
 
 
 def test_uniform_motion_circular_planar():
     el = make_el(e=0.0, i=0.0, Omega=0.0, P=128.0)
     rate = 360.0 / el.P
-    l0 = heliocentric_state(el, el.T_aph).l
+    l0 = spherical(heliocentric_state(el, el.T_aph))[0]
     for t in (1.0, 7.25, 100.0):
-        lt = heliocentric_state(el, el.T_aph + t).l
+        lt = spherical(heliocentric_state(el, el.T_aph + t))[0]
         assert wrap_abs_deg(lt - l0, (rate * t) % 360.0) < 1e-12
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import urania
-from conftest import DATA_DIR
+from conftest import DATA_DIR, valid_elements
 from urania import (
     CorrectionTerm,
     DegenerateGeometryError,
@@ -28,8 +28,8 @@ from urania import (
     measure_compile_ops,
 )
 from urania.evaluate import phase_days
-from urania.opcount import derive_counted
-from urania.tables import row_count
+from urania.opcount import _twins, derive_counted
+from urania.tables import build_double_entry, row_count
 
 
 def _elements(d) -> OrbitalElements:
@@ -124,32 +124,62 @@ def test_golden_table_records_cover_every_fix_up(golden_table):
 
 
 def test_compile_tally_counts_the_builders_own_code(golden):
-    # The builders compute each row abscissa as k*step and check the step
-    # against P/8: one mul per single-entry row and one per table, which the
-    # former hand-written grid walk skipped. Per single-entry table, row_count
-    # computes P/step and (n - 1)*step once (no overshoot here), and
-    # _check_monotone_rows makes one wrap_diff_deg (a - b, fmod, no wrap)
-    # and one += per row pair, plus the closing full-revolution check. The
-    # double-entry builder converts each grid line's state to rectangular
-    # form once, not once per cell and body: 2*n_u*n_v - (n_u + n_v) fewer
-    # helio_to_rect calls, at 6 muls and 4 transcendental calls each. At this
-    # 5-day step no row shares a stencil point with the next, so the
-    # single-entry solves are the hand-written twin's.
+    # The frozen compile tally is also the sum of its parts. A single-entry
+    # table counts as built alone. A double-entry table counts its two orbit
+    # frames (compile work, once per element set), one position per grid
+    # line, one reduction per cell, and its own du, dv and grid abscissae:
+    # 2 + n_u + n_v muls.
     cfg = golden["compile"]
     bodies = {d["name"]: _elements(d) for d in cfg["bodies"]}
-    c = measure_compile_ops(compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"]))
-    rows = sum(row_count(el.P, cfg["step_days"]) for el in bodies.values())
-    tables = len(bodies)
-    pairs = rows - tables
-    n_u, n_v = cfg["double_shape"]
-    unconverted = 2 * n_u * n_v - (n_u + n_v)
-    twin = cfg["twin"]
-    assert _tally(c) == [
-        twin["adds"] + 2 * pairs + tables,
-        twin["muls"] + rows + tables + 2 * tables + pairs - 6 * unconverted,
-        twin["transcendental_calls"] - 4 * unconverted,
-    ]
+    plan = compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"])
+    c = measure_compile_ops(plan)
+    assert _tally(c) == [cfg["tally"][k] for k in ("adds", "muls", "transcendental_calls")]
     assert c.row_accesses == 0
+
+    kepler_twins, geocentric_twins = _twins("kepler"), _twins("geocentric")
+    parts = OpCounter()
+    for builder, args in plan:
+        if builder is not build_double_entry:
+            parts.merge(measure_compile_ops([(builder, args)]))
+            continue
+        planet, earth, n_u, n_v = args
+        planet_frame = kepler_twins["orbit_frame"](parts, planet)
+        earth_frame = kepler_twins["orbit_frame"](parts, earth)
+        planet_vecs, earth_vecs = [], []
+        for iu in range(n_u):
+            planet_vecs.append(
+                kepler_twins["heliocentric_xyz"](parts, planet, planet_frame, iu * (planet.P / n_u)))
+        for iv in range(n_v):
+            earth_vecs.append(
+                kepler_twins["heliocentric_xyz"](parts, earth, earth_frame, iv * (earth.P / n_v)))
+        for planet_vec in planet_vecs:
+            for earth_vec in earth_vecs:
+                geocentric_twins["reduce_rect"](parts, planet_vec, earth_vec)
+        parts.muls += 2 + n_u + n_v
+    assert parts == c
+
+
+def test_frame_counts_once_per_element_set_and_not_per_query(dataset):
+    # orbit_frame has no branch: 3 degree conversions, 6 sin/cos, one
+    # sqrt(1 - e^2), and P and Q scaled by a and b, for every element set.
+    frame_twin = _twins("kepler")["orbit_frame"]
+    for el in dataset:
+        c = OpCounter()
+        frame_twin(c, el)
+        assert c.as_dict() == {"adds": 5, "muls": 25, "transcendental_calls": 7,
+                               "row_accesses": 0, "total": 37}
+    # A counted direct query fetches each frame from the cache, a call
+    # outside the chain: its tally is two positions, the two elapsed times
+    # and one reduction, and no frame.
+    kepler_twins, geocentric_twins = _twins("kepler"), _twins("geocentric")
+    mars, earth, jd = dataset["mars"], dataset["earth"], 2451545.0 + 321.77
+    _, counted = counted_query("direct", "mars", jd, dataset=dataset)
+    parts = OpCounter()
+    p = kepler_twins["heliocentric_xyz"](parts, mars, kepler.orbit_frame(mars), jd - mars.T_aph)
+    e = kepler_twins["heliocentric_xyz"](parts, earth, kepler.orbit_frame(earth), jd - earth.T_aph)
+    geocentric_twins["reduce_rect"](parts, p, e)
+    parts.adds += 2
+    assert parts == counted
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +348,8 @@ def test_import_does_not_derive():
 # Properties
 # ---------------------------------------------------------------------------
 
-_angle = st.floats(0.0, 360.0, exclude_max=True)
-_correction = st.builds(
-    CorrectionTerm, st.floats(0.0, 2.0), st.floats(1.0, 1e4), st.floats(0.0, 360.0)
-)
-
-
-def _valid_elements(name):
-    return st.builds(
-        OrbitalElements,
-        name=st.just(name),
-        a=st.floats(0.1, 50.0),
-        e=st.floats(0.0, 0.999),
-        i=st.floats(0.0, 180.0, exclude_max=True),
-        Omega=_angle,
-        omega=_angle,
-        P=st.floats(10.0, 1e5),
-        T_aph=st.floats(2.4e6, 2.5e6),
-        corrections=st.lists(_correction, max_size=3).map(tuple),
-    )
-
-
 @settings(max_examples=200, deadline=None)
-@given(_valid_elements("planet"), _valid_elements("earth"), st.floats(2.35e6, 2.55e6))
+@given(valid_elements("planet"), valid_elements("earth"), st.floats(2.35e6, 2.55e6))
 def test_counted_direct_is_the_plain_chain(planet, earth, jd):
     bodies = {planet.name: planet, earth.name: earth}
     try:

@@ -9,13 +9,13 @@ from urania import (
     build_planet_table,
     calculation_census,
     compile_plan,
-    geocentric_reduce,
     normalize_deg,
     position_since_aphelion,
+    reduce_rect,
     wrap_diff_deg,
 )
 from urania import tables
-from urania.kepler import heliocentric_state_elapsed
+from urania.kepler import heliocentric_xyz, orbit_frame
 from urania.tables import MOTION_STENCIL_DAYS, row_count, stencil_points
 
 
@@ -162,25 +162,29 @@ def test_cells_equal_direct_mode_at_grid_phases(dataset):
     dv = earth.P / 8
     for iu in range(8):
         for iv in range(8):
-            want = geocentric_reduce(
-                heliocentric_state_elapsed(jupiter, iu * du),
-                heliocentric_state_elapsed(earth, iv * dv),
+            want = reduce_rect(
+                heliocentric_xyz(jupiter, orbit_frame(jupiter), iu * du),
+                heliocentric_xyz(earth, orbit_frame(earth), iv * dv),
             )
             assert table.cells[iu][iv] == (want.lam, want.beta, want.delta)
 
 
 def test_double_entry_converts_each_grid_line_once(dataset, monkeypatch):
-    calls = 0
-    real = tables.helio_to_rect
+    calls = {"heliocentric_xyz": 0, "orbit_frame": 0}
 
-    def counting(state):
-        nonlocal calls
-        calls += 1
-        return real(state)
+    def spy(name):
+        real = getattr(tables, name)
 
-    monkeypatch.setattr(tables, "helio_to_rect", counting)
+        def counting(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tables, name, counting)
+
+    spy("heliocentric_xyz")
+    spy("orbit_frame")
     table = build_double_entry(dataset["mars"], dataset["earth"], 8, 12)
-    assert calls == 8 + 12
+    assert calls == {"heliocentric_xyz": 8 + 12, "orbit_frame": 2}
     assert (len(table.cells), len(table.cells[0])) == (8, 12)
 
 
