@@ -208,6 +208,9 @@ def cmd_compare(args) -> int:
     from .compare import double_errors, single_errors, sweep
     from .tables import build_double_entry, build_planet_table, parse_shape
 
+    limit = args.max_lambda_err
+    if limit is not None and not 0.0 <= limit < float("inf"):
+        raise DomainError(f"--max-lambda-err must be finite and >= 0, got {limit!r}")
     dataset = _dataset(args)
     planet_el = dataset[args.planet]
     jd_start = args.from_jd
@@ -236,10 +239,8 @@ def cmd_compare(args) -> int:
                "samples": args.samples, "table_config": config, **stats}
     status = 0
     angle_max = stats["max_" + names[0]]  # lambda for a double table, nu for a single one
-    if args.max_lambda_err is not None and angle_max > args.max_lambda_err:
-        lines.append(
-            f"threshold exceeded: max angle error {angle_max:.3e} > {args.max_lambda_err:.3e}"
-        )
+    if limit is not None and angle_max > limit:
+        lines.append(f"threshold exceeded: max angle error {angle_max:.3e} > {limit:.3e}")
         payload["threshold_exceeded"] = True
         status = 1
     _emit(args, lines, payload)
@@ -251,11 +252,41 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bench(args) -> int:
-    import random
+def _count_both_modes(queries, dataset, tables):
+    """Count every (planet, jd) query through ``evaluate.counted_query``, all in
+    table mode, then all in direct mode, each mode timed. Returns {mode: (total
+    OpCounter, wall seconds)} and {kind: message} for each kind of breach of
+    the paper's contract that occurs; the messages say what each kind is."""
     import time
 
-    from .evaluate import counted_query, load_tables
+    from .evaluate import counted_query
+    from .opcount import OpCounter
+
+    totals, tallies = {}, {}
+    for mode in ("table", "direct"):
+        total, tallies[mode] = OpCounter(), []
+        t0 = time.perf_counter()
+        for planet, jd in queries:
+            _, c = counted_query(mode, planet, jd, dataset=dataset, tables=tables)
+            total.merge(c)
+            tallies[mode].append(c)
+        totals[mode] = (total, time.perf_counter() - t0)
+    table, direct = tallies["table"], tallies["direct"]
+    breaches = {
+        "table": (sum(c.transcendental_calls > 0 for c in table),
+                  "table queries used transcendental calls"),
+        "direct": (sum(c.transcendental_calls <= 0 for c in direct),
+                   "direct queries reported no transcendental calls"),
+        "cost": (sum(t.total_ops() >= d.total_ops() for t, d in zip(table, direct)),
+                 "table queries cost no fewer ops than in direct mode"),
+    }
+    return totals, {kind: f"{n} {what}" for kind, (n, what) in breaches.items() if n}
+
+
+def cmd_bench(args) -> int:
+    import random
+
+    from .evaluate import load_tables
     from .opcount import OpCounter, _twins
     from .tableio import double_planets
 
@@ -279,22 +310,8 @@ def cmd_bench(args) -> int:
 
     lines = [f"planets: {','.join(planets)}"]
     payload = {"planets": planets, "queries": args.queries}
-    failures = []
-    # Each mode's contract: whether its queries make transcendental calls.
-    for mode, transcendental, broken in (
-        ("table", False, "table queries used transcendental calls"),
-        ("direct", True, "direct queries reported no transcendental calls"),
-    ):
-        total = OpCounter()
-        bad = 0
-        t0 = time.perf_counter()
-        for planet, jd in queries:
-            _, c = counted_query(mode, planet, jd, dataset=dataset, tables=tables)
-            if (c.transcendental_calls > 0) != transcendental:
-                bad += 1
-            total.merge(c)
-        wall = time.perf_counter() - t0
-
+    totals, breaches = _count_both_modes(queries, dataset, tables)
+    for mode, (total, wall) in totals.items():
         line = (
             f"mode={mode} queries={args.queries} adds={total.adds} muls={total.muls} "
             f"transcendental={total.transcendental_calls} row_accesses={total.row_accesses} "
@@ -305,9 +322,6 @@ def cmd_bench(args) -> int:
             line += f" wall={wall:.3f}s"
             payload[f"{mode}_wall_s"] = wall
         lines.append(line)
-        if bad:
-            failures.append(f"FAIL: {bad} {broken}")
-            payload[f"{mode}_contract"] = "fail"
     # A direct query's frames are counted once per element set, not per query
     frame = OpCounter()
     _twins("kepler")["orbit_frame"](frame, dataset["earth"])
@@ -316,8 +330,11 @@ def cmd_bench(args) -> int:
         "total={total}".format(**frame.as_dict())
     )
     payload["frame_ops"] = frame.as_dict()
-    _emit(args, lines + failures, payload)
-    return 1 if failures else 0
+    for kind, breach in breaches.items():
+        lines.append(f"FAIL: {breach}")
+        payload[f"{kind}_contract"] = "fail"
+    _emit(args, lines, payload)
+    return 1 if breaches else 0
 
 
 # ---------------------------------------------------------------------------
@@ -433,24 +450,6 @@ def _check_knot_exactness(tables) -> None:
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 
-def _check_zero_transcendental(tables, bodies, name: str) -> None:
-    import random
-
-    from .evaluate import counted_query
-
-    rng = random.Random(11)
-    for _ in range(300):
-        jd = 2451545.0 + rng.uniform(-5000.0, 5000.0)
-        _, c = counted_query("table", name, jd, tables=tables)
-        if c.transcendental_calls != 0:
-            raise AssertionError(f"table query at jd={jd} used {c.transcendental_calls} calls")
-        _, c2 = counted_query("direct", name, jd, dataset=bodies)
-        if c2.transcendental_calls <= 0:
-            raise AssertionError("direct query reported no transcendental calls")
-        if c.total_ops() >= c2.total_ops():
-            raise AssertionError("table query cost at least as much as direct query")
-
-
 def _check_serialization(tables) -> None:
     import tempfile
     from pathlib import Path
@@ -490,14 +489,22 @@ def cmd_validate(args) -> int:
             built.add(builder(*build_args))
         ts = built
 
+    def contract_check():
+        import random
+
+        rng = random.Random(11)
+        queries = [(planet.name, 2451545.0 + rng.uniform(-5000.0, 5000.0)) for _ in range(300)]
+        _, breaches = _count_both_modes(queries, bodies, ts)
+        if breaches:
+            raise AssertionError("; ".join(breaches.values()))
+
     checks.append(("elements-dataset", dataset_check))
     checks.append(("solver-grid-residual", _check_solver_grid))
     checks.append(("calendar-round-trip", _check_calendar_round_trip))
     checks.append(("anomaly-round-trip", _check_anomaly_round_trip))
     checks.append(("table-build", build_check))
     checks.append(("knot-exactness", lambda: _check_knot_exactness(ts)))
-    checks.append(("zero-transcendental-sweep",
-                   lambda: _check_zero_transcendental(ts, bodies, planet.name)))
+    checks.append(("zero-transcendental-sweep", contract_check))
     checks.append(("serialization-round-trip", lambda: _check_serialization(ts)))
 
     table_files = table_paths(_table_dir(args))

@@ -49,6 +49,10 @@ _MAX_BISECT = 200
 # Further out the rounding of the elapsed time alone outgrows that budget,
 # and a phase reduced modulo the period no longer lands in [0, P).
 MAX_ELAPSED_DAYS = 2.0**36
+# Semi-major axes are refused from 1e100 AU up: below it every coordinate of
+# a position or a planet-minus-Earth vector stays under 4e100 AU, so the sum
+# of their squares in geocentric.rect_to_spherical cannot overflow to inf.
+_MAX_SEMI_MAJOR_AU = 1e100
 
 
 class CorrectionTerm(NamedTuple):
@@ -97,8 +101,8 @@ def validate_elements(el: OrbitalElements) -> None:
 
     if not el.name:
         raise DomainError("element record has an empty name")
-    if not (math.isfinite(el.a) and el.a > 0.0):
-        bad("a (semi-major axis)", f"must be > 0, got {el.a!r}")
+    if not (0.0 < el.a < _MAX_SEMI_MAJOR_AU):
+        bad("a (semi-major axis)", f"must be in (0, {_MAX_SEMI_MAJOR_AU:g}), got {el.a!r}")
     if not (math.isfinite(el.e) and 0.0 <= el.e < 1.0):
         bad("e (eccentricity)", f"must be in [0, 1), got {el.e!r}")
     if not (math.isfinite(el.i) and 0.0 <= el.i < 180.0):

@@ -141,8 +141,11 @@ def parse_shape(text: str) -> tuple[int, int]:
 def _check_single(el: OrbitalElements, step: float) -> None:
     validate_elements(el)
     max_step = el.P / 8.0
-    if not (math.isfinite(step) and 0.0 < step <= max_step):
-        raise DomainError(f"{el.name}: step must satisfy 0 < step <= P/8, got {step!r}")
+    # At most 2**20 rows, which bounds the compiler's loops and the reader's
+    # payload. An int-literal divisor is free in the tally, as bookkeeping is.
+    min_step = el.P / 1048576
+    if not (math.isfinite(step) and 0.0 < step <= max_step and step >= min_step):
+        raise DomainError(f"{el.name}: step must satisfy P/2**20 <= step <= P/8, got {step!r}")
 
 
 def _check_double(

@@ -116,6 +116,7 @@ def test_gen_solves_each_stencil_once(tmp_path, capsys, dataset, monkeypatch):
 @pytest.mark.parametrize("config", [
     ["--all", "--double", "64x4"],
     ["--planet", "saturn", "--planet", "mercury", "--step-days", "20"],
+    ["--planet", "mars", "--step-days", "1e-300"],  # over 2**20 rows
 ])
 def test_gen_bad_config_writes_nothing(tmp_path, capsys, config):
     code, _, err = run(capsys, "gen", *config, "--table-dir", str(tmp_path), "--no-timestamp")
@@ -431,6 +432,23 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def test_huge_semi_major_axis_is_refused(tmp_path, capsys):
+    # From a = 1e100 up, x*x + y*y + z*z could overflow to an infinite delta.
+    csv = tmp_path / "huge.csv"
+    csv.write_text(f"{ELEMENTS_HEADER}\nfar,1e200,0.1,1.0,0.0,0.0,800.0,2451545.0\n"
+                   "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0\n")
+    code, out, err = run(capsys, "query", "--mode", "direct", "--planet", "far",
+                         "--jd", "2451545.0", "--elements", str(csv))
+    assert (code, out) == (3, "")
+    assert "semi-major" in err
+    out_dir = tmp_path / "t"
+    code, _, err = run(capsys, "gen", "--all", "--double", "8x8", "--elements", str(csv),
+                       "--table-dir", str(out_dir))
+    assert code == 3
+    assert "semi-major" in err
+    assert not out_dir.exists()
+
+
 def test_missing_elements_file(capsys):
     code, _, err = run(capsys, "query", "--mode", "direct", "--planet", "mars",
                        "--jd", "2451545.0", "--elements", "/nonexistent/path.csv")
@@ -458,6 +476,15 @@ def test_compare_threshold_failure(capsys):
                        "--samples", "60", "--max-lambda-err", "1e-9", "--no-timestamp")
     assert code == 1
     assert "threshold exceeded" in out
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf", "-0.001"])
+def test_compare_rejects_a_threshold_that_is_not_finite_and_non_negative(capsys, limit):
+    # A NaN threshold would never trip: every comparison with NaN is false.
+    code, out, err = run(capsys, "compare", "--planet", "mars", "--from-jd", "2451545",
+                         "--span-days", "10", "--max-lambda-err", limit, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "--max-lambda-err must be finite and >= 0" in err
 
 
 def _compare_errors(dataset, kind):
@@ -571,16 +598,25 @@ def test_bench_deterministic(capsys, table_dir):
     assert first == second
 
 
-@pytest.mark.parametrize("calls, broken", [(0, "direct"), (1, "table")])
-def test_bench_reports_a_broken_contract(capsys, monkeypatch, table_dir, calls, broken):
+# Every query gets one tally per mode, healthy except for the broken contract.
+@pytest.mark.parametrize("table, direct, broken", [
+    pytest.param(OpCounter(adds=1), OpCounter(adds=9), "direct", id="0-direct"),
+    pytest.param(OpCounter(adds=1, transcendental_calls=1),
+                 OpCounter(adds=9, transcendental_calls=1), "table", id="1-table"),
+    pytest.param(OpCounter(adds=9), OpCounter(adds=8, transcendental_calls=1), "cost",
+                 id="cost"),
+])
+def test_bench_reports_a_broken_contract(capsys, monkeypatch, table_dir, table, direct, broken):
+    tallies = {"table": table, "direct": direct}
     monkeypatch.setattr("urania.evaluate.counted_query",
-                        lambda *_, **__: (None, OpCounter(transcendental_calls=calls)))
+                        lambda mode, *_, **__: (None, tallies[mode]))
     args = ("bench", "--queries", "7", "--table-dir", str(table_dir), "--no-timestamp")
     code, out, _ = run(capsys, *args)
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         {"direct": "FAIL: 7 direct queries reported no transcendental calls",
-         "table": "FAIL: 7 table queries used transcendental calls"}[broken]
+         "table": "FAIL: 7 table queries used transcendental calls",
+         "cost": "FAIL: 7 table queries cost no fewer ops than in direct mode"}[broken]
     ]
     _, out, _ = run(capsys, *args, "--json")
     assert {key for key in json.loads(out) if key.endswith("_contract")} == {f"{broken}_contract"}
@@ -642,6 +678,18 @@ def test_census_measure_ops(capsys, tmp_path):
     assert payload["compile_ops"]["total"] > payload["entries"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["census"],
+    ["compare", "--planet", "mars", "--kind", "single", "--from-jd", "2451545",
+     "--span-days", "10"],
+])
+def test_step_below_the_row_bound_is_a_usage_error(capsys, argv):
+    # P/step would overflow to inf, and ceil(inf) raises OverflowError.
+    code, out, err = run(capsys, *argv, "--step-days", "5e-324", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "P/2**20 <= step" in err
+
+
 def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
     csv = tmp_path / "no-earth.csv"
     csv.write_text(f"{ELEMENTS_HEADER}\ncirc,2.0,0.0,0.0,0.0,0.0,800.0,2451545.0\n")
@@ -675,6 +723,15 @@ def test_validate_rejects_report_flags(capsys, flag):
         main(["validate", flag])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_validate_sweep_checks_the_contract_bench_checks(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("urania.evaluate.counted_query",
+                        lambda *_, **__: (None, OpCounter(transcendental_calls=1)))
+    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+    assert code == 1
+    assert ("FAIL zero-transcendental-sweep: 300 table queries used transcendental calls; "
+            "300 table queries cost no fewer ops than in direct mode") in out
 
 
 def test_validate_flags_corrupt_table(capsys, table_dir):

@@ -331,6 +331,7 @@ def test_inversion_refuses_corrections():
     "field,value,fragment",
     [
         ("a", -1.0, "semi-major"),
+        ("a", 1e100, "semi-major"),
         ("e", 1.0, "eccentricity"),
         ("e", -0.2, "eccentricity"),
         ("i", 180.0, "inclination"),

@@ -202,6 +202,13 @@ def test_step_header_passes_the_compilers_check(tmp_path):
     assert err.value.line == 3
 
 
+def test_step_header_below_the_row_bound_is_a_parse_error(tmp_path):
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace("# step: 4.0\n", "# step: 5e-324\n"))
+    with pytest.raises(TableParseError, match="P/2"):
+        read_table(path)
+
+
 def test_crc_mismatch_rejected(tmp_path):
     path = written(tmp_path, double_table())
     data = bytearray(path.read_bytes())
@@ -275,7 +282,7 @@ def _angle(top):
 _ELEMENTS = st.builds(
     OrbitalElements,
     name=st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.-]*", fullmatch=True),
-    a=_positive(),
+    a=st.floats(min_value=0.0, max_value=1e100, exclude_min=True, exclude_max=True),
     e=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     i=_angle(180.0),
     Omega=_angle(360.0),
