@@ -441,12 +441,11 @@ def _check_knot_exactness(tables) -> None:
             if nu != row.nu_aph or r != row.r:
                 raise AssertionError(f"{name}: lookup at t={row.t!r} altered stored values")
     for name, table in sorted(tables.double.items()):
-        du = table.planet.P / table.n_u
-        dv = table.earth.P / table.n_v
         for iu in range(table.n_u):
             for iv in range(table.n_v):
-                got = lookup_double(table, iu * du, iv * dv)
-                if got != table.cells[iu][iv]:
+                got = lookup_double(table, iu * table.du, iv * table.dv)
+                # float.hex, so that a -0.0 latitude must come back as -0.0
+                if list(map(float.hex, got)) != list(map(float.hex, table.cells[iu][iv])):
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 

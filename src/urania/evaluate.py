@@ -19,6 +19,9 @@ from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition
 from .kepler import MAX_ELAPSED_DAYS
 
+# GeocentricPosition's own __new__ is a Python function around this call.
+_new_tuple = tuple.__new__
+
 __all__ = [
     "TableSet",
     "load_tables",
@@ -135,15 +138,6 @@ def _locate(x: float, dx: float, n: int):
     return i, x0
 
 
-def _wrap180(d: float) -> float:
-    """Fold a difference of two normalized angles into (-180, 180]."""
-    if d > 180.0:
-        d -= 360.0
-    elif d <= -180.0:
-        d += 360.0
-    return d
-
-
 def _renormalize(angle: float) -> float:
     """Bounded arithmetic normalization for interpolation results."""
     while angle < 0.0:
@@ -186,27 +180,58 @@ def lookup_planet(table: "PlanetTable", t: float, counter: "OpCounter | None" = 
 
 def lookup_double(
     table: "DoubleEntryTable", u: float, v: float, counter: "OpCounter | None" = None
-):
+) -> GeocentricPosition:
     """Bilinear (lambda, beta, delta) at planet phase ``u``, Earth phase ``v``.
 
     Longitudes interpolate through wrap-aware offsets from the corner cell,
-    so a 359 -> 1 degree seam interpolates through 0, never through 180.
+    so a 359 -> 1 degree seam interpolates through 0, never through 180. At
+    a knot the stored cell comes back bit for bit, a -0.0 latitude too.
+
+    One body, for speed: each axis is located as ``_locate`` locates it,
+    each corner's longitude offset folded into (-180, 180] and the sum
+    renormalized into [0, 360) inline, and the grid spacing read from the
+    table, where it was computed once.
     """
     if counter is not None:
         return _twin("lookup_double")(counter, table, u, v)
-    if not (math.isfinite(u) and 0.0 <= u < table.planet.P):
+    # a NaN or an infinity fails these comparisons too
+    if not 0.0 <= u < table.planet.P:
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
-    if not (math.isfinite(v) and 0.0 <= v < table.earth.P):
+    if not 0.0 <= v < table.earth.P:
         raise DomainError(f"v={v!r} outside [0, {table.earth.P!r})")
+    n_u = table.n_u
+    n_v = table.n_v
+    du = table.du
+    dv = table.dv
 
-    du = table.planet.P / table.n_u
-    dv = table.earth.P / table.n_v
-    iu, u0 = _locate(u, du, table.n_u)
-    iv, v0 = _locate(v, dv, table.n_v)
+    iu = int(u / du)
+    if iu >= n_u:
+        iu = n_u - 1
+    u0 = iu * du
+    if u < u0:
+        iu -= 1
+        u0 = iu * du
+    elif iu + 1 < n_u:
+        u1 = (iu + 1) * du
+        if u >= u1:
+            iu += 1
+            u0 = u1
+    iv = int(v / dv)
+    if iv >= n_v:
+        iv = n_v - 1
+    v0 = iv * dv
+    if v < v0:
+        iv -= 1
+        v0 = iv * dv
+    elif iv + 1 < n_v:
+        v1 = (iv + 1) * dv
+        if v >= v1:
+            iv += 1
+            v0 = v1
     fu = (u - u0) / du
     fv = (v - v0) / dv
-    iu1 = iu + 1 if iu + 1 < table.n_u else 0
-    iv1 = iv + 1 if iv + 1 < table.n_v else 0
+    iu1 = iu + 1 if iu + 1 < n_u else 0
+    iv1 = iv + 1 if iv + 1 < n_v else 0
 
     c00 = table.cells[iu][iv]
     c10 = table.cells[iu1][iv]
@@ -220,13 +245,33 @@ def lookup_double(
     w01 = gu * fv
     w11 = fu * fv
 
-    d10 = _wrap180(c10[0] - c00[0])
-    d01 = _wrap180(c01[0] - c00[0])
-    d11 = _wrap180(c11[0] - c00[0])
-    lam = _renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
+    lam0 = c00[0]
+    d10 = c10[0] - lam0
+    if d10 > 180.0:
+        d10 -= 360.0
+    elif d10 <= -180.0:
+        d10 += 360.0
+    d01 = c01[0] - lam0
+    if d01 > 180.0:
+        d01 -= 360.0
+    elif d01 <= -180.0:
+        d01 += 360.0
+    d11 = c11[0] - lam0
+    if d11 > 180.0:
+        d11 -= 360.0
+    elif d11 <= -180.0:
+        d11 += 360.0
+    lam = lam0 + (w10 * d10 + w01 * d01 + w11 * d11)
+    while lam < 0.0:
+        lam += 360.0
+    while lam >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
+        lam -= 360.0
     beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
     delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
-    return lam, beta, delta
+    if fu == 0.0 and fv == 0.0:
+        # the sums above turn a stored -0.0 into +0.0
+        lam, beta, delta = c00
+    return _new_tuple(GeocentricPosition, (lam, beta, delta))
 
 
 def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: float) -> float:
@@ -264,7 +309,7 @@ def geocentric_at_table(
     table = tables.double_for(planet)
     u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
     v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
-    return GeocentricPosition(*lookup_double(table, u, v))
+    return lookup_double(table, u, v)
 
 
 def heliocentric_at_table(

@@ -24,7 +24,10 @@ A body's orbit frame (``kepler.orbit_frame``, 37 ops) is counted once per
 element set, as compile work, the way a table's cells are: ``census
 --measure-ops`` counts it through ``build_double_entry``. A direct query
 fetches it from ``kepler.cached_frame``, a call outside the chain, so it is
-free in the query's tally; ``bench`` prints its tally beside the query's.
+free in the query's tally; ``bench`` prints its tally beside the query's. A
+double-entry table's grid spacing ``du``, ``dv`` is compile work likewise:
+the builder and the reader compute it once into the table, which a table
+query reads.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
 ``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
@@ -215,7 +218,7 @@ _CHAIN = {
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
     "tables": ("row_count", "stencil_points", "_check_single", "_check_monotone_rows",
                "build_planet_table", "build_double_entry"),
-    "evaluate": ("_locate", "_wrap180", "_renormalize", "phase_days", "lookup_planet",
+    "evaluate": ("_locate", "_renormalize", "phase_days", "lookup_planet",
                  "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }
 _CHAIN_NAMES = {name for names in _CHAIN.values() for name in names}

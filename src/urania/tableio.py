@@ -285,4 +285,5 @@ def _read_double(path, headers, values):
 
     triples = _triples(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
     cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]
-    return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v, cells=cells)
+    return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v,
+                            du=planet.P / n_u, dv=earth.P / n_v, cells=cells)

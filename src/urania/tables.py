@@ -80,15 +80,18 @@ class PlanetTable(NamedTuple):
 class DoubleEntryTable(NamedTuple):
     """Grid over (planet phase, Earth phase) -> geocentric (lambda, beta, delta).
 
-    Cell (iu, iv) is evaluated with the planet iu*P_planet/n_u days past its
-    aphelion and the Earth iv*P_earth/n_v days past its own; both axes are
-    logically periodic.
+    Cell (iu, iv) is evaluated with the planet iu*du days past its aphelion
+    and the Earth iv*dv days past its own, where du = P_planet/n_u and dv =
+    P_earth/n_v are computed once, by the builder or the reader; both axes
+    are logically periodic.
     """
 
     planet: OrbitalElements
     earth: OrbitalElements
     n_u: int
     n_v: int
+    du: float
+    dv: float
     cells: list[list[tuple[float, float, float]]]
 
     def __repr__(self) -> str:
@@ -228,7 +231,9 @@ def build_double_entry(
             g = reduce_rect(planet_vec, earth_vec)
             col.append((g.lam, g.beta, g.delta))
         cells.append(col)
-    return DoubleEntryTable(planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, cells=cells)
+    return DoubleEntryTable(
+        planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, du=du, dv=dv, cells=cells
+    )
 
 
 def compile_plan(

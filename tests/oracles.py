@@ -4,6 +4,9 @@ Nothing here imports the engine's solver or reduction code paths: Kepler's
 equation is solved by interval bisection (in float or in 50-digit mpmath),
 the coordinate chain is recomputed from scratch in mpmath, and calendar
 conversions come from the standard library's proleptic Gregorian ordinal.
+The double-entry table lookup is kept as it was written before it became one
+flat body: grid spacing recomputed per call, ``_locate``, ``_wrap180`` and
+``_renormalize`` as calls.
 """
 
 import datetime
@@ -126,3 +129,80 @@ def wrap_abs_deg(a, b) -> float:
     elif d > 180.0:
         d -= 360.0
     return abs(d)
+
+
+# ---------------------------------------------------------------------------
+# The double-entry lookup as it was written before it became one flat body.
+# Plain float code in the engine's own style, so opcount can derive its
+# counted twin too.
+# ---------------------------------------------------------------------------
+
+
+def ref_locate(x: float, dx: float, n: int):
+    """Index and left knot of the interval containing x on a uniform grid."""
+    i = int(x / dx)
+    if i >= n:
+        i = n - 1
+    x0 = i * dx
+    if x < x0:
+        i -= 1
+        x0 = i * dx
+    elif i + 1 < n:
+        x1 = (i + 1) * dx
+        if x >= x1:
+            i += 1
+            x0 = x1
+    return i, x0
+
+
+def ref_wrap180(d: float) -> float:
+    """Fold a difference of two normalized angles into (-180, 180]."""
+    if d > 180.0:
+        d -= 360.0
+    elif d <= -180.0:
+        d += 360.0
+    return d
+
+
+def ref_renormalize(angle: float) -> float:
+    """Bounded arithmetic normalization for interpolation results."""
+    while angle < 0.0:
+        angle += 360.0
+    while angle >= 360.0:
+        angle -= 360.0
+    return angle
+
+
+def ref_lookup_double(table, u: float, v: float):
+    """Bilinear (lambda, beta, delta) at phases (u, v) in range, as a tuple."""
+    du = table.planet.P / table.n_u
+    dv = table.earth.P / table.n_v
+    iu, u0 = ref_locate(u, du, table.n_u)
+    iv, v0 = ref_locate(v, dv, table.n_v)
+    fu = (u - u0) / du
+    fv = (v - v0) / dv
+    iu1 = iu + 1 if iu + 1 < table.n_u else 0
+    iv1 = iv + 1 if iv + 1 < table.n_v else 0
+
+    c00 = table.cells[iu][iv]
+    c10 = table.cells[iu1][iv]
+    c01 = table.cells[iu][iv1]
+    c11 = table.cells[iu1][iv1]
+
+    gu = 1.0 - fu
+    gv = 1.0 - fv
+    w00 = gu * gv
+    w10 = fu * gv
+    w01 = gu * fv
+    w11 = fu * fv
+
+    d10 = ref_wrap180(c10[0] - c00[0])
+    d01 = ref_wrap180(c01[0] - c00[0])
+    d11 = ref_wrap180(c11[0] - c00[0])
+    lam = ref_renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
+    beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
+    delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
+    return lam, beta, delta
+
+
+REF_LOOKUP_DOUBLE = ("ref_locate", "ref_wrap180", "ref_renormalize", "ref_lookup_double")

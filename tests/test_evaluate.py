@@ -1,3 +1,6 @@
+import functools
+import inspect
+import itertools
 import math
 import random
 import re
@@ -6,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from conftest import make_el, valid_elements
 from oracles import wrap_abs_deg
 from urania import (
@@ -33,6 +37,7 @@ from urania import tableio
 from urania.evaluate import phase_days
 from urania.geocentric import reduce_rect
 from urania.kepler import MAX_ELAPSED_DAYS, heliocentric_xyz, orbit_frame
+from urania.opcount import derive_counted
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +110,17 @@ def test_last_interval_interpolates_radius_to_wrap():
 # ---------------------------------------------------------------------------
 
 
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
 def test_knot_identity_double(dataset):
     table = build_double_entry(dataset["jupiter"], dataset["earth"], 16, 16)
     du = table.planet.P / table.n_u
     dv = table.earth.P / table.n_v
     for iu in range(table.n_u):
         for iv in range(table.n_v):
-            assert lookup_double(table, iu * du, iv * dv) == table.cells[iu][iv]
-
-
-def _hex(values):
-    return [float(x).hex() for x in values]
+            assert _hex(lookup_double(table, iu * du, iv * dv)) == _hex(table.cells[iu][iv])
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,9 +136,7 @@ def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v)
     for iu in range(n_u):
         for iv in range(n_v):
             cell = table.cells[iu][iv]
-            # == as in validate's knot check: a stored -0.0 latitude comes
-            # back as +0.0 (-0.0 * 1.0 + 0.0 * x rounds to +0.0)
-            assert lookup_double(table, iu * du, iv * dv) == cell
+            assert _hex(lookup_double(table, iu * du, iv * dv)) == _hex(cell)
             want = reduce_rect(heliocentric_xyz(planet, planet_frame, iu * du),
                                heliocentric_xyz(earth, earth_frame, iv * dv))
             assert _hex(cell) == _hex(want)
@@ -151,7 +154,110 @@ def wrap_seam_table():
             lam = 359.0 if iu % 2 == 0 else 1.0
             col.append((lam, 0.5, 2.0))
         cells.append(col)
-    return DoubleEntryTable(planet=planet, earth=earth, n_u=n, n_v=n, cells=cells)
+    return DoubleEntryTable(planet=planet, earth=earth, n_u=n, n_v=n,
+                            du=planet.P / n, dv=earth.P / n, cells=cells)
+
+
+def test_knot_returns_a_stored_negative_zero_latitude():
+    # -0.0 * 1.0 + 0.0 * x rounds to +0.0: the sum alone loses the sign
+    table = wrap_seam_table()
+    table.cells[3][5] = (10.0, -0.0, 1.5)
+    u, v = 3 * table.du, 5 * table.dv
+    assert _hex(lookup_double(table, u, v)) == _hex((10.0, -0.0, 1.5))
+    assert _hex(lookup_double(table, u, v, counter=OpCounter())) == _hex((10.0, -0.0, 1.5))
+
+
+@functools.cache
+def _counted_reference():
+    """The counted twin of the reference lookup, derived as the engine's are."""
+    namespace = dict(vars(oracles))
+    derive_counted(inspect.getsource(oracles), oracles.REF_LOOKUP_DOUBLE, namespace)
+    return namespace["ref_lookup_double"]
+
+
+def assert_flat_lookup_is_the_reference(table, u, v):
+    """lookup_double at (u, v), plain and counted, against the lookup as it
+    was written before it became one body: the same bits, and the same
+    tally less the 2 muls of the grid spacing it now reads from the table."""
+    got = lookup_double(table, u, v)
+    counter, ref_counter = OpCounter(), OpCounter()
+    assert _hex(lookup_double(table, u, v, counter=counter)) == _hex(got)
+    want = _counted_reference()(ref_counter, table, u, v)
+    assert _hex(want) == _hex(oracles.ref_lookup_double(table, u, v))
+    iu, u0 = oracles.ref_locate(u, table.du, table.n_u)
+    iv, v0 = oracles.ref_locate(v, table.dv, table.n_v)
+    if (u - u0) / table.du == 0.0 and (v - v0) / table.dv == 0.0:
+        # weights (1, 0, 0, 0), at a knot or a fraction that underflows: the
+        # stored cell, where the reference may turn -0.0 into +0.0
+        assert want == table.cells[iu][iv]
+        want = table.cells[iu][iv]
+    assert _hex(got) == _hex(want), (u, v)
+    ref_counter.muls -= 2
+    assert counter == ref_counter
+
+
+@st.composite
+def grid_phase(draw, n, period):
+    """A phase in [0, period) at a knot k*period/n or between two knots, or
+    a few ulps either side of either; one that falls outside is 0.0 or the
+    largest float below the period."""
+    step = period / n
+    x = draw(st.integers(0, n)) * step
+    if draw(st.booleans()):
+        x += draw(st.floats(0.0, 1.0)) * step
+    k = draw(st.integers(-3, 3))
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    if x < 0.0:
+        return 0.0
+    return x if x < period else math.nextafter(period, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 12), st.integers(8, 12),
+       st.data())
+def test_flat_lookup_is_the_reference_on_drawn_grids(planet, earth, n_u, n_v, data):
+    try:
+        table = build_double_entry(planet, earth, n_u, n_v)
+    except DegenerateGeometryError:
+        assume(False)
+    for _ in range(20):
+        u = data.draw(grid_phase(n_u, planet.P))
+        v = data.draw(grid_phase(n_v, earth.P))
+        assert_flat_lookup_is_the_reference(table, u, v)
+
+
+# Longitudes either side of the 0/360 seam, and offsets of exactly +-180.
+seam_lam = st.one_of(st.floats(359.0, 360.0, exclude_max=True), st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 180.0, 179.99999999999997]))
+seam_cell = st.tuples(seam_lam, st.one_of(st.just(-0.0), st.floats(-90.0, 90.0)),
+                      st.floats(0.1, 50.0))
+
+
+def tiled_seam_table(corners):
+    """The seam table with the four ``corners`` tiled over it, so that every
+    lookup interpolates between all four, in some arrangement."""
+    table = wrap_seam_table()
+    for iu, col in enumerate(table.cells):
+        col[:] = [corners[2 * (iu % 2) + iv % 2] for iv in range(table.n_v)]
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(seam_cell, min_size=4, max_size=4), st.data())
+def test_flat_lookup_is_the_reference_on_the_seam_table(corners, data):
+    table = tiled_seam_table(corners)
+    for _ in range(20):
+        u = data.draw(grid_phase(table.n_u, table.planet.P))
+        v = data.draw(grid_phase(table.n_v, table.earth.P))
+        assert_flat_lookup_is_the_reference(table, u, v)
+
+
+def test_flat_lookup_folds_offsets_of_exactly_180_as_the_reference():
+    for lams in itertools.product([0.0, 180.0], repeat=4):
+        table = tiled_seam_table([(lam, 0.5, 2.0) for lam in lams])
+        for fu, fv in ((0.5, 0.5), (0.25, 0.75), (1.5, 0.0)):
+            assert_flat_lookup_is_the_reference(table, fu * table.du, fv * table.dv)
 
 
 def test_wrap_aware_longitude_midpoint():
@@ -220,6 +326,11 @@ def test_lookup_double_rejects_out_of_range(dataset):
         lookup_double(table, -1.0, 0.0)
     with pytest.raises(DomainError):
         lookup_double(table, 0.0, dataset["earth"].P)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            lookup_double(table, bad, 0.0)
+        with pytest.raises(DomainError):
+            lookup_double(table, 0.0, bad)
 
 
 def test_longitude_continuity_across_cells(dataset):

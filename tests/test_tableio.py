@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import edit_header, make_el, reseal
+from conftest import edit_header, make_el, reseal, valid_elements
 from urania import (
     CorrectionTerm,
+    DegenerateGeometryError,
     DomainError,
     OrbitalElements,
     TableParseError,
@@ -92,6 +93,22 @@ def test_round_trip_bits(tmp_path, build, corrections):
     again = read_table(written(tmp_path, table))
     assert again == table
     assert _bits(again) == _bits(table)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 12), st.integers(8, 12))
+def test_grid_spacing_is_the_period_over_the_shape_from_builder_and_reader(
+    tmp_path_factory, planet, earth, n_u, n_v
+):
+    try:
+        table = build_double_entry(planet, earth, n_u, n_v)
+    except DegenerateGeometryError:
+        assume(False)
+    want = [(planet.P / n_u).hex(), (earth.P / n_v).hex()]
+    assert [table.du.hex(), table.dv.hex()] == want
+    again = read_table(written(tmp_path_factory.mktemp("grid"), table))
+    assert [again.du.hex(), again.dv.hex()] == want
+    assert again == table
 
 
 def test_write_is_deterministic(tmp_path):
