@@ -175,12 +175,13 @@ def cmd_query(args) -> int:
     if args.heliocentric:
         if tables is None:
             from .geocentric import rect_to_spherical
-            from .kepler import heliocentric_state
+            from .kepler import cached_frame, heliocentric_xyz
 
-            state = heliocentric_state(dataset[args.planet], jd)
-            l, b, _ = rect_to_spherical(state[:3])
-            lines += [f"helio_l: {l:.{p}f}", f"helio_b: {b:.{p}f}", f"helio_r: {state.r:.6f}"]
-            payload.update(helio_l=l, helio_b=b, helio_r=state.r)
+            el = dataset[args.planet]
+            x, y, z, r = heliocentric_xyz(el, cached_frame(el), jd - el.T_aph)
+            l, b, _ = rect_to_spherical((x, y, z))
+            lines += [f"helio_l: {l:.{p}f}", f"helio_b: {b:.{p}f}", f"helio_r: {r:.6f}"]
+            payload.update(helio_l=l, helio_b=b, helio_r=r)
         else:
             from .evaluate import heliocentric_at_table
 
@@ -287,7 +288,7 @@ def cmd_bench(args) -> int:
     import random
 
     from .evaluate import load_tables
-    from .opcount import OpCounter, _twins
+    from .opcount import OpCounter, twin
     from .tableio import double_planets
 
     if args.queries < 1:
@@ -324,7 +325,7 @@ def cmd_bench(args) -> int:
         lines.append(line)
     # A direct query's frames are counted once per element set, not per query
     frame = OpCounter()
-    _twins("kepler")["orbit_frame"](frame, dataset["earth"])
+    twin("orbit_frame")(frame, dataset["earth"])
     lines.append(
         "frame_ops per element set: adds={adds} muls={muls} transcendental={transcendental_calls} "
         "total={total}".format(**frame.as_dict())
@@ -437,14 +438,13 @@ def _check_knot_exactness(tables) -> None:
 
     for name, table in sorted(tables.single.items()):
         for row in table.rows:
-            nu, r = lookup_planet(table, row.t)
-            if nu != row.nu_aph or r != row.r:
+            # float.hex, so that a stored -0.0 must come back as -0.0
+            if list(map(float.hex, lookup_planet(table, row.t))) != [row.nu_aph.hex(), row.r.hex()]:
                 raise AssertionError(f"{name}: lookup at t={row.t!r} altered stored values")
     for name, table in sorted(tables.double.items()):
         for iu in range(table.n_u):
             for iv in range(table.n_v):
                 got = lookup_double(table, iu * table.du, iv * table.dv)
-                # float.hex, so that a -0.0 latitude must come back as -0.0
                 if list(map(float.hex, got)) != list(map(float.hex, table.cells[iu][iv])):
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
@@ -468,7 +468,7 @@ def _check_serialization(tables) -> None:
 
 def cmd_validate(args) -> int:
     from .evaluate import TableSet
-    from .tableio import read_table_file, table_paths
+    from .tableio import read_table, table_paths
     from .tables import compile_plan
 
     checks = []
@@ -511,7 +511,7 @@ def cmd_validate(args) -> int:
         def table_files_check():
             loaded = TableSet()
             for path in table_files:
-                loaded.add(read_table_file(path))
+                loaded.add(read_table(path))
             _check_knot_exactness(loaded)
         checks.append(("table-files", table_files_check))
 

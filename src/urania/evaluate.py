@@ -1,14 +1,14 @@
 """Table-mode queries: interpolation with nothing but +, -, *, / and row fetches.
 
-The table path is written once, as plain float code. An entry point given a
-counter runs the counted twin opcount derives from this source, so the
-zero-transcendental property of the table path is measured on every counted
-query rather than merely claimed; without one, nothing is counted or derived,
-and opcount is not imported. Nor are tableio and tables until a table is read
-or held, so a counted direct query, which comes through ``counted_query``,
-loads neither. So the ``OpCounter`` and table annotations are strings: these
-names are bound neither here nor where the twins are compiled, a copy of this
-module's namespace.
+The table path is written once, as plain float code that does not count.
+``counted_query`` runs the counted twin ``opcount.twin`` derives from this
+source, so the zero-transcendental property of the table path is measured on
+every counted query rather than merely claimed; a plain query derives
+nothing and does not import opcount. Nor are tableio and tables imported
+until a table is read or held, so a counted direct query loads neither. So
+the ``OpCounter`` and table annotations are strings: these names are bound
+neither here nor where the twins are compiled, a copy of this module's
+namespace.
 """
 
 import functools
@@ -110,11 +110,6 @@ def _opcount():
     return opcount
 
 
-def _twin(name: str):
-    """The counted twin of this module's chain function ``name``."""
-    return _opcount()._twins("evaluate")[name]
-
-
 def _locate(x: float, dx: float, n: int):
     """Index and left knot of the interval containing x on a uniform grid.
 
@@ -147,7 +142,7 @@ def _renormalize(angle: float) -> float:
     return angle
 
 
-def lookup_planet(table: "PlanetTable", t: float, counter: "OpCounter | None" = None):
+def lookup_planet(table: "PlanetTable", t: float):
     """(true anomaly from aphelion deg, radius AU) at ``t`` days past aphelion.
 
     The anomaly is advanced from the located row by whole leftover days at
@@ -155,8 +150,6 @@ def lookup_planet(table: "PlanetTable", t: float, counter: "OpCounter | None" = 
     radius is linearly interpolated between the bracketing rows. A query at
     a row's own abscissa returns the stored values unchanged.
     """
-    if counter is not None:
-        return _twin("lookup_planet")(counter, table, t)
     el = table.elements
     if not (math.isfinite(t) and 0.0 <= t < el.P):
         raise DomainError(f"t={t!r} outside [0, {el.P!r}); reduce time modulo the period first")
@@ -190,10 +183,11 @@ def lookup_double(
     One body, for speed: each axis is located as ``_locate`` locates it,
     each corner's longitude offset folded into (-180, 180] and the sum
     renormalized into [0, 360) inline, and the grid spacing read from the
-    table, where it was computed once.
+    table, where it was computed once. ``counter`` stays only because the
+    perfbench harness's composed pass passes one; others use opcount.twin.
     """
     if counter is not None:
-        return _twin("lookup_double")(counter, table, u, v)
+        return _opcount().twin("lookup_double")(counter, table, u, v)
     # a NaN or an infinity fails these comparisons too
     if not 0.0 <= u < table.planet.P:
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
@@ -277,58 +271,59 @@ def lookup_double(
 def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: float) -> float:
     """Time since the last aphelion passage, in [0, period), by plain arithmetic.
 
-    Counted into ``counter`` unless it is None. Defined for |jd - t_aph| <
-    MAX_ELAPSED_DAYS, the domain direct mode accepts too.
+    Counted into ``counter`` unless it is None, a parameter that stays only
+    because the perfbench harness's composed pass passes one. Defined for
+    |jd - t_aph| < MAX_ELAPSED_DAYS, the domain direct mode accepts too, and
+    a finite period long enough to reduce jd - t_aph into [0, period).
     """
     if counter is not None:
-        return _twin("phase_days")(counter, None, jd, t_aph, period)
-    if not math.isfinite(jd):
-        raise DomainError(f"jd must be finite, got {jd!r}")
+        return _opcount().twin("phase_days")(counter, None, jd, t_aph, period)
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be finite and > 0, got {period!r}")
     dt = jd - t_aph
+    # a NaN or an infinite jd or t_aph fails this comparison too
     if not abs(dt) < MAX_ELAPSED_DAYS:
         raise DomainError(
             f"jd={jd!r} is {dt!r} days from the aphelion epoch {t_aph!r}, outside the "
             f"valid domain |jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
         )
-    k = math.floor(dt / period)
+    q = dt / period
+    if not math.isfinite(q):
+        raise DomainError(f"{dt!r} days / period {period!r} overflows")
+    k = math.floor(q)
     u = dt - k * period
     if u < 0.0:
         u += period
     if u >= period:
         u -= period
+    if not 0.0 <= u < period:
+        raise DomainError(f"period {period!r} is too short to reduce {dt!r} days into it")
     return u
 
 
 def geocentric_at_table(
-    tables: TableSet, planet: str, jd: float, counter: "OpCounter | None" = None
+    tables: TableSet, planet: str, jd: float, counter: None = None
 ) -> GeocentricPosition:
     """Table-mode geocentric position at ``jd``: phase reduction plus one
-    double-entry lookup, no transcendental calls anywhere on the path."""
+    double-entry lookup, no transcendental calls anywhere on the path.
+    ``counter`` must be None; a perfbench test's wrapper passes it on.
+    """
     if counter is not None:
-        return _twin("geocentric_at_table")(counter, tables, planet, jd)
+        raise TypeError("geocentric_at_table counts nothing; use counted_query")
     table = tables.double_for(planet)
     u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
     v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
     return lookup_double(table, u, v)
 
 
-def heliocentric_at_table(
-    tables: TableSet, planet: str, jd: float, counter: "OpCounter | None" = None
-):
+def heliocentric_at_table(tables: TableSet, planet: str, jd: float):
     """(nu_aph, r) from the single-entry table at ``jd``."""
-    if counter is not None:
-        return _twin("heliocentric_at_table")(counter, tables, planet, jd)
     table = tables.single_for(planet)
     return lookup_planet(table, phase_days(None, jd, table.elements.T_aph, table.elements.P))
 
 
-def counted_query(
-    mode: str,
-    planet: str,
-    jd: float,
-    dataset=None,
-    tables: TableSet | None = None,
-):
+def counted_query(mode: str, planet: str, jd: float, dataset=None,
+                  tables: TableSet | None = None):
     """Run one geocentric query in either mode with a fresh counter: the
     counted query of ``urania query --count-ops``, ``bench`` and ``validate``.
 
@@ -340,10 +335,9 @@ def counted_query(
     if mode == "table":
         if tables is None:
             raise DomainError("table mode requires loaded tables")
-        return opcount._twins("evaluate")["geocentric_at_table"](c, tables, planet, jd), c
+        return opcount.twin("geocentric_at_table")(c, tables, planet, jd), c
     if mode == "direct":
         if dataset is None:
             raise DomainError("direct mode requires an elements dataset")
-        twin = opcount._twins("geocentric")["geocentric_at"]
-        return twin(c, dataset[planet], dataset["earth"], jd), c
+        return opcount.twin("geocentric_at")(c, dataset[planet], dataset["earth"], jd), c
     raise DomainError(f"unknown mode {mode!r}; expected 'direct' or 'table'")

@@ -23,25 +23,12 @@ __all__ = [
 COINCIDENCE_AU = 1e-12
 
 
-class RectVec(NamedTuple):
-    """Ecliptic rectangular coordinates in AU."""
-
-    x: float
-    y: float
-    z: float
-
-
 class GeocentricPosition(NamedTuple):
     """Geocentric ecliptic longitude/latitude (degrees) and distance (AU)."""
 
     lam: float
     beta: float
     delta: float
-
-
-def helio_to_rect(s: HeliocentricState) -> RectVec:
-    """The rectangular position of a heliocentric state, without its radius."""
-    return RectVec(s.x, s.y, s.z)
 
 
 def rect_to_spherical(v) -> tuple[float, float, float]:
@@ -66,11 +53,6 @@ def rect_to_spherical(v) -> tuple[float, float, float]:
     return lam, beta, d
 
 
-def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> GeocentricPosition:
-    """Combine heliocentric planet and Earth states into a geocentric position."""
-    return reduce_rect(planet, earth)
-
-
 def reduce_rect(p, e) -> GeocentricPosition:
     """The geocentric position of the planet at ``p`` seen from the Earth at
     ``e``, each an (x, y, z, ...) sequence: a ``HeliocentricState``, a
@@ -93,3 +75,23 @@ def geocentric_at(
         heliocentric_xyz(planet_el, cached_frame(planet_el), jd - planet_el.T_aph),
         heliocentric_xyz(earth_el, cached_frame(earth_el), jd - earth_el.T_aph),
     )
+
+
+# From here on, the pre-lean chain that reduce_rect replaced: no query
+# runs it, and it stays only because the perfbench harness times it.
+class RectVec(NamedTuple):
+    """Ecliptic rectangular coordinates in AU."""
+
+    x: float
+    y: float
+    z: float
+
+
+def helio_to_rect(s: HeliocentricState) -> RectVec:
+    """The rectangular position of a heliocentric state, without its radius."""
+    return RectVec(s.x, s.y, s.z)
+
+
+def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> GeocentricPosition:
+    """Combine heliocentric planet and Earth states into a geocentric position."""
+    return reduce_rect(planet, earth)

@@ -84,15 +84,6 @@ class OrbitalElements(NamedTuple):
     corrections: tuple[CorrectionTerm, ...] = ()
 
 
-class HeliocentricState(NamedTuple):
-    """Heliocentric ecliptic position (x, y, z) and radius r, all in AU."""
-
-    x: float
-    y: float
-    z: float
-    r: float
-
-
 def validate_elements(el: OrbitalElements) -> None:
     """Raise DomainError naming the offending field if ``el`` is invalid."""
 
@@ -137,11 +128,6 @@ def mean_anomaly_elapsed(el: OrbitalElements, dt_days: float) -> float:
     return normalize_deg(M)
 
 
-def mean_anomaly_aph(el: OrbitalElements, jd: float) -> float:
-    """Mean anomaly from aphelion at Julian Date ``jd``, degrees in [0, 360)."""
-    return mean_anomaly_elapsed(el, jd - el.T_aph)
-
-
 def solve_kepler(M: float, e: float) -> float:
     """Solve E - e*sin(E) = M for the eccentric anomaly E (radians).
 
@@ -182,27 +168,6 @@ def solve_kepler(M: float, e: float) -> float:
                 lo = E
             E = 0.5 * (lo + hi)
     return E + TWO_PI * k
-
-
-def true_anomaly(E: float, e: float) -> float:
-    """True anomaly (radians, perihelion-referenced) from eccentric anomaly.
-
-    Continuous with E: the result lies in the same revolution.
-    """
-    if not (0.0 <= e < 1.0):
-        raise DomainError(f"eccentricity must be in [0, 1), got {e!r}")
-    k = math.floor(E / TWO_PI)
-    Er = E - TWO_PI * k
-    if Er < 0.0:
-        Er += TWO_PI
-        k -= 1
-    nu = 2.0 * math.atan2(
-        math.sqrt(1.0 + e) * math.sin(0.5 * Er),
-        math.sqrt(1.0 - e) * math.cos(0.5 * Er),
-    )
-    if nu < 0.0:
-        nu += TWO_PI
-    return nu + TWO_PI * k
 
 
 def radius(E: float, e: float, a: float) -> float:
@@ -276,12 +241,6 @@ def heliocentric_xyz(el: OrbitalElements, frame: tuple, dt_days: float) -> tuple
             el.a * (1.0 - el.e * cos_E))
 
 
-def heliocentric_state(el: OrbitalElements, jd: float) -> HeliocentricState:
-    """Heliocentric ecliptic state of ``el`` at Julian Date ``jd``: the
-    ``heliocentric_xyz`` chain in the body's cached frame."""
-    return HeliocentricState(*heliocentric_xyz(el, cached_frame(el), jd - el.T_aph))
-
-
 def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:
     """Days after aphelion passage at which the true anomaly equals ``nu_aph``.
 
@@ -306,3 +265,46 @@ def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:
     elif t >= el.P:
         t -= el.P
     return t
+
+
+# From here on, the pre-lean chain that heliocentric_xyz replaced: no query
+# runs it, and it stays only because the perfbench harness times it.
+class HeliocentricState(NamedTuple):
+    """Heliocentric ecliptic position (x, y, z) and radius r, all in AU."""
+
+    x: float
+    y: float
+    z: float
+    r: float
+
+
+def mean_anomaly_aph(el: OrbitalElements, jd: float) -> float:
+    """Mean anomaly from aphelion at Julian Date ``jd``, degrees in [0, 360)."""
+    return mean_anomaly_elapsed(el, jd - el.T_aph)
+
+
+def true_anomaly(E: float, e: float) -> float:
+    """True anomaly (radians, perihelion-referenced) from eccentric anomaly.
+
+    Continuous with E: the result lies in the same revolution.
+    """
+    if not (0.0 <= e < 1.0):
+        raise DomainError(f"eccentricity must be in [0, 1), got {e!r}")
+    k = math.floor(E / TWO_PI)
+    Er = E - TWO_PI * k
+    if Er < 0.0:
+        Er += TWO_PI
+        k -= 1
+    nu = 2.0 * math.atan2(
+        math.sqrt(1.0 + e) * math.sin(0.5 * Er),
+        math.sqrt(1.0 - e) * math.cos(0.5 * Er),
+    )
+    if nu < 0.0:
+        nu += TWO_PI
+    return nu + TWO_PI * k
+
+
+def heliocentric_state(el: OrbitalElements, jd: float) -> HeliocentricState:
+    """Heliocentric ecliptic state of ``el`` at Julian Date ``jd``: the
+    ``heliocentric_xyz`` chain in the body's cached frame."""
+    return HeliocentricState(*heliocentric_xyz(el, cached_frame(el), jd - el.T_aph))

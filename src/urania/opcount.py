@@ -9,6 +9,9 @@ of the plain function with its plain float operators, so its results are
 bit-identical to the plain code's, and adds the counter increments. A twin
 takes the counter first and passes it on to the twins it calls.
 
+Every counted call goes through ``twin(name)``, the counted twin of the
+chain function ``name``, whichever module defines it.
+
 Increments are written per stretch of statements that run together: the
 tallies of consecutive statements of one block, ``if`` and ``for`` headers
 included, are summed into one ``_c.<field> += n`` per field at the start of
@@ -49,7 +52,7 @@ import importlib
 import inspect
 from dataclasses import dataclass
 
-__all__ = ["OpCounter", "derive_counted", "measure_compile_ops"]
+__all__ = ["OpCounter", "derive_counted", "measure_compile_ops", "twin"]
 
 
 @dataclass(slots=True)
@@ -221,7 +224,13 @@ _CHAIN = {
     "evaluate": ("_locate", "_renormalize", "phase_days", "lookup_planet",
                  "lookup_double", "geocentric_at_table", "heliocentric_at_table"),
 }
-_CHAIN_NAMES = {name for names in _CHAIN.values() for name in names}
+_MODULE_OF = {name: module_name for module_name, names in _CHAIN.items() for name in names}
+
+
+def twin(name: str):
+    """The counted twin of the _CHAIN function ``name``; it takes the counter
+    first, then the plain function's arguments."""
+    return _twins(_MODULE_OF[name])[name]
 
 
 @functools.cache
@@ -231,10 +240,8 @@ def _twins(module_name: str) -> dict:
     functions it calls, and no others."""
     module = importlib.import_module(f".{module_name}", __package__)
     namespace = dict(vars(module))
-    calls = _CHAIN_NAMES & namespace.keys()
-    for other, names in _CHAIN.items():
-        called = calls.intersection(names) if other != module_name else ()
-        namespace.update({name: _twins(other)[name] for name in called})
+    calls = _MODULE_OF.keys() & namespace.keys()
+    namespace.update({name: twin(name) for name in calls if _MODULE_OF[name] != module_name})
     names = _CHAIN[module_name]
     derive_counted(inspect.getsource(module), names, namespace, calls, module.__file__)
     return {name: namespace[name] for name in names}
@@ -243,7 +250,7 @@ def _twins(module_name: str) -> dict:
 def measure_compile_ops(plan) -> OpCounter:
     """Arithmetic of compiling a ``tables.compile_plan``, counted by running
     its builders' twins over the same list that ``urania gen`` builds."""
-    twins, c = _twins("tables"), OpCounter()
+    c = OpCounter()
     for builder, args in plan:
-        twins[builder.__name__](c, *args)
+        twin(builder.__name__)(c, *args)
     return c

@@ -15,8 +15,9 @@ payload follows that line's newline: N little-endian float64 values,
 and ``motion_hour = motion_day / 24`` are rebuilt on read as the compiler
 computes them. No value goes through decimal text, so the round trip is
 bit-exact. A corrupt, truncated or out-of-range file, one whose step or grid
-fails the compiler's checks or whose anomaly does not increase row by row,
-raises TableParseError; a file of another format version (v1 was all text, v2
+fails the compiler's checks, whose anomaly does not increase row by row or
+whose header does not describe the table its file name names raises
+TableParseError; a file of another format version (v1 was all text, v2
 wrote its own key=value element header) raises TableVersionError, and
 ``urania gen`` rebuilds the tables.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "write_table",
     "read_table",
     "read_named_table",
-    "read_table_file",
     "table_filename",
     "table_paths",
     "double_planets",
@@ -89,28 +89,15 @@ def read_named_table(directory, kind: str, name: str):
     """Read the ``kind`` ("single" or "double") table of body ``name`` from
     ``directory``: ``<name>.single.tbl`` or ``<name>.earth.double.tbl``.
 
-    Returns None when the directory holds no such file. A file whose header
-    describes another table (another body, another Earth or the other kind)
-    raises TableParseError, so a renamed file is never answered under the
-    name it was asked for.
+    Returns None when the directory holds no such file; ``read_table``
+    refuses a renamed one, so it is never answered under the name asked for.
     """
     root = Path(directory)
     path = root / _filename(kind, name)
     # a name holding a path separator names no file of this directory
     if path.parent != root or not path.is_file():
         return None
-    return read_table_file(path)
-
-
-def read_table_file(path):
-    """Read the table file ``path``, whose header must describe the table its
-    file name names (see ``table_filename``); TableParseError otherwise."""
-    table = read_table(path)
-    if table_filename(table) != Path(path).name:
-        raise TableParseError(
-            f"header describes the table {table_filename(table)!r}, not this file's", path=path
-        )
-    return table
+    return read_table(path)
 
 
 def write_table(table, destination) -> None:
@@ -139,7 +126,8 @@ def write_table(table, destination) -> None:
 
 
 def read_table(source):
-    """Parse a table file, returning a PlanetTable or DoubleEntryTable."""
+    """Parse a table file, returning a PlanetTable or DoubleEntryTable; a
+    file whose header does not match its file name raises TableParseError."""
     path = Path(source)
     data = path.read_bytes()
     magic = _MAGIC.match(data)
@@ -195,10 +183,16 @@ def read_table(source):
 
     kind, line = _require(headers, "kind", path)
     if kind == "single":
-        return _read_single(path, headers, values)
-    if kind == "double":
-        return _read_double(path, headers, values)
-    raise TableParseError(f"unknown table kind {kind!r}", path=path, line=line)
+        table = _read_single(path, headers, values)
+    elif kind == "double":
+        table = _read_double(path, headers, values)
+    else:
+        raise TableParseError(f"unknown table kind {kind!r}", path=path, line=line)
+    if table_filename(table) != path.name:
+        raise TableParseError(
+            f"header describes the table {table_filename(table)!r}, not this file's", path=path
+        )
+    return table
 
 
 def _parse_header_line(raw, headers, path, line):

@@ -228,7 +228,7 @@ def test_criterion_10_serialization_and_validate(tmp_path):
 
     truncated = tmp_path / "broken.tbl"
     truncated.write_bytes(dpath.read_bytes()[: -2 * 24])  # the last two cells
-    with pytest.raises(TableParseError):
+    with pytest.raises(TableParseError, match="truncated"):
         read_table(truncated)
     mangled = tmp_path / "mangled.tbl"
     mangled.write_bytes(dpath.read_bytes())

@@ -226,7 +226,7 @@ def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
     def refuse(*_):
         raise AssertionError("counted table path used without --count-ops")
 
-    monkeypatch.setattr("urania.opcount._twins", refuse)
+    monkeypatch.setattr("urania.opcount.twin", refuse)
     code, plain, _ = run(capsys, *args)
     assert code == 0
     assert plain == "".join(line for line in counted.splitlines(True) if not line.startswith("ops:"))

@@ -37,7 +37,7 @@ from urania import tableio
 from urania.evaluate import phase_days
 from urania.geocentric import reduce_rect
 from urania.kepler import MAX_ELAPSED_DAYS, heliocentric_xyz, orbit_frame
-from urania.opcount import derive_counted
+from urania.opcount import derive_counted, twin
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +48,7 @@ from urania.opcount import derive_counted
 def test_knot_identity_single(dataset):
     table = build_planet_table(dataset["mars"], 1.0)
     for row in table.rows:
-        nu, r = lookup_planet(table, row.t)
-        assert nu == row.nu_aph
-        assert r == row.r
+        assert _hex(lookup_planet(table, row.t)) == _hex((row.nu_aph, row.r))
 
 
 def test_circular_lookup_is_linear():
@@ -77,7 +75,7 @@ def test_midrow_accuracy_within_frozen_bound(dataset, frozen_bounds):
 def test_lookup_planet_counts_no_transcendental(dataset):
     table = build_planet_table(dataset["venus"], 1.0)
     c = OpCounter()
-    lookup_planet(table, 101.7, counter=c)
+    twin("lookup_planet")(c, table, 101.7)
     assert c.transcendental_calls == 0
     assert c.row_accesses == 2
     assert c.adds > 0 and c.muls > 0
@@ -450,6 +448,23 @@ def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
             phase_days(None, jd, 0.0, 687.0)
         with pytest.raises(DomainError, match="outside the valid domain"):
             phase_days(OpCounter(), jd, 0.0, 687.0)
+
+
+@pytest.mark.parametrize(
+    "jd, period",
+    [
+        (2451545.0, math.inf),
+        (2451545.0, -3.0),
+        (2451545.0, 0.0),
+        (2451545.0, math.nan),
+        (2451545.0, 1e-320),  # the quotient overflows
+        (-199470144.623703, 2.071047546834055e-30),  # too short to reduce into
+    ],
+)
+def test_phase_days_refuses_a_period_it_cannot_reduce_by(jd, period):
+    for counter in (None, OpCounter()):
+        with pytest.raises(DomainError):
+            phase_days(counter, jd, 0.0, period)
 
 
 @pytest.mark.parametrize("jd", [math.nan, math.inf, -math.inf])

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from urania import (
     calculation_census,
     compile_plan,
     counted_query,
+    evaluate,
     geocentric_at,
     geocentric_at_table,
     heliocentric_at_table,
@@ -28,7 +30,7 @@ from urania import (
     measure_compile_ops,
 )
 from urania.evaluate import phase_days
-from urania.opcount import _twins, derive_counted
+from urania.opcount import derive_counted, twin
 from urania.tables import build_double_entry, row_count
 
 
@@ -94,7 +96,7 @@ def test_golden_table_queries(golden_table, default_tables):
         assert geocentric_at_table(default_tables, planet, jd) == pos  # plain == counted
     for body, jd, *want in golden_table["heliocentric"]:
         c = OpCounter()
-        out = heliocentric_at_table(default_tables, body, jd, counter=c)
+        out = twin("heliocentric_at_table")(c, default_tables, body, jd)
         assert _table_record(c, *out) == want, (body, jd)
         assert heliocentric_at_table(default_tables, body, jd) == out
 
@@ -112,7 +114,7 @@ def test_golden_table_entry_points(golden_table, default_tables):
         assert lookup_double(table, u, v) == out
     for body, t, *want, _ in golden_table["lookup_planet"]:
         table, c = default_tables.single_for(body), OpCounter()
-        out = lookup_planet(table, t, counter=c)
+        out = twin("lookup_planet")(c, table, t)
         assert _table_record(c, *out) == want, (body, t)
         assert lookup_planet(table, t) == out
 
@@ -136,25 +138,24 @@ def test_compile_tally_counts_the_builders_own_code(golden):
     assert _tally(c) == [cfg["tally"][k] for k in ("adds", "muls", "transcendental_calls")]
     assert c.row_accesses == 0
 
-    kepler_twins, geocentric_twins = _twins("kepler"), _twins("geocentric")
     parts = OpCounter()
     for builder, args in plan:
         if builder is not build_double_entry:
             parts.merge(measure_compile_ops([(builder, args)]))
             continue
         planet, earth, n_u, n_v = args
-        planet_frame = kepler_twins["orbit_frame"](parts, planet)
-        earth_frame = kepler_twins["orbit_frame"](parts, earth)
+        planet_frame = twin("orbit_frame")(parts, planet)
+        earth_frame = twin("orbit_frame")(parts, earth)
         planet_vecs, earth_vecs = [], []
         for iu in range(n_u):
             planet_vecs.append(
-                kepler_twins["heliocentric_xyz"](parts, planet, planet_frame, iu * (planet.P / n_u)))
+                twin("heliocentric_xyz")(parts, planet, planet_frame, iu * (planet.P / n_u)))
         for iv in range(n_v):
             earth_vecs.append(
-                kepler_twins["heliocentric_xyz"](parts, earth, earth_frame, iv * (earth.P / n_v)))
+                twin("heliocentric_xyz")(parts, earth, earth_frame, iv * (earth.P / n_v)))
         for planet_vec in planet_vecs:
             for earth_vec in earth_vecs:
-                geocentric_twins["reduce_rect"](parts, planet_vec, earth_vec)
+                twin("reduce_rect")(parts, planet_vec, earth_vec)
         parts.muls += 2 + n_u + n_v
     assert parts == c
 
@@ -162,7 +163,7 @@ def test_compile_tally_counts_the_builders_own_code(golden):
 def test_frame_counts_once_per_element_set_and_not_per_query(dataset):
     # orbit_frame has no branch: 3 degree conversions, 6 sin/cos, one
     # sqrt(1 - e^2), and P and Q scaled by a and b, for every element set.
-    frame_twin = _twins("kepler")["orbit_frame"]
+    frame_twin = twin("orbit_frame")
     for el in dataset:
         c = OpCounter()
         frame_twin(c, el)
@@ -171,15 +172,31 @@ def test_frame_counts_once_per_element_set_and_not_per_query(dataset):
     # A counted direct query fetches each frame from the cache, a call
     # outside the chain: its tally is two positions, the two elapsed times
     # and one reduction, and no frame.
-    kepler_twins, geocentric_twins = _twins("kepler"), _twins("geocentric")
     mars, earth, jd = dataset["mars"], dataset["earth"], 2451545.0 + 321.77
     _, counted = counted_query("direct", "mars", jd, dataset=dataset)
     parts = OpCounter()
-    p = kepler_twins["heliocentric_xyz"](parts, mars, kepler.orbit_frame(mars), jd - mars.T_aph)
-    e = kepler_twins["heliocentric_xyz"](parts, earth, kepler.orbit_frame(earth), jd - earth.T_aph)
-    geocentric_twins["reduce_rect"](parts, p, e)
+    p = twin("heliocentric_xyz")(parts, mars, kepler.orbit_frame(mars), jd - mars.T_aph)
+    e = twin("heliocentric_xyz")(parts, earth, kepler.orbit_frame(earth), jd - earth.T_aph)
+    twin("reduce_rect")(parts, p, e)
     parts.adds += 2
     assert parts == counted
+
+
+def test_counting_has_one_door(default_tables):
+    # Outside opcount, a counted call reaches its twin through opcount.twin.
+    package = Path(urania.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if p.name != "opcount.py" and "_twins" in p.read_text()] == []
+    # Only the two steps the perfbench harness counts one by one take a
+    # counter; geocentric_at_table accepts counter=None and refuses a counter.
+    taking = sorted(name for name, fn in inspect.getmembers(evaluate, inspect.isfunction)
+                    if fn.__module__ == evaluate.__name__
+                    and "counter" in inspect.signature(fn).parameters)
+    assert taking == ["geocentric_at_table", "lookup_double", "phase_days"]
+    with pytest.raises(TypeError, match="counted_query"):
+        geocentric_at_table(default_tables, "mars", 2451545.0, counter=OpCounter())
+    with pytest.raises(KeyError):
+        twin("no_such_function")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +395,7 @@ def test_counted_table_query_is_the_plain_path(default_tables, planet, jd):
     assert _bits(pos.lam, pos.beta, pos.delta) == _bits(plain.lam, plain.beta, plain.delta)
     assert (c.transcendental_calls, c.row_accesses) == (0, 4)
     c = OpCounter()
-    helio = heliocentric_at_table(default_tables, planet, jd, counter=c)
+    helio = twin("heliocentric_at_table")(c, default_tables, planet, jd)
     assert _bits(*helio) == _bits(*heliocentric_at_table(default_tables, planet, jd))
     assert (c.transcendental_calls, c.row_accesses) == (0, 2)
 

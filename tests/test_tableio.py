@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -337,24 +338,33 @@ def test_filenames():
     assert table_filename(double_table()) == "proto.earth.double.tbl"
 
 
+@pytest.mark.parametrize("table", [single_table(), double_table()], ids=["single", "double"])
+def test_a_renamed_file_is_refused(tmp_path, table):
+    path = written(tmp_path, table)
+    renamed = path.rename(tmp_path / "venus.single.tbl")
+    with pytest.raises(TableParseError, match=re.escape(table_filename(table))):
+        read_table(renamed)
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A small valid single-entry and double-entry file, as bytes, and a
-    path to write mutants to."""
+    """A small valid single-entry and double-entry file, as bytes by file
+    name, and the directory to write mutants to under that name."""
     directory = tmp_path_factory.mktemp("fuzz")
     files = {}
     for table in (single_table(corrections=CORRECTIONS), double_table()):
         path = written(directory, table)
         assert read_table(path) == table
         files[table_filename(table)] = path.read_bytes()
-    return files, directory / "mutant.tbl"
+    return files, directory
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_any_byte_mutation_or_truncation_is_rejected(valid_files, data):
-    files, path = valid_files
-    valid = files[data.draw(st.sampled_from(sorted(files)), label="file")]
+    files, directory = valid_files
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    valid, path = files[name], directory / name
     if data.draw(st.booleans(), label="truncate"):
         mutant = valid[: data.draw(st.integers(0, len(valid) - 1), label="length")]
     else:
