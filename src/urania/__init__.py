@@ -39,25 +39,18 @@ _EXPORTS = {
     ),
     "geocentric": (
         "GeocentricPosition",
-        "RectVec",
         "geocentric_at",
-        "geocentric_reduce",
-        "helio_to_rect",
         "rect_to_spherical",
         "reduce_rect",
     ),
     "juliandate": ("calendar_to_jd", "jd_to_calendar"),
     "kepler": (
         "CorrectionTerm",
-        "HeliocentricState",
         "OrbitalElements",
-        "heliocentric_state",
-        "mean_anomaly_aph",
         "position_since_aphelion",
         "radius",
         "solve_kepler",
         "time_since_aphelion",
-        "true_anomaly",
         "validate_elements",
     ),
     "opcount": ("OpCounter", "measure_compile_ops"),

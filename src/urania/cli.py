@@ -467,7 +467,7 @@ def _check_serialization(tables) -> None:
 
 
 def cmd_validate(args) -> int:
-    from .evaluate import TableSet
+    from .evaluate import TableSet, load_tables
     from .tableio import read_table, table_paths
     from .tables import compile_plan
 
@@ -506,10 +506,11 @@ def cmd_validate(args) -> int:
     checks.append(("zero-transcendental-sweep", contract_check))
     checks.append(("serialization-round-trip", lambda: _check_serialization(ts)))
 
-    table_files = table_paths(_table_dir(args))
-    if table_files:
+    table_dir = _table_dir(args)
+    table_files = table_paths(table_dir)
+    if table_files or (table_dir.exists() and not table_dir.is_dir()):
         def table_files_check():
-            loaded = TableSet()
+            loaded = load_tables(table_dir)  # fails a path that is not a directory
             for path in table_files:
                 loaded.add(read_table(path))
             _check_knot_exactness(loaded)

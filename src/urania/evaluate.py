@@ -95,6 +95,8 @@ def load_tables(directory) -> TableSet:
     """
     root = Path(directory)
     if not root.is_dir():
+        if root.exists():
+            raise NotADirectoryError(f"table directory {root} is not a directory")
         raise FileNotFoundError(f"table directory {root} does not exist")
     return TableSet(root)
 

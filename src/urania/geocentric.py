@@ -6,14 +6,11 @@ from typing import NamedTuple
 
 from .angles import RAD2DEG, normalize_deg
 from .errors import DegenerateGeometryError
-from .kepler import HeliocentricState, OrbitalElements, cached_frame, heliocentric_xyz
+from .kepler import OrbitalElements, cached_frame, heliocentric_xyz
 
 __all__ = [
-    "RectVec",
     "GeocentricPosition",
-    "helio_to_rect",
     "rect_to_spherical",
-    "geocentric_reduce",
     "reduce_rect",
     "geocentric_at",
     "COINCIDENCE_AU",
@@ -55,8 +52,8 @@ def rect_to_spherical(v) -> tuple[float, float, float]:
 
 def reduce_rect(p, e) -> GeocentricPosition:
     """The geocentric position of the planet at ``p`` seen from the Earth at
-    ``e``, each an (x, y, z, ...) sequence: a ``HeliocentricState``, a
-    ``RectVec`` or a ``kepler.heliocentric_xyz`` tuple."""
+    ``e``, each an (x, y, z, ...) sequence such as a
+    ``kepler.heliocentric_xyz`` tuple."""
     lam, beta, delta = rect_to_spherical((p[0] - e[0], p[1] - e[1], p[2] - e[2]))
     if delta < COINCIDENCE_AU:
         raise DegenerateGeometryError(
@@ -87,11 +84,9 @@ class RectVec(NamedTuple):
     z: float
 
 
-def helio_to_rect(s: HeliocentricState) -> RectVec:
+def helio_to_rect(s) -> RectVec:
     """The rectangular position of a heliocentric state, without its radius."""
     return RectVec(s.x, s.y, s.z)
 
 
-def geocentric_reduce(planet: HeliocentricState, earth: HeliocentricState) -> GeocentricPosition:
-    """Combine heliocentric planet and Earth states into a geocentric position."""
-    return reduce_rect(planet, earth)
+geocentric_reduce = reduce_rect

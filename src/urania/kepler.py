@@ -18,17 +18,13 @@ from .errors import DomainError, UnsupportedInversionError
 __all__ = [
     "CorrectionTerm",
     "OrbitalElements",
-    "HeliocentricState",
     "validate_elements",
     "orbit_frame",
     "cached_frame",
     "mean_anomaly_elapsed",
-    "mean_anomaly_aph",
     "solve_kepler",
-    "true_anomaly",
     "radius",
     "position_since_aphelion",
-    "heliocentric_state",
     "heliocentric_xyz",
     "time_since_aphelion",
     "KEPLER_TOL",

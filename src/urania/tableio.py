@@ -33,7 +33,7 @@ from pathlib import Path
 from .dataset import elements_from_row, elements_row
 from .errors import TableParseError, TableVersionError
 from .tables import DoubleEntryTable, PlanetTable, TableRow, parse_shape, row_count
-from .tables import _check_double, _check_monotone_rows, _check_single
+from .tables import _check_double, _check_monotone_rows, _check_periodic, _check_single
 
 __all__ = [
     "FORMAT_VERSION",
@@ -229,10 +229,13 @@ def _invalid(what, path, line=None):
 
 
 def _elements(headers, key, path):
-    """The elements of the body whose CSV row is header ``key``."""
+    """The elements of the body whose CSV row is header ``key``, refused
+    if a table cannot hold them."""
     row, line = _require(headers, key, path)
     with _invalid(f"{key} header", path, line):
-        return elements_from_row(row.split(","))
+        el = elements_from_row(row.split(","))
+        _check_periodic(el)
+    return el
 
 
 def _triples(values, count, what, columns, path):

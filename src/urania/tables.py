@@ -141,8 +141,15 @@ def parse_shape(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-def _check_single(el: OrbitalElements, step: float) -> None:
+def _check_periodic(el: OrbitalElements) -> None:
+    # A table answers from the phase modulo P; a correction term has its own period.
     validate_elements(el)
+    if el.corrections:
+        raise DomainError(f"{el.name}: a table cannot hold correction terms; use direct mode")
+
+
+def _check_single(el: OrbitalElements, step: float) -> None:
+    _check_periodic(el)
     max_step = el.P / 8.0
     # At most 2**20 rows, which bounds the compiler's loops and the reader's
     # payload. An int-literal divisor is free in the tally, as bookkeeping is.
@@ -154,10 +161,10 @@ def _check_single(el: OrbitalElements, step: float) -> None:
 def _check_double(
     planet_el: OrbitalElements, earth_el: OrbitalElements, n_u: int, n_v: int
 ) -> None:
-    validate_elements(planet_el)
-    validate_elements(earth_el)
-    if n_u < 8 or n_v < 8:
-        raise DomainError(f"double-entry grid must be at least 8x8, got {n_u}x{n_v}")
+    _check_periodic(planet_el)
+    _check_periodic(earth_el)
+    if n_u < 8 or n_v < 8 or n_u * n_v > 1048576:  # as a single-entry table's 2**20 rows
+        raise DomainError(f"grid must be at least 8x8 and at most 2**20 cells, got {n_u}x{n_v}")
 
 
 def build_planet_table(el: OrbitalElements, step: float, stencil=None) -> PlanetTable:

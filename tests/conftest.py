@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from urania import (
     CorrectionTerm,
-    HeliocentricState,
     OrbitalElements,
     TableSet,
     compile_plan,
@@ -36,9 +35,10 @@ def make_el(**overrides) -> OrbitalElements:
     return OrbitalElements(**fields)
 
 
-def valid_elements(name):
+def valid_elements(name, corrected=True):
     """Hypothesis strategy: an OrbitalElements record named ``name`` that
-    passes validate_elements, with up to three correction terms."""
+    passes validate_elements, with up to three correction terms, or with
+    none unless ``corrected``: the elements a table can hold."""
     angle = st.floats(0.0, 360.0, exclude_max=True)
     correction = st.builds(
         CorrectionTerm, st.floats(0.0, 2.0), st.floats(1.0, 1e4), st.floats(0.0, 360.0)
@@ -53,17 +53,17 @@ def valid_elements(name):
         omega=angle,
         P=st.floats(10.0, 1e5),
         T_aph=st.floats(2.4e6, 2.5e6),
-        corrections=st.lists(correction, max_size=3).map(tuple),
+        corrections=st.lists(correction, max_size=3 if corrected else 0).map(tuple),
     )
 
 
-def helio_state(l, b, r) -> HeliocentricState:
-    """The heliocentric state at ecliptic longitude ``l`` and latitude ``b``
-    (degrees) and radius ``r``."""
+def helio_state(l, b, r) -> tuple:
+    """The heliocentric ``(x, y, z, r)`` at ecliptic longitude ``l`` and
+    latitude ``b`` (degrees) and radius ``r``, as ``heliocentric_xyz`` has it."""
     lam = math.radians(l)
     bet = math.radians(b)
     r_cos_b = r * math.cos(bet)
-    return HeliocentricState(r_cos_b * math.cos(lam), r_cos_b * math.sin(lam), r * math.sin(bet), r)
+    return (r_cos_b * math.cos(lam), r_cos_b * math.sin(lam), r * math.sin(bet), r)
 
 
 def reseal(data: bytes) -> bytes:

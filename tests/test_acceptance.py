@@ -13,8 +13,6 @@ import pytest
 from conftest import edit_header, helio_state, make_el
 from oracles import bisect_kepler, wrap_abs_deg
 from urania import (
-    HeliocentricState,
-    RectVec,
     TableParseError,
     TableSet,
     build_double_entry,
@@ -23,13 +21,12 @@ from urania import (
     compile_plan,
     counted_query,
     geocentric_at,
-    geocentric_reduce,
-    helio_to_rect,
     lookup_double,
     lookup_planet,
     position_since_aphelion,
     read_table,
     rect_to_spherical,
+    reduce_rect,
     solve_kepler,
     synodic_period,
     table_filename,
@@ -185,19 +182,18 @@ def test_criterion_8_accuracy_regression(default_tables, dataset, frozen_bounds)
 
 
 def test_criterion_9_geometric_exactness():
-    opposition = geocentric_reduce(helio_state(0.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
+    opposition = reduce_rect(helio_state(0.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
     assert wrap_abs_deg(opposition.lam, 0.0) < 1e-9 and opposition.delta == 1.0
-    conjunction = geocentric_reduce(helio_state(180.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
+    conjunction = reduce_rect(helio_state(180.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
     assert wrap_abs_deg(conjunction.lam, 180.0) < 1e-9 and conjunction.delta == pytest.approx(3.0, rel=1e-12)
 
-    assert helio_to_rect(HeliocentricState(0.5, -1.0, 2.0, 2.29)) == RectVec(0.5, -1.0, 2.0)
-    v = helio_to_rect(helio_state(0.0, 0.0, 1.0))
-    assert (v.x, v.y, v.z) == (1.0, 0.0, 0.0)
-    v = helio_to_rect(helio_state(0.0, 90.0, 1.0))
-    assert abs(v.x) < 1e-12 and abs(v.y) < 1e-12 and abs(v.z - 1.0) < 1e-12
-    lam, beta, delta = rect_to_spherical(RectVec(0.0, 0.0, 2.0))
+    x, y, z, _ = helio_state(0.0, 0.0, 1.0)
+    assert (x, y, z) == (1.0, 0.0, 0.0)
+    x, y, z, _ = helio_state(0.0, 90.0, 1.0)
+    assert abs(x) < 1e-12 and abs(y) < 1e-12 and abs(z - 1.0) < 1e-12
+    lam, beta, delta = rect_to_spherical((0.0, 0.0, 2.0))
     assert (lam, beta, delta) == (0.0, 90.0, 2.0)
-    lam, beta, delta = rect_to_spherical(RectVec(1.0, 0.0, 0.0))
+    lam, beta, delta = rect_to_spherical((1.0, 0.0, 0.0))
     assert (lam, beta, delta) == (0.0, 0.0, 1.0)
     passed(9, "opposition/conjunction exact to 1e-9 deg; axis and pole cases exact to 1e-12")
 

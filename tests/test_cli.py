@@ -690,6 +690,39 @@ def test_step_below_the_row_bound_is_a_usage_error(capsys, argv):
     assert "P/2**20 <= step" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["census"],
+    ["gen", "--all"],
+    ["compare", "--planet", "mars", "--from-jd", "2451545", "--span-days", "10"],
+])
+def test_grid_over_the_cell_bound_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # 2**21 cells: hours of building, refused before the first cell
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--double", "2048x1024", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "at most 2**20 cells, got 2048x1024" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tables_refuse_a_corrected_body_that_direct_mode_takes(capsys, tmp_path):
+    csv = tmp_path / "corrected.csv"
+    csv.write_text(f"{ELEMENTS_HEADER},amp1_deg,per1_days,ph1_deg\n"
+                   "circ,2.0,0.0,0.0,0.0,0.0,800.0,2451545.0,2.0,1000.0,0.0\n"
+                   "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0,,,\n")
+    out_dir = tmp_path / "t"
+    for argv in (["gen", "--all", "--double", "8x8", "--table-dir", str(out_dir)],
+                 ["census", "--double", "8x8"],
+                 ["compare", "--planet", "circ", "--double", "8x8", "--from-jd", "2451545",
+                  "--span-days", "10"]):
+        code, out, err = run(capsys, *argv, "--elements", str(csv), "--no-timestamp")
+        assert (code, out) == (2, ""), argv
+        assert "circ: a table cannot hold correction terms" in err
+    assert not out_dir.exists()
+    code, out, _ = run(capsys, "query", "--mode", "direct", "--planet", "circ",
+                       "--jd", "2451545.0", "--elements", str(csv), "--no-timestamp")
+    assert code == 0 and "lambda:" in out
+
+
 def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
     csv = tmp_path / "no-earth.csv"
     csv.write_text(f"{ELEMENTS_HEADER}\ncirc,2.0,0.0,0.0,0.0,0.0,800.0,2451545.0\n")
@@ -723,6 +756,18 @@ def test_validate_rejects_report_flags(capsys, flag):
         main(["validate", flag])
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_a_table_directory_that_is_a_file_is_named_as_such(capsys, tmp_path):
+    path = tmp_path / "README.md"
+    path.write_text("not a table directory\n")
+    code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                         "--jd", "2451545.0", "--table-dir", str(path))
+    assert (code, out) == (3, "")
+    assert f"table directory {path} is not a directory" in err
+    code, out, _ = run(capsys, "validate", "--table-dir", str(path))
+    assert code == 1
+    assert f"FAIL table-files: table directory {path} is not a directory" in out
 
 
 def test_validate_sweep_checks_the_contract_bench_checks(capsys, tmp_path, monkeypatch):

@@ -26,17 +26,16 @@ from urania import (
     geocentric_at,
     geocentric_at_table,
     heliocentric_at_table,
-    heliocentric_state,
     load_tables,
     lookup_double,
     lookup_planet,
     position_since_aphelion,
     write_table,
 )
-from urania import tableio
+from urania import evaluate, tableio
 from urania.evaluate import phase_days
 from urania.geocentric import reduce_rect
-from urania.kepler import MAX_ELAPSED_DAYS, heliocentric_xyz, orbit_frame
+from urania.kepler import MAX_ELAPSED_DAYS, cached_frame, heliocentric_xyz, orbit_frame
 from urania.opcount import derive_counted, twin
 
 
@@ -122,7 +121,8 @@ def test_knot_identity_double(dataset):
 
 
 @settings(max_examples=40, deadline=None)
-@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 20), st.integers(8, 20))
+@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+       st.integers(8, 20), st.integers(8, 20))
 def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v):
     try:
         table = build_double_entry(planet, earth, n_u, n_v)
@@ -162,7 +162,7 @@ def test_knot_returns_a_stored_negative_zero_latitude():
     table.cells[3][5] = (10.0, -0.0, 1.5)
     u, v = 3 * table.du, 5 * table.dv
     assert _hex(lookup_double(table, u, v)) == _hex((10.0, -0.0, 1.5))
-    assert _hex(lookup_double(table, u, v, counter=OpCounter())) == _hex((10.0, -0.0, 1.5))
+    assert _hex(twin("lookup_double")(OpCounter(), table, u, v)) == _hex((10.0, -0.0, 1.5))
 
 
 @functools.cache
@@ -179,7 +179,7 @@ def assert_flat_lookup_is_the_reference(table, u, v):
     tally less the 2 muls of the grid spacing it now reads from the table."""
     got = lookup_double(table, u, v)
     counter, ref_counter = OpCounter(), OpCounter()
-    assert _hex(lookup_double(table, u, v, counter=counter)) == _hex(got)
+    assert _hex(twin("lookup_double")(counter, table, u, v)) == _hex(got)
     want = _counted_reference()(ref_counter, table, u, v)
     assert _hex(want) == _hex(oracles.ref_lookup_double(table, u, v))
     iu, u0 = oracles.ref_locate(u, table.du, table.n_u)
@@ -212,8 +212,8 @@ def grid_phase(draw, n, period):
 
 
 @settings(max_examples=60, deadline=None)
-@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 12), st.integers(8, 12),
-       st.data())
+@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+       st.integers(8, 12), st.integers(8, 12), st.data())
 def test_flat_lookup_is_the_reference_on_drawn_grids(planet, earth, n_u, n_v, data):
     try:
         table = build_double_entry(planet, earth, n_u, n_v)
@@ -417,7 +417,7 @@ def test_phase_days_reduces_into_period():
         P = rng.uniform(10.0, 1e4)
         T = 2451545.0 + rng.uniform(-1e6, 1e6)
         jd = 2451545.0 + rng.uniform(-1e6, 1e6)
-        u = phase_days(c, jd, T, P)
+        u = twin("phase_days")(c, None, jd, T, P)
         assert 0.0 <= u < P
     assert c.transcendental_calls == 0
 
@@ -442,12 +442,12 @@ def test_phase_days_lands_in_the_period_over_the_whole_domain(t_aph, period, dt)
 def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
     below = math.nextafter(MAX_ELAPSED_DAYS, 0.0)
     for jd in (below, -below):
-        assert 0.0 <= phase_days(OpCounter(), jd, 0.0, 687.0) < 687.0
+        assert 0.0 <= twin("phase_days")(OpCounter(), None, jd, 0.0, 687.0) < 687.0
     for jd in (MAX_ELAPSED_DAYS, -MAX_ELAPSED_DAYS, 1e20, 1e300):
         with pytest.raises(DomainError, match=re.escape(f"jd={jd!r} ") + ".*outside"):
             phase_days(None, jd, 0.0, 687.0)
         with pytest.raises(DomainError, match="outside the valid domain"):
-            phase_days(OpCounter(), jd, 0.0, 687.0)
+            twin("phase_days")(OpCounter(), None, jd, 0.0, 687.0)
 
 
 @pytest.mark.parametrize(
@@ -462,9 +462,10 @@ def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
     ],
 )
 def test_phase_days_refuses_a_period_it_cannot_reduce_by(jd, period):
-    for counter in (None, OpCounter()):
-        with pytest.raises(DomainError):
-            phase_days(counter, jd, 0.0, period)
+    with pytest.raises(DomainError):
+        phase_days(None, jd, 0.0, period)
+    with pytest.raises(DomainError):
+        twin("phase_days")(OpCounter(), None, jd, 0.0, period)
 
 
 @pytest.mark.parametrize("jd", [math.nan, math.inf, -math.inf])
@@ -480,7 +481,7 @@ def test_non_finite_jd_is_a_domain_error_in_both_modes(dataset, jd):
     with pytest.raises(DomainError):
         geocentric_at(mars, earth, jd)
     with pytest.raises(DomainError):
-        heliocentric_state(mars, jd)
+        heliocentric_xyz(mars, cached_frame(mars), jd - mars.T_aph)
 
 
 def test_table_set_rejects_a_second_table_for_a_key(dataset):
@@ -544,3 +545,35 @@ def test_renamed_table_file_is_rejected(tmp_path, dataset, source, target):
     with pytest.raises(TableParseError, match=re.escape(source)):
         lookup(target.split(".")[0])
     assert tables.double == {} and tables.single == {}
+
+
+# ---------------------------------------------------------------------------
+# Kept only for perfbench: the counter parameters of phase_days, lookup_double
+# and geocentric_at_table. The harness's composed table pass counts through
+# the first two, and a perfbench test's wrapper passes counter=None on to the
+# third. Delete this section with them (ROADMAP item 1).
+# ---------------------------------------------------------------------------
+
+
+def test_only_the_perfbench_steps_take_a_counter():
+    taking = sorted(name for name, fn in inspect.getmembers(evaluate, inspect.isfunction)
+                    if fn.__module__ == evaluate.__name__
+                    and "counter" in inspect.signature(fn).parameters)
+    assert taking == ["geocentric_at_table", "lookup_double", "phase_days"]
+
+
+def test_a_counter_passed_in_counts_as_the_twin_does(default_tables):
+    for planet, jd in (("mars", 2451545.0), ("jupiter", 2460000.25), ("venus", 2440000.5)):
+        table, c, want = default_tables.double_for(planet), OpCounter(), OpCounter()
+        phases = []
+        for el in (table.planet, table.earth):
+            phases.append(phase_days(c, jd, el.T_aph, el.P))
+            assert phases[-1] == twin("phase_days")(want, None, jd, el.T_aph, el.P)
+        out = lookup_double(table, *phases, counter=c)
+        assert _hex(out) == _hex(twin("lookup_double")(want, table, *phases))
+        assert c == want
+        assert out == geocentric_at_table(default_tables, planet, jd, counter=None)
+    with pytest.raises(DomainError, match="outside the valid domain"):
+        phase_days(OpCounter(), 1e20, 0.0, 687.0)
+    with pytest.raises(TypeError, match="counted_query"):
+        geocentric_at_table(default_tables, "mars", 2451545.0, counter=OpCounter())

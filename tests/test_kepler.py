@@ -11,19 +11,24 @@ from urania import (
     DomainError,
     OrbitalElements,
     UnsupportedInversionError,
-    helio_to_rect,
-    heliocentric_state,
-    mean_anomaly_aph,
+    aphelion_shift,
+    kepler,
     position_since_aphelion,
     radius,
     rect_to_spherical,
     solve_kepler,
     time_since_aphelion,
-    true_anomaly,
     validate_elements,
     wrap_diff_deg,
 )
-from urania.kepler import MAX_ELAPSED_DAYS, cached_frame, mean_anomaly_elapsed, orbit_frame
+from urania.angles import DEG2RAD
+from urania.kepler import (
+    MAX_ELAPSED_DAYS,
+    cached_frame,
+    heliocentric_xyz,
+    mean_anomaly_elapsed,
+    orbit_frame,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,31 +95,8 @@ def test_solver_rejects_nonfinite_M():
 
 
 # ---------------------------------------------------------------------------
-# true_anomaly / radius
+# radius
 # ---------------------------------------------------------------------------
-
-
-def test_true_anomaly_circular_identity():
-    for E in (0.0, 0.5, 2.0, 4.0, 6.0):
-        assert true_anomaly(E, 0.0) == pytest.approx(E, abs=1e-12)
-
-
-def test_true_anomaly_aphelion():
-    for e in (0.0, 0.3, 0.9):
-        assert true_anomaly(math.pi, e) == math.pi
-
-
-def test_true_anomaly_closed_form():
-    # tan(nu/2) = sqrt(1.5/0.5) * tan(pi/4) -> nu = 2*atan(sqrt(3)) = 120 deg
-    assert true_anomaly(math.pi / 2, 0.5) == pytest.approx(2.0 * math.atan(math.sqrt(3.0)), abs=1e-12)
-    assert math.degrees(true_anomaly(math.pi / 2, 0.5)) == pytest.approx(120.0, abs=1e-12)
-
-
-def test_true_anomaly_monotone_in_E():
-    for e in (0.2, 0.8):
-        Es = [TWO_PI * k / 400.0 for k in range(400)]
-        nus = [true_anomaly(E, e) for E in Es]
-        assert all(b > a for a, b in zip(nus, nus[1:]))
 
 
 def test_radius_apsides_exact():
@@ -133,17 +115,17 @@ def test_radius_quadrature_point():
 
 def test_mean_anomaly_at_aphelion_epoch():
     el = make_el()
-    assert mean_anomaly_aph(el, el.T_aph) == 0.0
+    assert mean_anomaly_elapsed(el, 0.0) == 0.0
 
 
 def test_mean_anomaly_half_period():
     el = make_el(P=128.0)
-    assert mean_anomaly_aph(el, el.T_aph + 64.0) == pytest.approx(180.0, abs=1e-12)
+    assert mean_anomaly_elapsed(el, 64.0) == pytest.approx(180.0, abs=1e-12)
 
 
 def test_mean_anomaly_linear():
     el = make_el(P=100.0)
-    assert mean_anomaly_aph(el, el.T_aph + 10.0) == pytest.approx(36.0, abs=1e-12)
+    assert mean_anomaly_elapsed(el, 10.0) == pytest.approx(36.0, abs=1e-12)
 
 
 def test_mean_anomaly_refuses_elapsed_times_beyond_the_bound():
@@ -161,40 +143,45 @@ def test_mean_anomaly_correction_term():
     el = make_el(P=100.0, corrections=(term,))
     dt = 10.0
     expected = 36.0 + 0.25 * math.sin(math.radians(360.0 * dt / 1000.0 + 30.0))
-    assert mean_anomaly_aph(el, el.T_aph + dt) == pytest.approx(expected, abs=1e-12)
+    assert mean_anomaly_elapsed(el, dt) == pytest.approx(expected, abs=1e-12)
 
 
 def test_empty_corrections_change_nothing():
     el = make_el(P=77.0)
     bare = make_el(P=77.0, corrections=())
     for dt in (0.0, 13.37, 200.0):
-        assert mean_anomaly_aph(el, el.T_aph + dt) == mean_anomaly_aph(bare, el.T_aph + dt)
+        assert mean_anomaly_elapsed(el, dt) == mean_anomaly_elapsed(bare, dt)
 
 
 # ---------------------------------------------------------------------------
-# heliocentric state
+# heliocentric position
 # ---------------------------------------------------------------------------
+
+
+def xyz(el, jd):
+    """The heliocentric (x, y, z, r) of ``el`` at ``jd``, as direct mode has it."""
+    return heliocentric_xyz(el, cached_frame(el), jd - el.T_aph)
 
 
 def spherical(state):
-    """(l, b, r) of a heliocentric state: its longitude and latitude, degrees."""
-    l, b, _ = rect_to_spherical(helio_to_rect(state))
-    return l, b, state.r
+    """(l, b, r) of a heliocentric (x, y, z, r): its longitude and latitude, degrees."""
+    l, b, _ = rect_to_spherical(state[:3])
+    return l, b, state[3]
 
 
 def test_planar_orbit_has_zero_latitude():
     el = make_el(i=0.0, Omega=0.0)
     rng = random.Random(1)
     for _ in range(50):
-        state = heliocentric_state(el, el.T_aph + rng.uniform(0.0, el.P))
-        assert state.z == 0.0
+        state = xyz(el, el.T_aph + rng.uniform(0.0, el.P))
+        assert state[2] == 0.0
         assert spherical(state)[1] == 0.0
 
 
 def test_pole_case():
     # e=0, omega=90: at t = P/2 the argument of latitude is 90 degrees
     el = make_el(e=0.0, i=90.0, Omega=0.0, omega=90.0, P=128.0)
-    state = heliocentric_state(el, el.T_aph + 64.0)
+    state = xyz(el, el.T_aph + 64.0)
     assert spherical(state)[1] == 90.0
 
 
@@ -202,15 +189,15 @@ def test_radius_bounds_invariant():
     el = make_el(e=0.6)
     rng = random.Random(2)
     for _ in range(100):
-        state = heliocentric_state(el, el.T_aph + rng.uniform(-3000.0, 3000.0))
-        assert el.a * (1.0 - el.e) - 1e-12 <= state.r <= el.a * (1.0 + el.e) + 1e-12
+        state = xyz(el, el.T_aph + rng.uniform(-3000.0, 3000.0))
+        assert el.a * (1.0 - el.e) - 1e-12 <= state[3] <= el.a * (1.0 + el.e) + 1e-12
         assert abs(spherical(state)[1]) <= el.i
 
 
 def test_matches_extended_precision_oracle(dataset):
     mars = dataset["mars"]
     for jd in (2451545.0, 2451545.0 + 321.77, 2451545.0 - 4567.25):
-        l, b, r = spherical(heliocentric_state(mars, jd))
+        l, b, r = spherical(xyz(mars, jd))
         l_mp, b_mp, r_mp = mp_heliocentric(mars, jd)
         assert wrap_abs_deg(l, float(l_mp)) < 1e-9
         assert abs(b - float(b_mp)) < 1e-9
@@ -228,7 +215,7 @@ def test_rectangular_chain_matches_the_oracle_on_drawn_elements(el, revolutions)
     # a longitude has no meaning.
     assume(all(c.period >= 10.0 for c in el.corrections))
     jd = el.T_aph + revolutions * el.P
-    l, b, r = spherical(heliocentric_state(el, jd))
+    l, b, r = spherical(xyz(el, jd))
     l_mp, b_mp, r_mp = mp_heliocentric(el, jd)
     assert abs(b - float(b_mp)) < 1e-9
     assert wrap_abs_deg(l, float(l_mp)) * math.cos(math.radians(float(b_mp))) < 1e-9
@@ -248,9 +235,9 @@ def test_frame_cache_is_bounded_and_keyed_by_value():
 def test_uniform_motion_circular_planar():
     el = make_el(e=0.0, i=0.0, Omega=0.0, P=128.0)
     rate = 360.0 / el.P
-    l0 = spherical(heliocentric_state(el, el.T_aph))[0]
+    l0 = spherical(xyz(el, el.T_aph))[0]
     for t in (1.0, 7.25, 100.0):
-        lt = spherical(heliocentric_state(el, el.T_aph + t))[0]
+        lt = spherical(xyz(el, el.T_aph + t))[0]
         assert wrap_abs_deg(lt - l0, (rate * t) % 360.0) < 1e-12
 
 
@@ -350,3 +337,47 @@ def test_validate_elements_checks_corrections():
     el = make_el(corrections=(CorrectionTerm(amplitude=-0.1, period=10.0, phase=0.0),))
     with pytest.raises(DomainError, match="amplitude"):
         validate_elements(el)
+
+
+# ---------------------------------------------------------------------------
+# Kept only for perfbench: the pre-lean direct chain, which the harness's
+# ``_kepler_parts`` and composed direct pass reach as module attributes.
+# Delete this section with the chain (ROADMAP item 2).
+# ---------------------------------------------------------------------------
+
+
+def test_the_pre_lean_state_is_the_live_position(dataset):
+    for el in (dataset["mars"], make_el(corrections=(CorrectionTerm(0.25, 1000.0, 30.0),))):
+        for jd in (el.T_aph, 2451545.0 + 321.77, 2451545.0 - 4567.25):
+            state = kepler.heliocentric_state(el, jd)
+            assert state == kepler.HeliocentricState(*xyz(el, jd))
+            M = kepler.mean_anomaly_aph(el, jd)
+            assert M == mean_anomaly_elapsed(el, jd - el.T_aph)
+            # _kepler_parts: mean anomaly -> solve -> true anomaly and radius
+            E = solve_kepler(aphelion_shift(M) * DEG2RAD, el.e)
+            kepler.true_anomaly(E, el.e)
+            assert radius(E, el.e, el.a) == state.r
+
+
+def test_true_anomaly_circular_identity():
+    for E in (0.0, 0.5, 2.0, 4.0, 6.0):
+        assert kepler.true_anomaly(E, 0.0) == pytest.approx(E, abs=1e-12)
+
+
+def test_true_anomaly_aphelion():
+    for e in (0.0, 0.3, 0.9):
+        assert kepler.true_anomaly(math.pi, e) == math.pi
+
+
+def test_true_anomaly_closed_form():
+    # tan(nu/2) = sqrt(1.5/0.5) * tan(pi/4) -> nu = 2*atan(sqrt(3)) = 120 deg
+    nu = kepler.true_anomaly(math.pi / 2, 0.5)
+    assert nu == pytest.approx(2.0 * math.atan(math.sqrt(3.0)), abs=1e-12)
+    assert math.degrees(nu) == pytest.approx(120.0, abs=1e-12)
+
+
+def test_true_anomaly_monotone_in_E():
+    for e in (0.2, 0.8):
+        Es = [TWO_PI * k / 400.0 for k in range(400)]
+        nus = [kepler.true_anomaly(E, e) for E in Es]
+        assert all(b > a for a, b in zip(nus, nus[1:]))

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -20,7 +19,6 @@ from urania import (
     calculation_census,
     compile_plan,
     counted_query,
-    evaluate,
     geocentric_at,
     geocentric_at_table,
     heliocentric_at_table,
@@ -104,12 +102,12 @@ def test_golden_table_queries(golden_table, default_tables):
 def test_golden_table_entry_points(golden_table, default_tables):
     for jd, t_aph, period, *want in golden_table["phase_days"]:
         c = OpCounter()
-        u = phase_days(c, jd, t_aph, period)
+        u = twin("phase_days")(c, None, jd, t_aph, period)
         assert _table_record(c, u) == want, (jd, t_aph, period)
         assert phase_days(None, jd, t_aph, period) == u
     for planet, u, v, *want, _ in golden_table["lookup_double"]:
         table, c = default_tables.double_for(planet), OpCounter()
-        out = lookup_double(table, u, v, counter=c)
+        out = twin("lookup_double")(c, table, u, v)
         assert _table_record(c, *out) == want, (planet, u, v)
         assert lookup_double(table, u, v) == out
     for body, t, *want, _ in golden_table["lookup_planet"]:
@@ -182,19 +180,11 @@ def test_frame_counts_once_per_element_set_and_not_per_query(dataset):
     assert parts == counted
 
 
-def test_counting_has_one_door(default_tables):
+def test_counting_has_one_door():
     # Outside opcount, a counted call reaches its twin through opcount.twin.
     package = Path(urania.__file__).parent
     assert [p.name for p in sorted(package.glob("*.py"))
             if p.name != "opcount.py" and "_twins" in p.read_text()] == []
-    # Only the two steps the perfbench harness counts one by one take a
-    # counter; geocentric_at_table accepts counter=None and refuses a counter.
-    taking = sorted(name for name, fn in inspect.getmembers(evaluate, inspect.isfunction)
-                    if fn.__module__ == evaluate.__name__
-                    and "counter" in inspect.signature(fn).parameters)
-    assert taking == ["geocentric_at_table", "lookup_double", "phase_days"]
-    with pytest.raises(TypeError, match="counted_query"):
-        geocentric_at_table(default_tables, "mars", 2451545.0, counter=OpCounter())
     with pytest.raises(KeyError):
         twin("no_such_function")
 

@@ -41,12 +41,12 @@ V2_TEXT = (
 
 
 def single_table(**overrides):
-    el = make_el(name="proto", e=0.35, P=96.0, **overrides)
+    el = make_el(**{"name": "proto", "e": 0.35, "P": 96.0, **overrides})
     return build_planet_table(el, 4.0)
 
 
 def double_table(**overrides):
-    planet = make_el(name="proto", a=2.4, e=0.2, i=2.5, P=700.0, **overrides)
+    planet = make_el(**{"name": "proto", "a": 2.4, "e": 0.2, "i": 2.5, "P": 700.0, **overrides})
     earth = make_el(name="earth", a=1.0, e=0.03, i=0.0, Omega=0.0, omega=70.0, P=300.0)
     return build_double_entry(planet, earth, 8, 8)
 
@@ -67,7 +67,7 @@ def _bits(table):
 
 
 def test_single_round_trip_is_bit_exact(tmp_path):
-    table = single_table(corrections=CORRECTIONS)
+    table = single_table()
     path = tmp_path / table_filename(table)
     write_table(table, path)
     again = read_table(path)
@@ -87,17 +87,19 @@ def test_double_round_trip_is_bit_exact(tmp_path):
     assert again.cells == table.cells
 
 
-@pytest.mark.parametrize("corrections", [(), CORRECTIONS], ids=["plain", "corrected"])
+# a coplanar pair's cells hold signed zero latitudes, which must come back as stored
+@pytest.mark.parametrize("overrides", [{}, {"i": 0.0}], ids=["plain", "coplanar"])
 @pytest.mark.parametrize("build", [single_table, double_table])
-def test_round_trip_bits(tmp_path, build, corrections):
-    table = build(corrections=corrections)
+def test_round_trip_bits(tmp_path, build, overrides):
+    table = build(**overrides)
     again = read_table(written(tmp_path, table))
     assert again == table
     assert _bits(again) == _bits(table)
 
 
 @settings(max_examples=25, deadline=None)
-@given(valid_elements("planet"), valid_elements("earth"), st.integers(8, 12), st.integers(8, 12))
+@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+       st.integers(8, 12), st.integers(8, 12))
 def test_grid_spacing_is_the_period_over_the_shape_from_builder_and_reader(
     tmp_path_factory, planet, earth, n_u, n_v
 ):
@@ -113,7 +115,7 @@ def test_grid_spacing_is_the_period_over_the_shape_from_builder_and_reader(
 
 
 def test_write_is_deterministic(tmp_path):
-    for table in (single_table(corrections=CORRECTIONS), double_table()):
+    for table in (single_table(), double_table()):
         first, second = tmp_path / "first.tbl", tmp_path / "second.tbl"
         write_table(table, first)
         write_table(table, second)
@@ -224,6 +226,27 @@ def test_step_header_below_the_row_bound_is_a_parse_error(tmp_path):
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: text.replace("# step: 4.0\n", "# step: 5e-324\n"))
     with pytest.raises(TableParseError, match="P/2"):
+        read_table(path)
+
+
+@pytest.mark.parametrize("build", [single_table, double_table], ids=["single", "double"])
+def test_a_corrected_body_is_refused_at_build_and_at_read(tmp_path, build):
+    # a table answers from the phase modulo P, which a correction term breaks
+    with pytest.raises(DomainError, match="proto: a table cannot hold correction terms"):
+        build(corrections=CORRECTIONS)
+    table = build()
+    el = table.elements if build is single_table else table.planet
+    path = written(tmp_path, table)
+    corrected = el._replace(corrections=CORRECTIONS)
+    edit_header(path, lambda text: text.replace(elements_row(el), elements_row(corrected)))
+    with pytest.raises(TableParseError, match="invalid body header: proto: a table cannot hold"):
+        read_table(path)
+
+
+def test_shape_header_over_the_cell_bound_is_a_parse_error(tmp_path):
+    path = written(tmp_path, double_table())
+    edit_header(path, lambda text: text.replace("# shape: 8x8\n", "# shape: 2048x1024\n"))
+    with pytest.raises(TableParseError, match=re.escape("at most 2**20 cells, got 2048x1024")):
         read_table(path)
 
 
@@ -352,7 +375,7 @@ def valid_files(tmp_path_factory):
     name, and the directory to write mutants to under that name."""
     directory = tmp_path_factory.mktemp("fuzz")
     files = {}
-    for table in (single_table(corrections=CORRECTIONS), double_table()):
+    for table in (single_table(), double_table()):
         path = written(directory, table)
         assert read_table(path) == table
         files[table_filename(table)] = path.read_bytes()

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_el
 from urania import (
+    CorrectionTerm,
     DomainError,
     build_double_entry,
     build_planet_table,
@@ -201,6 +202,32 @@ def test_grid_minimum_enforced():
         build_double_entry(planet, earth, 4, 64)
     with pytest.raises(DomainError):
         build_double_entry(planet, earth, 64, 7)
+
+
+def test_grid_cell_bound_enforced():
+    # at most 2**20 cells, as a single-entry table holds at most 2**20 rows
+    planet, earth = circular_pair()
+    bodies = {"outer": planet, "earth": earth}
+    assert len(compile_plan(bodies, bodies, 40.0, (1024, 1024))) == 3  # checked, not built
+    for shape in ((2048, 1024), (8, 131073)):
+        with pytest.raises(DomainError, match=r"at most 2\*\*20 cells"):
+            compile_plan(bodies, bodies, 40.0, shape)
+        with pytest.raises(DomainError, match=r"at most 2\*\*20 cells"):
+            build_double_entry(planet, earth, *shape)
+
+
+@pytest.mark.parametrize("corrected", ["outer", "earth"])
+def test_tables_refuse_a_corrected_body(corrected):
+    # a table answers from the phase modulo P; a correction term has its own period
+    bodies = dict(zip(("outer", "earth"), circular_pair()))
+    bodies[corrected] = bodies[corrected]._replace(corrections=(CorrectionTerm(2.0, 1000.0, 0.0),))
+    message = f"{corrected}: a table cannot hold correction terms"
+    with pytest.raises(DomainError, match=message):
+        build_planet_table(bodies[corrected], 40.0)
+    with pytest.raises(DomainError, match=message):
+        build_double_entry(bodies["outer"], bodies["earth"], 8, 8)
+    with pytest.raises(DomainError, match=message):
+        compile_plan(bodies, bodies, 40.0, (8, 8))
 
 
 # ---------------------------------------------------------------------------
