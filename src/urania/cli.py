@@ -113,10 +113,12 @@ def cmd_gen(args) -> int:
         raise DomainError("gen needs --planet NAME (repeatable) or --all")
     plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
                         _double_shape(args.double))
+    out_dir = _table_dir(args)
+    if out_dir.exists() and not out_dir.is_dir():  # checked before the build, made after it
+        raise NotADirectoryError(f"table directory {out_dir} is not a directory")
     built = []
     census = calculation_census(plan, built)
 
-    out_dir = _table_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / table_filename(table) for table in built]
     for table, path in zip(built, written):
@@ -134,6 +136,11 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Decimal places a degree line may ask for: 17 hold every digit a float64
+# carries for an angle of 1 degree or more; --json carries the full value.
+MAX_PRECISION = 17
+
+
 def _format_position(args, pos) -> list[str]:
     p = args.precision
     return [
@@ -146,8 +153,8 @@ def _format_position(args, pos) -> list[str]:
 def cmd_query(args) -> int:
     jd = _query_jd(args)
     p = args.precision
-    if p < 0:
-        raise DomainError(f"--precision must be >= 0, got {p}")
+    if not 0 <= p <= MAX_PRECISION:
+        raise DomainError(f"--precision must be in 0..{MAX_PRECISION}, got {p}")
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
     _observed(args.planet)
@@ -570,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     when.add_argument("--date", help="ISO date-time, e.g. 2000-01-01T12:00")
     p.add_argument("--heliocentric", action="store_true", help="also print the heliocentric line")
     p.add_argument("--count-ops", action="store_true")
-    p.add_argument("--precision", type=int, default=4, help="decimal places for degrees")
+    p.add_argument("--precision", type=int, default=4,
+                   help=f"decimal places for degrees, 0 to {MAX_PRECISION}")
     _add_common(p, tables=True)
     p.set_defaults(func=cmd_query)
 

@@ -185,7 +185,9 @@ def lookup_double(
     One body, for speed: each axis is located as ``_locate`` locates it,
     each corner's longitude offset folded into (-180, 180] and the sum
     renormalized into [0, 360) inline, and the grid spacing read from the
-    table, where it was computed once. ``counter`` stays only because the
+    table, where it was computed once. The tests hold it to a reference
+    lookup that calls ``_locate`` and ``_renormalize`` (tests/oracles.py):
+    the same bits and the same tally. ``counter`` stays only because the
     perfbench harness's composed pass passes one; others use opcount.twin.
     """
     if counter is not None:

@@ -31,6 +31,7 @@ from .kepler import (
     heliocentric_xyz,
     orbit_frame,
     position_since_aphelion,
+    time_since_aphelion,
     validate_elements,
 )
 
@@ -148,8 +149,25 @@ def _check_periodic(el: OrbitalElements) -> None:
         raise DomainError(f"{el.name}: a table cannot hold correction terms; use direct mode")
 
 
+def _check_stencil(el: OrbitalElements) -> None:
+    # A row's motion is the wrap-aware anomaly difference across its stencil,
+    # so the body must sweep less than 180 degrees in 2*h days. It sweeps
+    # fastest across perihelion: 180 degrees, from a true anomaly of -90 to
+    # +90, in twice the time from perihelion (nu_aph 180, at t = P/2) to +90
+    # (nu_aph 270). Outside opcount's chain, so no tally counts the inversion.
+    h = MOTION_STENCIL_DAYS
+    to_quadrature = time_since_aphelion(el, 270.0) - el.P / 2
+    if to_quadrature <= h:
+        raise DomainError(
+            f"{el.name}: sweeps 180 degrees or more within the {2 * h:g}-day motion stencil "
+            f"around perihelion ({to_quadrature!r} days from perihelion to a true anomaly of "
+            f"90 degrees; a single-entry table needs more than {h:g})"
+        )
+
+
 def _check_single(el: OrbitalElements, step: float) -> None:
     _check_periodic(el)
+    _check_stencil(el)
     max_step = el.P / 8.0
     # At most 2**20 rows, which bounds the compiler's loops and the reader's
     # payload. An int-literal divisor is free in the tally, as bookkeeping is.
@@ -188,8 +206,8 @@ def build_planet_table(el: OrbitalElements, step: float, stencil=None) -> Planet
         per_day = wrap_diff_deg(solved[j + 1][0], solved[j - 1][0]) / (2.0 * MOTION_STENCIL_DAYS)
         if per_day <= 0.0:
             raise DomainError(
-                f"{el.name}: non-positive daily motion {per_day!r} at t={t!r}; "
-                "correction terms overwhelm the mean motion"
+                f"{el.name}: non-positive daily motion {per_day!r} at t={t!r}; the body "
+                "sweeps 180 degrees or more within the motion stencil"
             )
         rows.append(
             TableRow(t=t, nu_aph=nu, r=r, motion_per_day=per_day, motion_per_hour=per_day / 24.0)

@@ -5,14 +5,17 @@ equation is solved by interval bisection (in float or in 50-digit mpmath),
 the coordinate chain is recomputed from scratch in mpmath, and calendar
 conversions come from the standard library's proleptic Gregorian ordinal.
 The double-entry table lookup is kept as it was written before it became one
-flat body: grid spacing recomputed per call, ``_locate``, ``_wrap180`` and
-``_renormalize`` as calls.
+flat body: grid spacing recomputed per call, and the engine's own factored
+steps ``evaluate._locate`` and ``evaluate._renormalize`` as calls, so the
+flat body's inline copies are checked against the one factored source.
 """
 
 import datetime
 import math
 
 import mpmath as mp
+
+from urania.evaluate import _locate, _renormalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,27 +135,10 @@ def wrap_abs_deg(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The double-entry lookup as it was written before it became one flat body.
-# Plain float code in the engine's own style, so opcount can derive its
-# counted twin too.
+# The double-entry lookup as it was written before it became one flat body,
+# on the engine's own _locate and _renormalize. Plain float code in the
+# engine's own style, so opcount can derive its counted twin too.
 # ---------------------------------------------------------------------------
-
-
-def ref_locate(x: float, dx: float, n: int):
-    """Index and left knot of the interval containing x on a uniform grid."""
-    i = int(x / dx)
-    if i >= n:
-        i = n - 1
-    x0 = i * dx
-    if x < x0:
-        i -= 1
-        x0 = i * dx
-    elif i + 1 < n:
-        x1 = (i + 1) * dx
-        if x >= x1:
-            i += 1
-            x0 = x1
-    return i, x0
 
 
 def ref_wrap180(d: float) -> float:
@@ -164,21 +150,12 @@ def ref_wrap180(d: float) -> float:
     return d
 
 
-def ref_renormalize(angle: float) -> float:
-    """Bounded arithmetic normalization for interpolation results."""
-    while angle < 0.0:
-        angle += 360.0
-    while angle >= 360.0:
-        angle -= 360.0
-    return angle
-
-
 def ref_lookup_double(table, u: float, v: float):
     """Bilinear (lambda, beta, delta) at phases (u, v) in range, as a tuple."""
     du = table.planet.P / table.n_u
     dv = table.earth.P / table.n_v
-    iu, u0 = ref_locate(u, du, table.n_u)
-    iv, v0 = ref_locate(v, dv, table.n_v)
+    iu, u0 = _locate(u, du, table.n_u)
+    iv, v0 = _locate(v, dv, table.n_v)
     fu = (u - u0) / du
     fv = (v - v0) / dv
     iu1 = iu + 1 if iu + 1 < table.n_u else 0
@@ -199,10 +176,7 @@ def ref_lookup_double(table, u: float, v: float):
     d10 = ref_wrap180(c10[0] - c00[0])
     d01 = ref_wrap180(c01[0] - c00[0])
     d11 = ref_wrap180(c11[0] - c00[0])
-    lam = ref_renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
+    lam = _renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
     beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
     delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
     return lam, beta, delta
-
-
-REF_LOOKUP_DOUBLE = ("ref_locate", "ref_wrap180", "ref_renormalize", "ref_lookup_double")

@@ -354,11 +354,12 @@ def test_query_table_rejects_v1_tables(capsys, table_dir):
 
 
 def test_query_negative_precision_rejected(capsys):
-    code, out, err = run(capsys, "query", "--mode", "direct", "--planet", "mars",
-                         "--jd", "2451545.0", "--precision", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--precision" in err and "Traceback" not in err
+    # and one over 17 places, refused before it formats a line of that length
+    for precision in ("-1", "18", "100000000000"):
+        code, out, err = run(capsys, "query", "--mode", "direct", "--planet", "mars",
+                             "--jd", "2451545.0", "--precision", precision)
+        assert (code, out) == (2, "")
+        assert "--precision must be in 0..17" in err and "Traceback" not in err
 
 
 def test_query_unknown_planet(capsys):
@@ -721,6 +722,38 @@ def test_tables_refuse_a_corrected_body_that_direct_mode_takes(capsys, tmp_path)
     code, out, _ = run(capsys, "query", "--mode", "direct", "--planet", "circ",
                        "--jd", "2451545.0", "--elements", str(csv), "--no-timestamp")
     assert code == 0 and "lambda:" in out
+
+
+def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(capsys, tmp_path):
+    # 180 degrees in 0.56 days around perihelion, under the 1-day stencil
+    csv = tmp_path / "fast.csv"
+    csv.write_text(f"{ELEMENTS_HEADER}\nfast,1.0,0.9,0.0,0.0,0.0,30.0,2451545.0\n"
+                   "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0\n")
+    out_dir = tmp_path / "t"
+    for argv in (["census", "--double", "none"],
+                 ["gen", "--all", "--double", "8x8", "--table-dir", str(out_dir)],
+                 ["compare", "--planet", "fast", "--kind", "single", "--from-jd", "2451545",
+                  "--span-days", "10"]):
+        code, out, err = run(capsys, *argv, "--elements", str(csv), "--no-timestamp")
+        assert (code, out) == (2, ""), argv
+        assert "fast: sweeps 180 degrees or more within the 1-day motion stencil" in err
+        assert "correction" not in err
+    assert not out_dir.exists()
+
+
+def test_gen_refuses_a_table_directory_that_is_a_file_before_it_builds(
+        capsys, tmp_path, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a builder ran")
+
+    monkeypatch.setattr("urania.tables.build_planet_table", refuse)
+    monkeypatch.setattr("urania.tables.build_double_entry", refuse)
+    path = tmp_path / "README.md"
+    path.write_text("not a table directory\n")
+    code, out, err = run(capsys, "gen", "--all", "--double", "64x64", "--table-dir", str(path))
+    assert (code, out) == (3, "")
+    assert f"table directory {path} is not a directory" in err
+    assert path.read_text() == "not a table directory\n"
 
 
 def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):

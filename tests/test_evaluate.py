@@ -113,11 +113,10 @@ def _hex(values):
 
 def test_knot_identity_double(dataset):
     table = build_double_entry(dataset["jupiter"], dataset["earth"], 16, 16)
-    du = table.planet.P / table.n_u
-    dv = table.earth.P / table.n_v
     for iu in range(table.n_u):
         for iv in range(table.n_v):
-            assert _hex(lookup_double(table, iu * du, iv * dv)) == _hex(table.cells[iu][iv])
+            got = lookup_double(table, iu * table.du, iv * table.dv)
+            assert _hex(got) == _hex(table.cells[iu][iv])
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,9 +166,11 @@ def test_knot_returns_a_stored_negative_zero_latitude():
 
 @functools.cache
 def _counted_reference():
-    """The counted twin of the reference lookup, derived as the engine's are."""
-    namespace = dict(vars(oracles))
-    derive_counted(inspect.getsource(oracles), oracles.REF_LOOKUP_DOUBLE, namespace)
+    """The counted twin of the reference lookup, derived as the engine's are,
+    calling the counted twins of the engine's _locate and _renormalize."""
+    namespace = dict(vars(oracles), _locate=twin("_locate"), _renormalize=twin("_renormalize"))
+    derive_counted(inspect.getsource(oracles), ("ref_wrap180", "ref_lookup_double"), namespace,
+                   ("ref_wrap180", "_locate", "_renormalize"))
     return namespace["ref_lookup_double"]
 
 
@@ -182,8 +183,8 @@ def assert_flat_lookup_is_the_reference(table, u, v):
     assert _hex(twin("lookup_double")(counter, table, u, v)) == _hex(got)
     want = _counted_reference()(ref_counter, table, u, v)
     assert _hex(want) == _hex(oracles.ref_lookup_double(table, u, v))
-    iu, u0 = oracles.ref_locate(u, table.du, table.n_u)
-    iv, v0 = oracles.ref_locate(v, table.dv, table.n_v)
+    iu, u0 = evaluate._locate(u, table.du, table.n_u)
+    iv, v0 = evaluate._locate(v, table.dv, table.n_v)
     if (u - u0) / table.du == 0.0 and (v - v0) / table.dv == 0.0:
         # weights (1, 0, 0, 0), at a knot or a fraction that underflows: the
         # stored cell, where the reference may turn -0.0 into +0.0
@@ -260,8 +261,7 @@ def test_flat_lookup_folds_offsets_of_exactly_180_as_the_reference():
 
 def test_wrap_aware_longitude_midpoint():
     table = wrap_seam_table()
-    du = table.planet.P / table.n_u
-    lam, beta, delta = lookup_double(table, 0.5 * du, 0.0)
+    lam, beta, delta = lookup_double(table, 0.5 * table.du, 0.0)
     assert lam == 0.0  # 359 -> 1 interpolates through 0, not through 180
     assert beta == 0.5
     assert delta == 2.0
@@ -295,9 +295,7 @@ def test_lookup_double_is_continuous_across_the_seam(lam0, slope_u, slope_v, fu,
     for iu, col in enumerate(table.cells):
         for iv in range(table.n_v):
             col[iv] = ((lam0 + iu * slope_u + iv * slope_v) % 360.0, 0.5, 2.0)
-    du = table.planet.P / table.n_u
-    dv = table.earth.P / table.n_v
-    lam, beta, delta = lookup_double(table, fu * du, fv * dv)
+    lam, beta, delta = lookup_double(table, fu * table.du, fv * table.dv)
     assert 0.0 <= lam < 360.0
     assert wrap_abs_deg(lam, lam0 + fu * slope_u + fv * slope_v) < 1e-9
     assert abs(beta - 0.5) < 1e-15 and abs(delta - 2.0) < 1e-15

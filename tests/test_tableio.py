@@ -243,6 +243,15 @@ def test_a_corrected_body_is_refused_at_build_and_at_read(tmp_path, build):
         read_table(path)
 
 
+def test_a_body_too_fast_for_the_motion_stencil_is_refused_at_read(tmp_path):
+    table = single_table()
+    path = written(tmp_path, table)
+    fast = table.elements._replace(e=0.9, P=30.0)
+    edit_header(path, lambda text: text.replace(elements_row(table.elements), elements_row(fast)))
+    with pytest.raises(TableParseError, match="invalid step header: proto: sweeps 180 degrees"):
+        read_table(path)
+
+
 def test_shape_header_over_the_cell_bound_is_a_parse_error(tmp_path):
     path = written(tmp_path, double_table())
     edit_header(path, lambda text: text.replace("# shape: 8x8\n", "# shape: 2048x1024\n"))

@@ -230,6 +230,26 @@ def test_tables_refuse_a_corrected_body(corrected):
         compile_plan(bodies, bodies, 40.0, (8, 8))
 
 
+def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(monkeypatch):
+    # 0.28 days from perihelion to a true anomaly of 90 degrees, so 180
+    # degrees within the 1-day stencil; a circular orbit of P = 2 days sits
+    # exactly on the limit, and one a little slower clears it
+    fast = make_el(name="fast", a=1.0, e=0.9, P=30.0)
+    bodies = {"fast": fast, "earth": circular_pair()[1]}
+    message = "fast: sweeps 180 degrees or more within the 1-day motion stencil"
+    with pytest.raises(DomainError, match=message):
+        build_planet_table(fast, 1.0)
+    with pytest.raises(DomainError, match=message):
+        compile_plan(bodies, bodies, 1.0, None)
+    with pytest.raises(DomainError, match="sweeps 180 degrees"):
+        build_planet_table(make_el(e=0.0, P=2.0), 0.25)
+    assert build_planet_table(make_el(e=0.0, P=2.001), 0.25).rows[1].motion_per_day > 0.0
+    # the builder's own guard names the same limit
+    monkeypatch.setattr("urania.tables._check_stencil", lambda el: None)
+    with pytest.raises(DomainError, match="non-positive daily motion .* sweeps 180 degrees"):
+        build_planet_table(fast, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # calculation_census
 # ---------------------------------------------------------------------------
