@@ -114,10 +114,13 @@ def cmd_gen(args) -> int:
     plan = compile_plan(dataset, dataset.names if args.all else args.planet, args.step_days,
                         _double_shape(args.double))
     out_dir = _table_dir(args)
-    if out_dir.exists() and not out_dir.is_dir():  # checked before the build, made after it
-        raise NotADirectoryError(f"table directory {out_dir} is not a directory")
-    built = []
-    census = calculation_census(plan, built)
+    for path in (out_dir, *out_dir.parents):  # checked before the build, made after it
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"table directory {path} is not a directory")
+            break
+    census = calculation_census(plan)
+    built = [builder(*build_args) for builder, build_args in plan]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / table_filename(table) for table in built]

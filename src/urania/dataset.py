@@ -143,7 +143,13 @@ def elements_row(el: OrbitalElements) -> str:
 def load_elements(path) -> ElementsDataset:
     """Parse and validate an elements CSV, with line-level diagnostics."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            "not UTF-8 text", path=path, line=data.count(b"\n", 0, exc.start) + 1
+        ) from None
 
     bodies: dict[str, OrbitalElements] = {}
     header_triples = None

@@ -13,9 +13,9 @@ A configuration is known here alone: ``parse_shape`` reads its grid, the
 step and grid checks serve the table reader too, and ``compile_plan`` returns
 the checked list of (builder, args) pairs that ``urania gen`` builds and
 writes, that ``opcount.measure_compile_ops`` runs counted, and that
-``calculation_census`` counts, without building or while building, into the
-record the CLI prints: its Kepler solves come from the builders' own
-``stencil_points`` and grid lines, so they are the solves ``urania gen`` makes.
+``calculation_census`` counts into the record the CLI prints: its Kepler
+solves come from the builders' own ``stencil_points`` and grid lines, so they
+are the solves ``urania gen`` makes.
 """
 
 import math
@@ -185,17 +185,16 @@ def _check_double(
         raise DomainError(f"grid must be at least 8x8 and at most 2**20 cells, got {n_u}x{n_v}")
 
 
-def build_planet_table(el: OrbitalElements, step: float, stencil=None) -> PlanetTable:
+def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     """Compile the single-entry table for one body.
 
     Rows sit at t = 0, step, 2*step, ... < P (the last interval may be
     shorter). Motion columns come from a wrap-aware central difference of the
     direct chain, so the compiler and the evaluator stay independent; each
-    distinct abscissa of ``stencil_points`` is solved once. ``stencil`` is
-    ``stencil_points(el.P, step)`` when the caller has it already.
+    distinct abscissa of ``stencil_points`` is solved once.
     """
     _check_single(el, step)
-    points, centres = stencil or stencil_points(el.P, step)
+    points, centres = stencil_points(el.P, step)
     solved = []
     for x in points:
         solved.append(position_since_aphelion(el, x))
@@ -288,11 +287,12 @@ def compile_plan(
     return plan
 
 
-def calculation_census(plan: list[tuple[Callable, tuple]], built: list | None = None) -> dict:
-    """The record ``urania census`` prints for a ``compile_plan``: rows and
-    cells per table, their totals, Kepler solves. Given a list ``built``, it
-    also builds each table into it, in plan order, from the same stencils:
-    the tables ``urania gen`` writes."""
+def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
+    """The record ``urania census`` and ``urania gen`` print for a
+    ``compile_plan``: rows and cells per table, their totals, Kepler solves.
+    It builds nothing, so ``gen`` runs each single-entry table's
+    ``stencil_points`` twice, here and in the builder: a few milliseconds
+    over the default set, with no Kepler solve."""
     single, double, solves = {}, {}, 0
     for builder, args in plan:
         if builder is build_planet_table:
@@ -300,14 +300,10 @@ def calculation_census(plan: list[tuple[Callable, tuple]], built: list | None = 
             points, centres = stencil_points(el.P, step)
             single[el.name] = len(centres)
             solves += len(points)
-            if built is not None:
-                built.append(build_planet_table(el, step, (points, centres)))
         else:
             planet_el, earth_el, n_u, n_v = args
             double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v
             solves += n_u + n_v
-            if built is not None:
-                built.append(builder(*args))
     rows, cells = sum(single.values()), sum(double.values())
     return {"single_rows": single, "double_cells": double, "rows": rows, "cells": cells,
             "entries": rows + cells, "solver_calls": solves}

@@ -70,47 +70,27 @@ def synthetic_csv(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_gen_writes_files_and_census(tmp_path, capsys, dataset):
+BODIES = ["mercury", "venus", "earth", "mars", "jupiter", "saturn"]
+ALL_FILES = [f"{n}.single.tbl" for n in BODIES] + [
+    f"{n}.earth.double.tbl" for n in BODIES if n != "earth"]
+
+
+@pytest.mark.parametrize("argv, names, step, shape, cells, files", [
+    (["--planet", "mars", "--step-days", "1"], ["mars"], 1.0, None, 0, ["mars.single.tbl"]),
+    (["--planet", "mars", "--double", "16x16"], ["mars"], 1.0, (16, 16), 256,
+     ["mars.single.tbl", "mars.earth.double.tbl"]),
+    # at a 2-day step rows share no stencil point, so a table costs 3n solves
+    (["--all", "--double", "8x8", "--step-days", "2"], BODIES, 2.0, (8, 8), 320, ALL_FILES),
+], ids=["single", "double", "all-unshared"])
+def test_gen_writes_its_plan_and_prints_its_census_line(
+        tmp_path, capsys, dataset, argv, names, step, shape, cells, files):
     d = tmp_path / "t"
-    code, out, _ = run(capsys, "gen", "--planet", "mars", "--step-days", "1",
-                       "--table-dir", str(d), "--no-timestamp")
+    code, out, _ = run(capsys, "gen", *argv, "--table-dir", str(d), "--no-timestamp")
     assert code == 0
-    assert (d / "mars.single.tbl").is_file()
-    census = calculation_census(compile_plan(dataset, ["mars"], 1.0, None))
-    assert census_line(census) in out
-
-
-def test_gen_census_counts_the_double_it_writes(tmp_path, capsys, dataset):
-    d = tmp_path / "t"
-    code, out, _ = run(capsys, "gen", "--planet", "mars", "--double", "16x16",
-                       "--table-dir", str(d), "--no-timestamp")
-    assert code == 0
-    assert sorted(p.name for p in d.iterdir()) == ["mars.earth.double.tbl", "mars.single.tbl"]
-    census = calculation_census(compile_plan(dataset, ["mars"], 1.0, (16, 16)))
-    assert census["cells"] == 256
-    assert out.splitlines()[-1] == census_line(census)
-
-
-def test_gen_solves_each_stencil_once(tmp_path, capsys, dataset, monkeypatch):
-    # gen takes its census from the stencils it builds with: one
-    # stencil_points pass per single-entry table, not a second for the census.
-    from urania import tables
-
-    calls = []
-    real = tables.stencil_points
-
-    def counting(P, step):
-        calls.append(P)
-        return real(P, step)
-
-    monkeypatch.setattr(tables, "stencil_points", counting)
-    code, out, _ = run(capsys, "gen", "--all", "--double", "8x8", "--step-days", "2",
-                       "--table-dir", str(tmp_path / "t"), "--no-timestamp")
-    assert code == 0
-    assert sorted(calls) == sorted(el.P for el in dataset)
-    monkeypatch.setattr(tables, "stencil_points", real)
-    census = calculation_census(compile_plan(dataset, dataset.names, 2.0, (8, 8)))
-    assert out.splitlines()[-1] == census_line(census)
+    census = calculation_census(compile_plan(dataset, names, step, shape))
+    assert census["cells"] == cells
+    assert out.splitlines() == [f"wrote {d / name}" for name in files] + [census_line(census)]
+    assert sorted(p.name for p in d.iterdir()) == sorted(files)
 
 
 @pytest.mark.parametrize("config", [
@@ -741,8 +721,9 @@ def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
 def test_gen_refuses_a_table_directory_that_is_a_file_before_it_builds(
-        capsys, tmp_path, monkeypatch):
+        capsys, tmp_path, monkeypatch, below):
     def refuse(*_):
         raise AssertionError("a builder ran")
 
@@ -750,10 +731,23 @@ def test_gen_refuses_a_table_directory_that_is_a_file_before_it_builds(
     monkeypatch.setattr("urania.tables.build_double_entry", refuse)
     path = tmp_path / "README.md"
     path.write_text("not a table directory\n")
-    code, out, err = run(capsys, "gen", "--all", "--double", "64x64", "--table-dir", str(path))
+    code, out, err = run(capsys, "gen", "--all", "--double", "64x64",
+                         "--table-dir", str(path.joinpath(*below)))
     assert (code, out) == (3, "")
     assert f"table directory {path} is not a directory" in err
     assert path.read_text() == "not a table directory\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_elements_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(f"{ELEMENTS_HEADER}\n".encode() + b"m\xe9rs,1.5,0.09,1.8,49.5,286.4,686.98,"
+                    b"2451164.5\nearth,1.0,0.0,0.0,0.0,0.0,365.25,2451545.0\n")
+    for argv in (["query", "--mode", "direct", "--planet", "mars", "--jd", "2451545"],
+                 ["census", "--double", "none"]):
+        code, out, err = run(capsys, *argv, "--elements", str(csv), "--no-timestamp")
+        assert (code, out) == (3, ""), argv
+        assert f"{csv}: line 2: not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):

@@ -97,3 +97,11 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(ParseError):
         load_elements(path)
+
+
+def test_text_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{HEADER}\n".encode() + b"m\xe9rs,1.5,0.09,1.8,49.5,286.4,686.98,2451164.5\n")
+    with pytest.raises(ParseError, match="not UTF-8 text") as err:
+        load_elements(path)
+    assert err.value.line == 2

@@ -44,12 +44,6 @@ from urania.opcount import derive_counted, twin
 # ---------------------------------------------------------------------------
 
 
-def test_knot_identity_single(dataset):
-    table = build_planet_table(dataset["mars"], 1.0)
-    for row in table.rows:
-        assert _hex(lookup_planet(table, row.t)) == _hex((row.nu_aph, row.r))
-
-
 def test_circular_lookup_is_linear():
     el = make_el(e=0.0, P=128.0)
     table = build_planet_table(el, 2.0)
