@@ -153,7 +153,9 @@ def load_elements(path) -> ElementsDataset:
 
     bodies: dict[str, OrbitalElements] = {}
     header_triples = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as the error above counts them: splitlines()
+    # would also break at form feeds, U+0085 and U+2028 inside a comment.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -16,11 +16,8 @@ import math
 from pathlib import Path
 
 from .errors import DomainError, TableNotFoundError
-from .geocentric import GeocentricPosition
+from .geocentric import GeocentricPosition, _new_tuple
 from .kepler import MAX_ELAPSED_DAYS
-
-# GeocentricPosition's own __new__ is a Python function around this call.
-_new_tuple = tuple.__new__
 
 __all__ = [
     "TableSet",

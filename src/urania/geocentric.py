@@ -19,6 +19,9 @@ __all__ = [
 # Below this separation the direction from Earth to planet is meaningless.
 COINCIDENCE_AU = 1e-12
 
+# GeocentricPosition's own __new__ is a Python function around this call.
+_new_tuple = tuple.__new__
+
 
 class GeocentricPosition(NamedTuple):
     """Geocentric ecliptic longitude/latitude (degrees) and distance (AU)."""
@@ -59,7 +62,7 @@ def reduce_rect(p, e) -> GeocentricPosition:
         raise DegenerateGeometryError(
             f"planet and Earth positions coincide (separation {delta:.3e} AU)"
         )
-    return GeocentricPosition(lam, beta, delta)
+    return _new_tuple(GeocentricPosition, (lam, beta, delta))
 
 
 def geocentric_at(

@@ -36,6 +36,8 @@ KEPLER_TOL = 1e-12
 # The solver iterates further than the guarantee: a residual of eps maps to
 # a time error of P*eps/(2*pi) days, so long-period round trips need margin.
 _EXIT_TOL = 1e-14
+# Newton also stops after a step shorter than this (see solve_kepler).
+_STEP_TOL = 1e-8
 _MAX_NEWTON = 50
 _MAX_BISECT = 200
 # Largest |jd - T_aph| accepted, in days (about 188 million years), by both
@@ -129,28 +131,42 @@ def solve_kepler(M: float, e: float) -> float:
 
     Newton iteration started at M (at pi for e > 0.8), with a guaranteed
     bisection fallback on [0, 2*pi]; the residual of the returned E is below
-    KEPLER_TOL. E is returned in the same revolution as M.
+    KEPLER_TOL. E is returned in the same revolution as M; an M already in
+    [0, 2*pi) is used as it is, with no reduction.
+
+    Newton stops when the residual is below _EXIT_TOL or when a step is
+    shorter than _STEP_TOL. After a step h the residual at the new E is at
+    most e/2 * h**2 (Taylor's theorem, |f''| <= e), under 5e-17 for
+    |h| < 1e-8, plus a few ulp of rounding: below _EXIT_TOL, so the
+    residual test of one more pass would stop at that same E.
     """
     if not (0.0 <= e < 1.0):
         raise DomainError(f"eccentricity must be in [0, 1), got {e!r}")
     if not math.isfinite(M):
         raise DomainError(f"mean anomaly must be finite, got {M!r}")
 
-    k = math.floor(M / TWO_PI)
-    Mr = M - TWO_PI * k
-    if Mr < 0.0:  # fp guard: the floor quotient can round up
-        Mr += TWO_PI
-        k -= 1
-    if Mr >= TWO_PI:
-        Mr -= TWO_PI
-        k += 1
+    if 0.0 <= M < TWO_PI:
+        k = 0
+        Mr = M
+    else:
+        k = math.floor(M / TWO_PI)
+        Mr = M - TWO_PI * k
+        if Mr < 0.0:  # fp guard: the floor quotient can round up
+            Mr += TWO_PI
+            k -= 1
+        if Mr >= TWO_PI:
+            Mr -= TWO_PI
+            k += 1
 
     E = Mr if e <= 0.8 else math.pi
     for _ in range(_MAX_NEWTON):
         f = E - e * math.sin(E) - Mr
         if abs(f) < _EXIT_TOL:
             break
-        E = E - f / (1.0 - e * math.cos(E))
+        step = f / (1.0 - e * math.cos(E))
+        E = E - step
+        if abs(step) < _STEP_TOL:
+            break
     else:
         lo, hi = 0.0, TWO_PI
         E = math.pi
@@ -163,7 +179,9 @@ def solve_kepler(M: float, e: float) -> float:
             else:
                 lo = E
             E = 0.5 * (lo + hi)
-    return E + TWO_PI * k
+    if k != 0:
+        E += TWO_PI * k
+    return E
 
 
 def radius(E: float, e: float, a: float) -> float:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from urania import ParseError, default_elements_path, load_elements
+from urania import DomainError, ParseError, default_elements_path, load_elements
 
 HEADER = "name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd"
 
@@ -105,3 +106,52 @@ def test_text_that_is_not_utf8_names_its_line(tmp_path):
     with pytest.raises(ParseError, match="not UTF-8 text") as err:
         load_elements(path)
     assert err.value.line == 2
+
+
+# Characters that str.splitlines() takes for line ends and "\n" splitting does not.
+_LINE_BREAKS_IN_TEXT = ["\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _LINE_BREAKS_IN_TEXT, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_break_character_in_a_comment_stays_in_the_comment(tmp_path, sep):
+    path = tmp_path / "elements.csv"
+    comment, good = f"# note{sep}continued", "good,1.0,0.1,1.0,0,0,365,2451545"
+    path.write_bytes("\n".join([HEADER, comment, good]).encode("utf-8"))
+    assert load_elements(path).names == ["good"]
+    bad = "bad,1.0,1.2,1.0,0,0,365,2451545"
+    path.write_bytes("\n".join([HEADER, comment, good, bad]).encode("utf-8"))
+    with pytest.raises(ParseError, match="eccentricity") as err:
+        load_elements(path)
+    assert err.value.line == 4
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "elements.csv"
+
+
+_INSERTS = [b",", b"\n", b"\r", b"#", b" ", b"\x00", b"\xff", *(c.encode() for c in _LINE_BREAKS_IN_TEXT)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_elements_bytes_load_or_raise_a_package_error(mutant_path, data):
+    # Bit flips, truncations and inserted separators of the shipped file:
+    # each mutant loads or raises ParseError or DomainError, never a bare
+    # ValueError, IndexError or UnicodeError.
+    mutant = default_elements_path().read_bytes()
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "insert"]), label="kind")
+        pos = data.draw(st.integers(0, len(mutant)), label="position")
+        if kind == "truncate":
+            mutant = mutant[:pos]
+        elif kind == "insert":
+            mutant = mutant[:pos] + data.draw(st.sampled_from(_INSERTS), label="insert") + mutant[pos:]
+        elif pos < len(mutant):
+            bit = data.draw(st.integers(0, 7), label="bit")
+            mutant = mutant[:pos] + bytes([mutant[pos] ^ (1 << bit)]) + mutant[pos + 1:]
+    mutant_path.write_bytes(mutant)
+    try:
+        load_elements(mutant_path)
+    except (ParseError, DomainError):
+        pass

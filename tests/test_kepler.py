@@ -23,6 +23,7 @@ from urania import (
 )
 from urania.angles import DEG2RAD
 from urania.kepler import (
+    _EXIT_TOL,
     MAX_ELAPSED_DAYS,
     cached_frame,
     heliocentric_xyz,
@@ -81,6 +82,27 @@ def test_solver_monotone_in_M():
         Ms = [TWO_PI * k / 500.0 for k in range(500)]
         Es = [solve_kepler(M, e) for M in Ms]
         assert all(b > a for a, b in zip(Es, Es[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.floats(0.0, TWO_PI, exclude_max=True), e=st.floats(0.0, 0.97))
+def test_solver_exits_below_its_own_residual_tolerance(M, e):
+    # Newton stops on a small residual or on a step under 1e-8; either way
+    # the residual of the returned E is below the loop's 1e-14, not just
+    # the documented KEPLER_TOL.
+    E = solve_kepler(M, e)
+    assert abs(E - e * math.sin(E) - M) < _EXIT_TOL
+
+
+@pytest.mark.parametrize("M", [math.nextafter(TWO_PI, 0.0), TWO_PI, -1.0, -TWO_PI, -40.0],
+                         ids=["below-2pi", "2pi", "-1", "-2pi", "-40"])
+@pytest.mark.parametrize("e", [0.0, 0.5, 0.9, 0.97])
+def test_solver_on_both_sides_of_the_first_revolution(M, e):
+    # M in [0, 2*pi) is solved as it is; any other M is reduced first and
+    # its revolution added back, so E stays within e of M.
+    E = solve_kepler(M, e)
+    assert abs(E - e * math.sin(E) - M) < _EXIT_TOL
+    assert abs(E - M) <= e + 1e-15
 
 
 @pytest.mark.parametrize("e", [-0.1, 1.0, 1.5])

@@ -53,6 +53,12 @@ def _tally(c):
     return [c.adds, c.muls, c.transcendental_calls]
 
 
+def _direct_record(c, pos):
+    """[adds, muls, transcendental_calls, *pos as float hex], as frozen; no row accesses."""
+    assert c.row_accesses == 0
+    return [*_tally(c), *(x.hex() for x in pos)]
+
+
 def _table_record(c, *values):
     """[adds, muls, row_accesses, *values as float hex], as frozen; no transcendentals."""
     assert c.transcendental_calls == 0
@@ -69,9 +75,8 @@ def test_golden_direct_tallies(golden, dataset):
     assert len(golden["queries"]) == 200
     for planet, jd, *want in golden["queries"]:
         pos, c = counted_query("direct", planet, jd, dataset=dataset)
-        assert pos == geocentric_at(dataset[planet], earth, jd)  # bit-identical
-        assert _tally(c) == want, (planet, jd)
-        assert c.row_accesses == 0
+        assert pos == geocentric_at(dataset[planet], earth, jd)  # plain == counted
+        assert _direct_record(c, pos) == want, (planet, jd)
 
 
 def test_golden_tallies_with_corrections_and_high_eccentricity(golden):
@@ -83,7 +88,7 @@ def test_golden_tallies_with_corrections_and_high_eccentricity(golden):
         for jd, *want in s["records"]:
             pos, c = counted_query("direct", planet.name, jd, dataset=bodies)
             assert pos == geocentric_at(planet, earth, jd)
-            assert _tally(c) == want, (planet.name, earth.corrections, jd)
+            assert _direct_record(c, pos) == want, (planet.name, earth.corrections, jd)
 
 
 def test_golden_table_queries(golden_table, default_tables):
