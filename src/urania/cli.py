@@ -185,11 +185,12 @@ def cmd_query(args) -> int:
     if args.heliocentric:
         if tables is None:
             from .geocentric import rect_to_spherical
-            from .kepler import cached_frame, heliocentric_xyz
+            from .kepler import cached_frame, heliocentric_xyz, position_since_aphelion
 
             el = dataset[args.planet]
-            x, y, z, r = heliocentric_xyz(el, cached_frame(el), jd - el.T_aph)
-            l, b, _ = rect_to_spherical((x, y, z))
+            dt = jd - el.T_aph
+            l, b, _ = rect_to_spherical(heliocentric_xyz(el, cached_frame(el), dt))
+            r = position_since_aphelion(el, dt)[1]
             lines += [f"helio_l: {l:.{p}f}", f"helio_b: {b:.{p}f}", f"helio_r: {r:.6f}"]
             payload.update(helio_l=l, helio_b=b, helio_r=r)
         else:

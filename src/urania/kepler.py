@@ -5,7 +5,10 @@ convention the compiled tables index by); the textbook perihelion-referenced
 formulas live inside and are bridged by a 180-degree shift.
 
 Positions are rectangular, (cos E - e)*P + sin E*Q in the body's orbit frame,
-which the direct chain computes once per element set (``cached_frame``).
+which the direct chain computes once per element set (``cached_frame``) with
+the body's mean motion 360/P. A position carries no radius: a caller that
+needs one takes it from ``position_since_aphelion``, which computes it with
+``radius``.
 """
 
 import functools
@@ -113,14 +116,15 @@ def validate_elements(el: OrbitalElements) -> None:
             bad(f"correction {idx + 1} phase", f"must be finite, got {c.phase!r}")
 
 
-def mean_anomaly_elapsed(el: OrbitalElements, dt_days: float) -> float:
-    """Mean anomaly from aphelion, degrees in [0, 360), dt days after T_aph."""
+def mean_anomaly_elapsed(el: OrbitalElements, motion: float, dt_days: float) -> float:
+    """Mean anomaly from aphelion, degrees in [0, 360), dt days after T_aph,
+    for the mean motion ``motion`` = 360.0 / el.P degrees per day."""
     if not abs(dt_days) < MAX_ELAPSED_DAYS:
         raise DomainError(
             f"{el.name}: {dt_days!r} days from aphelion is outside the valid domain "
             f"|jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
         )
-    M = 360.0 / el.P * dt_days
+    M = motion * dt_days
     for c in el.corrections:
         M += c.amplitude * math.sin((360.0 * dt_days / c.period + c.phase) * DEG2RAD)
     return normalize_deg(M)
@@ -205,15 +209,16 @@ def _nu_aph_from_E(E: float, e: float) -> float:
 
 def position_since_aphelion(el: OrbitalElements, t_days: float) -> tuple[float, float]:
     """(true anomaly from aphelion in degrees, radius in AU) at time t after T_aph."""
-    M_aph = mean_anomaly_elapsed(el, t_days)
+    M_aph = mean_anomaly_elapsed(el, 360.0 / el.P, t_days)
     E = solve_kepler(aphelion_shift(M_aph) * DEG2RAD, el.e)
     return _nu_aph_from_E(E, el.e), radius(E, el.e, el.a)
 
 
-def orbit_frame(el: OrbitalElements) -> tuple[float, float, float, float, float, float]:
+def orbit_frame(el: OrbitalElements) -> tuple[float, ...]:
     """The ecliptic unit vectors P (towards perihelion) and Q (90 degrees
-    ahead in the orbit plane) of ``el``, scaled by a and by a*sqrt(1 - e^2):
-    (aPx, aPy, aPz, bQx, bQy, bQz). It depends on the elements alone."""
+    ahead in the orbit plane) of ``el``, scaled by a and by a*sqrt(1 - e^2),
+    and the mean motion 360/P in degrees per day:
+    (aPx, aPy, aPz, bQx, bQy, bQz, motion). It depends on the elements alone."""
     w = el.omega * DEG2RAD
     node = el.Omega * DEG2RAD
     incl = el.i * DEG2RAD
@@ -232,6 +237,7 @@ def orbit_frame(el: OrbitalElements) -> tuple[float, float, float, float, float,
         b * (-cos_O * sin_w - sin_O * cos_w * cos_i),
         b * (cos_O * cos_w * cos_i - sin_O * sin_w),
         b * (cos_w * sin_i),
+        360.0 / el.P,
     )
 
 
@@ -241,18 +247,16 @@ cached_frame = functools.lru_cache(maxsize=64)(orbit_frame)
 
 
 def heliocentric_xyz(el: OrbitalElements, frame: tuple, dt_days: float) -> tuple:
-    """Ecliptic (x, y, z, r) in AU of ``el`` ``dt_days`` after its aphelion
+    """Ecliptic (x, y, z) in AU of ``el`` ``dt_days`` after its aphelion
     passage, in its ``orbit_frame`` ``frame``. Chain: mean anomaly (from
-    aphelion, with corrections) -> Kepler solve -> (cos E - e)*P + sin E*Q,
-    and r = a*(1 - e*cos E)."""
-    M_aph = mean_anomaly_elapsed(el, dt_days)
+    aphelion, with corrections, at the frame's mean motion) -> Kepler solve
+    -> (cos E - e)*P + sin E*Q."""
+    Px, Py, Pz, Qx, Qy, Qz, motion = frame
+    M_aph = mean_anomaly_elapsed(el, motion, dt_days)
     E = solve_kepler(aphelion_shift(M_aph) * DEG2RAD, el.e)
-    cos_E = math.cos(E)
+    c = math.cos(E) - el.e
     sin_E = math.sin(E)
-    c = cos_E - el.e
-    Px, Py, Pz, Qx, Qy, Qz = frame
-    return (c * Px + sin_E * Qx, c * Py + sin_E * Qy, c * Pz + sin_E * Qz,
-            el.a * (1.0 - el.e * cos_E))
+    return c * Px + sin_E * Qx, c * Py + sin_E * Qy, c * Pz + sin_E * Qz
 
 
 def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:
@@ -294,7 +298,7 @@ class HeliocentricState(NamedTuple):
 
 def mean_anomaly_aph(el: OrbitalElements, jd: float) -> float:
     """Mean anomaly from aphelion at Julian Date ``jd``, degrees in [0, 360)."""
-    return mean_anomaly_elapsed(el, jd - el.T_aph)
+    return mean_anomaly_elapsed(el, 360.0 / el.P, jd - el.T_aph)
 
 
 def true_anomaly(E: float, e: float) -> float:
@@ -320,5 +324,8 @@ def true_anomaly(E: float, e: float) -> float:
 
 def heliocentric_state(el: OrbitalElements, jd: float) -> HeliocentricState:
     """Heliocentric ecliptic state of ``el`` at Julian Date ``jd``: the
-    ``heliocentric_xyz`` chain in the body's cached frame."""
-    return HeliocentricState(*heliocentric_xyz(el, cached_frame(el), jd - el.T_aph))
+    ``heliocentric_xyz`` chain in the body's cached frame, and the radius of
+    ``position_since_aphelion``, which solves Kepler's equation again."""
+    dt = jd - el.T_aph
+    return HeliocentricState(*heliocentric_xyz(el, cached_frame(el), dt),
+                             position_since_aphelion(el, dt)[1])

@@ -23,11 +23,13 @@ is exact; a call that raises leaves its counter unspecified (it may hold
 increments of statements that never ran), and no caller reads such a
 counter.
 
-A body's orbit frame (``kepler.orbit_frame``, 37 ops) is counted once per
+A body's orbit frame (``kepler.orbit_frame``, 38 ops) is counted once per
 element set, as compile work, the way a table's cells are: ``census
---measure-ops`` counts it through ``build_double_entry``. A direct query
-fetches it from ``kepler.cached_frame``, a call outside the chain, so it is
-free in the query's tally; ``bench`` prints its tally beside the query's. A
+--measure-ops`` counts it through ``build_double_entry``. The frame holds the
+body's mean motion 360/P beside its axes, so that division is compile work
+too. A direct query fetches the frame from ``kepler.cached_frame``, a call
+outside the chain, so it is free in the query's tally; ``bench`` prints its
+tally beside the query's. A
 double-entry table's grid spacing ``du``, ``dv`` is compile work likewise:
 the builder and the reader compute it once into the table, which a table
 query reads.

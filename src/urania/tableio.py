@@ -52,7 +52,8 @@ _PAYLOAD = re.compile(rb"# payload: floats=(\d+) crc32=(\S*)")
 _SINGLE_COLUMNS = (
     ("nu_aph", "in [0, 360)", lambda x: 0.0 <= x < 360.0),
     ("r", "positive", lambda x: x > 0.0),
-    ("motion_day", "positive", lambda x: x > 0.0),
+    # the compiler's motion is a wrap-aware difference over a 1-day stencil
+    ("motion_day", "in (0, 180]", lambda x: 0.0 < x <= 180.0),
 )
 _DOUBLE_COLUMNS = (
     ("lambda", "in [0, 360)", lambda x: 0.0 <= x < 360.0),

@@ -58,12 +58,12 @@ def valid_elements(name, corrected=True):
 
 
 def helio_state(l, b, r) -> tuple:
-    """The heliocentric ``(x, y, z, r)`` at ecliptic longitude ``l`` and
+    """The heliocentric ``(x, y, z)`` at ecliptic longitude ``l`` and
     latitude ``b`` (degrees) and radius ``r``, as ``heliocentric_xyz`` has it."""
     lam = math.radians(l)
     bet = math.radians(b)
     r_cos_b = r * math.cos(bet)
-    return (r_cos_b * math.cos(lam), r_cos_b * math.sin(lam), r * math.sin(bet), r)
+    return (r_cos_b * math.cos(lam), r_cos_b * math.sin(lam), r * math.sin(bet))
 
 
 def reseal(data: bytes) -> bytes:

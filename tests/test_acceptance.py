@@ -186,9 +186,9 @@ def test_criterion_9_geometric_exactness():
     conjunction = reduce_rect(helio_state(180.0, 0.0, 2.0), helio_state(0.0, 0.0, 1.0))
     assert wrap_abs_deg(conjunction.lam, 180.0) < 1e-9 and conjunction.delta == pytest.approx(3.0, rel=1e-12)
 
-    x, y, z, _ = helio_state(0.0, 0.0, 1.0)
+    x, y, z = helio_state(0.0, 0.0, 1.0)
     assert (x, y, z) == (1.0, 0.0, 0.0)
-    x, y, z, _ = helio_state(0.0, 90.0, 1.0)
+    x, y, z = helio_state(0.0, 90.0, 1.0)
     assert abs(x) < 1e-12 and abs(y) < 1e-12 and abs(z - 1.0) < 1e-12
     lam, beta, delta = rect_to_spherical((0.0, 0.0, 2.0))
     assert (lam, beta, delta) == (0.0, 90.0, 2.0)

@@ -242,6 +242,16 @@ def test_query_refuses_jds_beyond_the_elapsed_bound(capsys, table_dir, mode):
         assert "outside the valid domain" in err
 
 
+def test_direct_heliocentric_radius_is_the_solved_radius(capsys, dataset):
+    # heliocentric_xyz returns no radius: the line takes it from kepler.radius
+    for planet, jd in (("mars", 2451545.0), ("mercury", 2400000.5), ("saturn", 2500000.25)):
+        code, out, _ = run(capsys, "query", "--mode", "direct", "--planet", planet,
+                           "--jd", str(jd), "--heliocentric", "--json", "--no-timestamp")
+        assert code == 0
+        el = dataset[planet]
+        assert json.loads(out)["helio_r"] == position_since_aphelion(el, jd - el.T_aph)[1]
+
+
 def test_query_deterministic(capsys):
     args = ("query", "--mode", "direct", "--planet", "jupiter", "--jd", "2455555.25",
             "--count-ops", "--no-timestamp")
@@ -563,12 +573,12 @@ def test_bench_reports_the_frame_tally_next_to_the_direct_one(capsys, table_dir)
                        "--json", "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    frame = {"adds": 5, "muls": 25, "transcendental_calls": 7, "row_accesses": 0, "total": 37}
+    frame = {"adds": 5, "muls": 26, "transcendental_calls": 7, "row_accesses": 0, "total": 38}
     assert report["frame_ops"] == frame
     assert report["table"]["total"] < report["direct"]["total"]
     _, out, _ = run(capsys, "bench", "--queries", "200", "--table-dir", str(table_dir),
                     "--no-timestamp")
-    assert "frame_ops per element set: adds=5 muls=25 transcendental=7 total=37" in out
+    assert "frame_ops per element set: adds=5 muls=26 transcendental=7 total=38" in out
 
 
 def test_bench_deterministic(capsys, table_dir):

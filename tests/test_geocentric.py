@@ -24,11 +24,11 @@ from urania.kepler import cached_frame, heliocentric_xyz
 
 
 def test_rect_axis_cases():
-    x, y, z, _ = state(0.0, 0.0, 1.0)
+    x, y, z = state(0.0, 0.0, 1.0)
     assert (x, y, z) == (1.0, 0.0, 0.0)
-    x, y, z, _ = state(90.0, 0.0, 2.0)
+    x, y, z = state(90.0, 0.0, 2.0)
     assert abs(x) < 1e-12 and y == pytest.approx(2.0, abs=1e-15) and z == 0.0
-    x, y, z, _ = state(0.0, 90.0, 1.0)
+    x, y, z = state(0.0, 90.0, 1.0)
     assert abs(x) < 1e-12 and abs(y) < 1e-12 and z == pytest.approx(1.0, abs=1e-15)
 
 
@@ -60,7 +60,7 @@ def test_round_trip_spherical_rect():
     rng = random.Random(8)
     for _ in range(500):
         l, b, r = rng.uniform(0.0, 360.0), rng.uniform(-89.9, 89.9), rng.uniform(0.1, 40.0)
-        lam, beta, delta = rect_to_spherical(state(l, b, r)[:3])
+        lam, beta, delta = rect_to_spherical(state(l, b, r))
         assert wrap_abs_deg(lam, l) < 1e-10
         assert abs(beta - b) < 1e-10
         assert abs(delta - r) / r < 1e-12
@@ -75,7 +75,7 @@ def test_round_trip_rect_spherical_rect():
             continue
         lam, beta, delta = rect_to_spherical(v)
         w = state(lam, beta, delta)
-        for got, want in zip(w[:3], v):
+        for got, want in zip(w, v):
             assert abs(got - want) <= 1e-12 * norm
 
 
@@ -129,12 +129,11 @@ def test_triangle_inequality_coplanar():
     rng = random.Random(22)
     for _ in range(300):
         pl, el = rng.uniform(0, 360), rng.uniform(0, 360)
-        p = state(pl, 0.0, rng.uniform(0.5, 9.0))
-        e = state(el, 0.0, rng.uniform(0.5, 9.0))
-        if abs(pl - el) < 1e-9 and abs(p[3] - e[3]) < 1e-9:
+        pr, er = rng.uniform(0.5, 9.0), rng.uniform(0.5, 9.0)
+        if abs(pl - el) < 1e-9 and abs(pr - er) < 1e-9:
             continue
-        pos = reduce_rect(p, e)
-        assert abs(p[3] - e[3]) - 1e-12 <= pos.delta <= p[3] + e[3] + 1e-12
+        pos = reduce_rect(state(pl, 0.0, pr), state(el, 0.0, er))
+        assert abs(pr - er) - 1e-12 <= pos.delta <= pr + er + 1e-12
 
 
 def test_swap_negates_vector():

@@ -135,29 +135,34 @@ def test_radius_quadrature_point():
 # ---------------------------------------------------------------------------
 
 
+def mean_anomaly(el, dt):
+    """The mean anomaly of ``el`` ``dt`` days after aphelion, at its mean motion."""
+    return mean_anomaly_elapsed(el, 360.0 / el.P, dt)
+
+
 def test_mean_anomaly_at_aphelion_epoch():
     el = make_el()
-    assert mean_anomaly_elapsed(el, 0.0) == 0.0
+    assert mean_anomaly(el, 0.0) == 0.0
 
 
 def test_mean_anomaly_half_period():
     el = make_el(P=128.0)
-    assert mean_anomaly_elapsed(el, 64.0) == pytest.approx(180.0, abs=1e-12)
+    assert mean_anomaly(el, 64.0) == pytest.approx(180.0, abs=1e-12)
 
 
 def test_mean_anomaly_linear():
     el = make_el(P=100.0)
-    assert mean_anomaly_elapsed(el, 10.0) == pytest.approx(36.0, abs=1e-12)
+    assert mean_anomaly(el, 10.0) == pytest.approx(36.0, abs=1e-12)
 
 
 def test_mean_anomaly_refuses_elapsed_times_beyond_the_bound():
     el = make_el(P=128.0)
     below = math.nextafter(MAX_ELAPSED_DAYS, 0.0)
     for dt in (below, -below):
-        assert 0.0 <= mean_anomaly_elapsed(el, dt) < 360.0
+        assert 0.0 <= mean_anomaly(el, dt) < 360.0
     for dt in (MAX_ELAPSED_DAYS, -MAX_ELAPSED_DAYS, 1e20, math.nan):
         with pytest.raises(DomainError, match="outside the valid domain"):
-            mean_anomaly_elapsed(el, dt)
+            mean_anomaly(el, dt)
 
 
 def test_mean_anomaly_correction_term():
@@ -165,14 +170,14 @@ def test_mean_anomaly_correction_term():
     el = make_el(P=100.0, corrections=(term,))
     dt = 10.0
     expected = 36.0 + 0.25 * math.sin(math.radians(360.0 * dt / 1000.0 + 30.0))
-    assert mean_anomaly_elapsed(el, dt) == pytest.approx(expected, abs=1e-12)
+    assert mean_anomaly(el, dt) == pytest.approx(expected, abs=1e-12)
 
 
 def test_empty_corrections_change_nothing():
     el = make_el(P=77.0)
     bare = make_el(P=77.0, corrections=())
     for dt in (0.0, 13.37, 200.0):
-        assert mean_anomaly_elapsed(el, dt) == mean_anomaly_elapsed(bare, dt)
+        assert mean_anomaly(el, dt) == mean_anomaly(bare, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -181,45 +186,45 @@ def test_empty_corrections_change_nothing():
 
 
 def xyz(el, jd):
-    """The heliocentric (x, y, z, r) of ``el`` at ``jd``, as direct mode has it."""
+    """The heliocentric (x, y, z) of ``el`` at ``jd``, as direct mode has it."""
     return heliocentric_xyz(el, cached_frame(el), jd - el.T_aph)
 
 
-def spherical(state):
-    """(l, b, r) of a heliocentric (x, y, z, r): its longitude and latitude, degrees."""
-    l, b, _ = rect_to_spherical(state[:3])
-    return l, b, state[3]
+def spherical(el, jd):
+    """(l, b, r) of ``el`` at ``jd``: the longitude and latitude (degrees) of
+    its direct-mode position, and its radius from ``kepler.radius``."""
+    l, b, _ = rect_to_spherical(xyz(el, jd))
+    return l, b, position_since_aphelion(el, jd - el.T_aph)[1]
 
 
 def test_planar_orbit_has_zero_latitude():
     el = make_el(i=0.0, Omega=0.0)
     rng = random.Random(1)
     for _ in range(50):
-        state = xyz(el, el.T_aph + rng.uniform(0.0, el.P))
-        assert state[2] == 0.0
-        assert spherical(state)[1] == 0.0
+        jd = el.T_aph + rng.uniform(0.0, el.P)
+        assert xyz(el, jd)[2] == 0.0
+        assert spherical(el, jd)[1] == 0.0
 
 
 def test_pole_case():
     # e=0, omega=90: at t = P/2 the argument of latitude is 90 degrees
     el = make_el(e=0.0, i=90.0, Omega=0.0, omega=90.0, P=128.0)
-    state = xyz(el, el.T_aph + 64.0)
-    assert spherical(state)[1] == 90.0
+    assert spherical(el, el.T_aph + 64.0)[1] == 90.0
 
 
 def test_radius_bounds_invariant():
     el = make_el(e=0.6)
     rng = random.Random(2)
     for _ in range(100):
-        state = xyz(el, el.T_aph + rng.uniform(-3000.0, 3000.0))
-        assert el.a * (1.0 - el.e) - 1e-12 <= state[3] <= el.a * (1.0 + el.e) + 1e-12
-        assert abs(spherical(state)[1]) <= el.i
+        _, b, r = spherical(el, el.T_aph + rng.uniform(-3000.0, 3000.0))
+        assert el.a * (1.0 - el.e) - 1e-12 <= r <= el.a * (1.0 + el.e) + 1e-12
+        assert abs(b) <= el.i
 
 
 def test_matches_extended_precision_oracle(dataset):
     mars = dataset["mars"]
     for jd in (2451545.0, 2451545.0 + 321.77, 2451545.0 - 4567.25):
-        l, b, r = spherical(xyz(mars, jd))
+        l, b, r = spherical(mars, jd)
         l_mp, b_mp, r_mp = mp_heliocentric(mars, jd)
         assert wrap_abs_deg(l, float(l_mp)) < 1e-9
         assert abs(b - float(b_mp)) < 1e-9
@@ -237,7 +242,7 @@ def test_rectangular_chain_matches_the_oracle_on_drawn_elements(el, revolutions)
     # a longitude has no meaning.
     assume(all(c.period >= 10.0 for c in el.corrections))
     jd = el.T_aph + revolutions * el.P
-    l, b, r = spherical(xyz(el, jd))
+    l, b, r = spherical(el, jd)
     l_mp, b_mp, r_mp = mp_heliocentric(el, jd)
     assert abs(b - float(b_mp)) < 1e-9
     assert wrap_abs_deg(l, float(l_mp)) * math.cos(math.radians(float(b_mp))) < 1e-9
@@ -257,9 +262,9 @@ def test_frame_cache_is_bounded_and_keyed_by_value():
 def test_uniform_motion_circular_planar():
     el = make_el(e=0.0, i=0.0, Omega=0.0, P=128.0)
     rate = 360.0 / el.P
-    l0 = spherical(xyz(el, el.T_aph))[0]
+    l0 = spherical(el, el.T_aph)[0]
     for t in (1.0, 7.25, 100.0):
-        lt = spherical(xyz(el, el.T_aph + t))[0]
+        lt = spherical(el, el.T_aph + t)[0]
         assert wrap_abs_deg(lt - l0, (rate * t) % 360.0) < 1e-12
 
 
@@ -372,9 +377,9 @@ def test_the_pre_lean_state_is_the_live_position(dataset):
     for el in (dataset["mars"], make_el(corrections=(CorrectionTerm(0.25, 1000.0, 30.0),))):
         for jd in (el.T_aph, 2451545.0 + 321.77, 2451545.0 - 4567.25):
             state = kepler.heliocentric_state(el, jd)
-            assert state == kepler.HeliocentricState(*xyz(el, jd))
+            assert state == (*xyz(el, jd), position_since_aphelion(el, jd - el.T_aph)[1])
             M = kepler.mean_anomaly_aph(el, jd)
-            assert M == mean_anomaly_elapsed(el, jd - el.T_aph)
+            assert M == mean_anomaly(el, jd - el.T_aph)
             # _kepler_parts: mean anomaly -> solve -> true anomaly and radius
             E = solve_kepler(aphelion_shift(M) * DEG2RAD, el.e)
             kepler.true_anomaly(E, el.e)

@@ -184,6 +184,19 @@ def test_out_of_range_value_rejected(tmp_path):
             read_table(written(tmp_path, table))
 
 
+def test_motion_beyond_the_stencils_half_turn_is_rejected(tmp_path):
+    # The compiler's motion is a wrap-aware difference over a 1-day stencil,
+    # at most 180 degrees a day; a lookup renormalizes the anomaly it
+    # advances by 360 at a time, so a far larger motion would never finish.
+    table = single_table()
+    table.rows[5] = table.rows[5]._replace(motion_per_day=180.0)
+    assert read_table(written(tmp_path, table)).rows[5].motion_per_day == 180.0
+    for value in (math.nextafter(180.0, math.inf), 1e300):
+        table.rows[5] = table.rows[5]._replace(motion_per_day=value)
+        with pytest.raises(TableParseError, match=r"motion_day .* is not in \(0, 180\]"):
+            read_table(written(tmp_path, table))
+
+
 def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
     table = single_table()
     fifth, sixth = table.rows[5], table.rows[6]
