@@ -35,6 +35,7 @@ _EXPORTS = {
         "heliocentric_at_table",
         "load_tables",
         "lookup_double",
+        "lookup_grid",
         "lookup_planet",
     ),
     "geocentric": (

@@ -445,7 +445,7 @@ def _check_anomaly_round_trip() -> None:
 
 
 def _check_knot_exactness(tables) -> None:
-    from .evaluate import lookup_double, lookup_planet
+    from .evaluate import lookup_grid, lookup_planet
 
     for name, table in sorted(tables.single.items()):
         for row in table.rows:
@@ -455,7 +455,7 @@ def _check_knot_exactness(tables) -> None:
     for name, table in sorted(tables.double.items()):
         for iu in range(table.n_u):
             for iv in range(table.n_v):
-                got = lookup_double(table, iu * table.du, iv * table.dv)
+                got = lookup_grid(table, float(iu), float(iv))
                 if list(map(float.hex, got)) != list(map(float.hex, table.cells[iu][iv])):
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 

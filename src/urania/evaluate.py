@@ -24,6 +24,7 @@ __all__ = [
     "load_tables",
     "lookup_planet",
     "lookup_double",
+    "lookup_grid",
     "geocentric_at_table",
     "heliocentric_at_table",
     "phase_days",
@@ -133,7 +134,14 @@ def _locate(x: float, dx: float, n: int):
 
 
 def _renormalize(angle: float) -> float:
-    """Bounded arithmetic normalization for interpolation results."""
+    """Bounded arithmetic normalization for interpolation results.
+
+    A value far outside [0, 360) is folded by ``fmod`` first, so the loops
+    below run at most once: a single-entry row may advance its anomaly by up
+    to 180 degrees a day over a step of any length.
+    """
+    if not -360.0 <= angle < 720.0:
+        angle = math.fmod(angle, 360.0)
     while angle < 0.0:
         angle += 360.0
     while angle >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
@@ -175,17 +183,13 @@ def lookup_double(
 ) -> GeocentricPosition:
     """Bilinear (lambda, beta, delta) at planet phase ``u``, Earth phase ``v``.
 
-    Longitudes interpolate through wrap-aware offsets from the corner cell,
-    so a 359 -> 1 degree seam interpolates through 0, never through 180. At
-    a knot the stored cell comes back bit for bit, a -0.0 latitude too.
-
-    One body, for speed: each axis is located as ``_locate`` locates it,
-    each corner's longitude offset folded into (-180, 180] and the sum
-    renormalized into [0, 360) inline, and the grid spacing read from the
-    table, where it was computed once. The tests hold it to a reference
-    lookup that calls ``_locate`` and ``_renormalize`` (tests/oracles.py):
-    the same bits and the same tally. ``counter`` stays only because the
-    perfbench harness's composed pass passes one; others use opcount.twin.
+    Takes phases in days past each body's aphelion, ``0 <= u < P_planet``
+    and ``0 <= v < P_earth``, and returns ``lookup_grid`` at the grid
+    coordinates ``u / du``, ``v / dv``. A knot is exact in grid coordinates,
+    not here: ``(iu * du) / du`` can round below ``iu``, and the answer is
+    then interpolated from the interval below, at a weight an ulp short of 1.
+    ``counter`` stays only because the perfbench harness's composed pass
+    passes one; others use opcount.twin.
     """
     if counter is not None:
         return _opcount().twin("lookup_double")(counter, table, u, v)
@@ -194,37 +198,40 @@ def lookup_double(
         raise DomainError(f"u={u!r} outside [0, {table.planet.P!r})")
     if not 0.0 <= v < table.earth.P:
         raise DomainError(f"v={v!r} outside [0, {table.earth.P!r})")
+    return lookup_grid(table, u / table.du, v / table.dv)
+
+
+def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosition:
+    """Bilinear (lambda, beta, delta) at grid coordinates ``x``, ``y``.
+
+    ``x`` in [0, n_u] and ``y`` in [0, n_v] count grid intervals from the
+    two aphelia, so cell (iu, iv) sits at (iu, iv), where it comes back bit
+    for bit, a -0.0 latitude too. ``x = n_u`` (a phase just below the period
+    can divide to it) is the wrap column's knot, interpolated from the last
+    interval at weight 1, and so ``y = n_v``.
+
+    Longitudes interpolate through wrap-aware offsets from the corner cell,
+    so a 359 -> 1 degree seam interpolates through 0, never through 180. One
+    body, for speed: each corner's longitude offset is folded into
+    (-180, 180] and the sum renormalized into [0, 360) inline. The tests
+    hold it to a reference lookup that calls ``_renormalize``
+    (tests/oracles.py): the same bits and the same tally.
+    """
     n_u = table.n_u
     n_v = table.n_v
-    du = table.du
-    dv = table.dv
-
-    iu = int(u / du)
+    # a NaN fails these comparisons too
+    if not 0.0 <= x <= n_u:
+        raise DomainError(f"grid coordinate x={x!r} outside [0, {n_u}]")
+    if not 0.0 <= y <= n_v:
+        raise DomainError(f"grid coordinate y={y!r} outside [0, {n_v}]")
+    iu = int(x)
     if iu >= n_u:
         iu = n_u - 1
-    u0 = iu * du
-    if u < u0:
-        iu -= 1
-        u0 = iu * du
-    elif iu + 1 < n_u:
-        u1 = (iu + 1) * du
-        if u >= u1:
-            iu += 1
-            u0 = u1
-    iv = int(v / dv)
+    iv = int(y)
     if iv >= n_v:
         iv = n_v - 1
-    v0 = iv * dv
-    if v < v0:
-        iv -= 1
-        v0 = iv * dv
-    elif iv + 1 < n_v:
-        v1 = (iv + 1) * dv
-        if v >= v1:
-            iv += 1
-            v0 = v1
-    fu = (u - u0) / du
-    fv = (v - v0) / dv
+    fu = x - iu
+    fv = y - iv
     iu1 = iu + 1 if iu + 1 < n_u else 0
     iv1 = iv + 1 if iv + 1 < n_v else 0
 
@@ -314,7 +321,7 @@ def geocentric_at_table(
     table = tables.double_for(planet)
     u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
     v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
-    return lookup_double(table, u, v)
+    return lookup_grid(table, u / table.du, v / table.dv)
 
 
 def heliocentric_at_table(tables: TableSet, planet: str, jd: float):

@@ -5,9 +5,10 @@ equation is solved by interval bisection (in float or in 50-digit mpmath),
 the coordinate chain is recomputed from scratch in mpmath, and calendar
 conversions come from the standard library's proleptic Gregorian ordinal.
 The double-entry table lookup is kept as it was written before it became one
-flat body: grid spacing recomputed per call, and the engine's own factored
-steps ``evaluate._locate`` and ``evaluate._renormalize`` as calls, so the
-flat body's inline copies are checked against the one factored source.
+flat body: grid spacing recomputed per call, the offset fold as a function of
+its own, and the engine's own factored step ``evaluate._renormalize`` as a
+call, so the flat body's inline copies are checked against the one factored
+source.
 """
 
 import datetime
@@ -15,7 +16,7 @@ import math
 
 import mpmath as mp
 
-from urania.evaluate import _locate, _renormalize
+from urania.evaluate import _renormalize
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,8 +137,8 @@ def wrap_abs_deg(a, b) -> float:
 
 # ---------------------------------------------------------------------------
 # The double-entry lookup as it was written before it became one flat body,
-# on the engine's own _locate and _renormalize. Plain float code in the
-# engine's own style, so opcount can derive its counted twin too.
+# on the engine's own _renormalize. Plain float code in the engine's own
+# style, so opcount can derive its counted twin too.
 # ---------------------------------------------------------------------------
 
 
@@ -151,13 +152,16 @@ def ref_wrap180(d: float) -> float:
 
 
 def ref_lookup_double(table, u: float, v: float):
-    """Bilinear (lambda, beta, delta) at phases (u, v) in range, as a tuple."""
-    du = table.planet.P / table.n_u
-    dv = table.earth.P / table.n_v
-    iu, u0 = _locate(u, du, table.n_u)
-    iv, v0 = _locate(v, dv, table.n_v)
-    fu = (u - u0) / du
-    fv = (v - v0) / dv
+    """Bilinear (lambda, beta, delta) at phases (u, v) in range, as a tuple.
+
+    Each axis is located in grid coordinates: the phase over the spacing,
+    its integer part clamped to the last interval, and the fraction left."""
+    x = u / (table.planet.P / table.n_u)
+    y = v / (table.earth.P / table.n_v)
+    iu = min(int(x), table.n_u - 1)
+    iv = min(int(y), table.n_v - 1)
+    fu = x - iu
+    fv = y - iv
     iu1 = iu + 1 if iu + 1 < table.n_u else 0
     iv1 = iv + 1 if iv + 1 < table.n_v else 0
 

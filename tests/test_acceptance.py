@@ -21,7 +21,7 @@ from urania import (
     compile_plan,
     counted_query,
     geocentric_at,
-    lookup_double,
+    lookup_grid,
     lookup_planet,
     position_since_aphelion,
     read_table,
@@ -104,7 +104,7 @@ def test_criterion_4_knot_exactness(default_tables):
     for table in default_tables.double.values():
         for iu in range(table.n_u):
             for iv in range(table.n_v):
-                got = lookup_double(table, iu * table.du, iv * table.dv)
+                got = lookup_grid(table, float(iu), float(iv))
                 assert list(map(float.hex, got)) == list(map(float.hex, table.cells[iu][iv]))
                 cells_checked += 1
     assert rows_checked == 16459 and cells_checked == 20480

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from urania import (
     heliocentric_at_table,
     load_tables,
     lookup_double,
+    lookup_grid,
     lookup_planet,
     position_since_aphelion,
     write_table,
@@ -96,6 +98,56 @@ def test_last_interval_interpolates_radius_to_wrap():
     assert 0.0 <= nu < 360.0
 
 
+@pytest.mark.parametrize("step", [0.7, 1.3])
+def test_rows_whose_quotient_rounds_a_row_off_return_their_values(step):
+    # At these steps int((k*step)/step) is k - 1 at some rows, and the float
+    # just below k*step divides to k at others: _locate nudges both into the
+    # interval that holds them, so each row's own abscissa returns its values.
+    table = build_planet_table(make_el(P=50.0), step)
+    n = len(table.rows)
+    rounded_low = rounded_up = 0
+    for k, row in enumerate(table.rows):
+        assert _hex(lookup_planet(table, row.t)) == _hex((row.nu_aph, row.r))
+        assert evaluate._locate(row.t, step, n) == (k, row.t)
+        rounded_low += int(row.t / step) == k - 1
+        below = math.nextafter(row.t, 0.0)
+        if k and below / step >= k:
+            assert evaluate._locate(below, step, n) == (k - 1, table.rows[k - 1].t)
+            rounded_up += 1
+    assert rounded_low >= 3 and rounded_up >= 3
+
+
+def _never_returned(signum, frame):
+    raise TimeoutError("the lookup did not return: it folds 360 degrees at a time")
+
+
+def test_an_anomaly_advanced_by_many_turns_folds_at_once(tmp_path):
+    # 8 rows 7.5e9 days apart and 180 degrees a day in row 0: every reader
+    # check passes, and near the end of row 0's interval the anomaly runs
+    # about 1.3e12 degrees past the row, which must fold in one step rather
+    # than 360 degrees at a time.
+    table = build_planet_table(make_el(name="far", P=6e10), 6e10 / 8)
+    table.rows[0] = table.rows[0]._replace(motion_per_day=180.0, motion_per_hour=7.5)
+    path = tmp_path / tableio.table_filename(table)
+    write_table(table, path)
+    table = tableio.read_table(path)
+    t = 0.999 * table.step
+    counter = OpCounter()
+    previous = signal.signal(signal.SIGALRM, _never_returned)
+    signal.alarm(60)
+    try:
+        nu, r = twin("lookup_planet")(counter, table, t)
+        assert (nu, r) == lookup_planet(table, t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    whole_days = float(math.floor(t))
+    turns = table.rows[0].nu_aph + (whole_days * 180.0 + (t - whole_days) * 24.0 * 7.5)
+    assert turns > 1e12
+    assert nu == math.fmod(turns, 360.0)
+    assert counter.adds < 20
+
+
 # ---------------------------------------------------------------------------
 # lookup_double
 # ---------------------------------------------------------------------------
@@ -109,7 +161,7 @@ def test_knot_identity_double(dataset):
     table = build_double_entry(dataset["jupiter"], dataset["earth"], 16, 16)
     for iu in range(table.n_u):
         for iv in range(table.n_v):
-            got = lookup_double(table, iu * table.du, iv * table.dv)
+            got = lookup_grid(table, float(iu), float(iv))
             assert _hex(got) == _hex(table.cells[iu][iv])
 
 
@@ -127,7 +179,7 @@ def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v)
     for iu in range(n_u):
         for iv in range(n_v):
             cell = table.cells[iu][iv]
-            assert _hex(lookup_double(table, iu * du, iv * dv)) == _hex(cell)
+            assert _hex(lookup_grid(table, float(iu), float(iv))) == _hex(cell)
             want = reduce_rect(heliocentric_xyz(planet, planet_frame, iu * du),
                                heliocentric_xyz(earth, earth_frame, iv * dv))
             assert _hex(cell) == _hex(want)
@@ -153,18 +205,17 @@ def test_knot_returns_a_stored_negative_zero_latitude():
     # -0.0 * 1.0 + 0.0 * x rounds to +0.0: the sum alone loses the sign
     table = wrap_seam_table()
     table.cells[3][5] = (10.0, -0.0, 1.5)
-    u, v = 3 * table.du, 5 * table.dv
-    assert _hex(lookup_double(table, u, v)) == _hex((10.0, -0.0, 1.5))
-    assert _hex(twin("lookup_double")(OpCounter(), table, u, v)) == _hex((10.0, -0.0, 1.5))
+    assert _hex(lookup_grid(table, 3.0, 5.0)) == _hex((10.0, -0.0, 1.5))
+    assert _hex(twin("lookup_grid")(OpCounter(), table, 3.0, 5.0)) == _hex((10.0, -0.0, 1.5))
 
 
 @functools.cache
 def _counted_reference():
     """The counted twin of the reference lookup, derived as the engine's are,
-    calling the counted twins of the engine's _locate and _renormalize."""
-    namespace = dict(vars(oracles), _locate=twin("_locate"), _renormalize=twin("_renormalize"))
+    calling the counted twin of the engine's _renormalize."""
+    namespace = dict(vars(oracles), _renormalize=twin("_renormalize"))
     derive_counted(inspect.getsource(oracles), ("ref_wrap180", "ref_lookup_double"), namespace,
-                   ("ref_wrap180", "_locate", "_renormalize"))
+                   ("ref_wrap180", "_renormalize"))
     return namespace["ref_lookup_double"]
 
 
@@ -177,13 +228,13 @@ def assert_flat_lookup_is_the_reference(table, u, v):
     assert _hex(twin("lookup_double")(counter, table, u, v)) == _hex(got)
     want = _counted_reference()(ref_counter, table, u, v)
     assert _hex(want) == _hex(oracles.ref_lookup_double(table, u, v))
-    iu, u0 = evaluate._locate(u, table.du, table.n_u)
-    iv, v0 = evaluate._locate(v, table.dv, table.n_v)
-    if (u - u0) / table.du == 0.0 and (v - v0) / table.dv == 0.0:
-        # weights (1, 0, 0, 0), at a knot or a fraction that underflows: the
-        # stored cell, where the reference may turn -0.0 into +0.0
-        assert want == table.cells[iu][iv]
-        want = table.cells[iu][iv]
+    x, y = u / table.du, v / table.dv
+    if x == int(x) < table.n_u and y == int(y) < table.n_v:
+        # weights (1, 0, 0, 0), at a knot in grid coordinates: the stored
+        # cell, where the reference may turn -0.0 into +0.0
+        cell = table.cells[int(x)][int(y)]
+        assert want == cell
+        want = cell
     assert _hex(got) == _hex(want), (u, v)
     ref_counter.muls -= 2
     assert counter == ref_counter
@@ -321,6 +372,43 @@ def test_lookup_double_rejects_out_of_range(dataset):
             lookup_double(table, bad, 0.0)
         with pytest.raises(DomainError):
             lookup_double(table, 0.0, bad)
+    for x, y in ((-0.5, 0.0), (8.5, 0.0), (0.0, -1e-300), (0.0, 9.0), (math.nan, 0.0)):
+        with pytest.raises(DomainError, match="grid coordinate"):
+            lookup_grid(table, x, y)
+
+
+PLANETS = ("mercury", "venus", "mars", "jupiter", "saturn")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PLANETS),
+       st.one_of(st.floats(2.3e6, 2.6e6), st.floats(-6.8e10, 6.8e10)))
+def test_a_table_query_is_two_phases_and_one_lookup(default_tables, planet, jd):
+    # the composition the perfbench harness times and checks, bit for bit
+    table = default_tables.double_for(planet)
+    u = phase_days(None, jd, table.planet.T_aph, table.planet.P)
+    v = phase_days(None, jd, table.earth.T_aph, table.earth.P)
+    want = _hex(geocentric_at_table(default_tables, planet, jd))
+    assert _hex(lookup_double(table, u, v)) == want
+    assert _hex(lookup_grid(table, u / table.du, v / table.dv)) == want
+
+
+def test_the_last_phase_below_the_period_reads_the_wrap_column(dataset):
+    # At 21 x 11, the largest phase below each period divides to n: the
+    # lookup clamps it to the last interval at weight 1, the wrap knot.
+    table = build_double_entry(dataset["mars"], dataset["earth"], 21, 11)
+    u = math.nextafter(table.planet.P, 0.0)
+    v = math.nextafter(table.earth.P, 0.0)
+    assert u / table.du == table.n_u and v / table.dv == table.n_v
+    assert lookup_double(table, u, 0.0) == lookup_grid(table, 21.0, 0.0)
+    wrapped = [(lookup_double(table, u, 0.0), 0), (lookup_double(table, u, v), 0),
+               (lookup_double(table, 0.0, v), 0)]
+    wrapped += [(lookup_grid(table, 21.0, float(iv)), iv) for iv in range(table.n_v)]
+    for got, iv in wrapped:
+        lam, beta, delta = table.cells[0][iv]
+        assert 0.0 <= got.lam < 360.0
+        assert wrap_abs_deg(got.lam, lam) < 1e-12
+        assert abs(got.beta - beta) < 1e-12 and abs(got.delta - delta) < 1e-12
 
 
 def test_longitude_continuity_across_cells(dataset):

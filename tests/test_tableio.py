@@ -197,6 +197,18 @@ def test_motion_beyond_the_stencils_half_turn_is_rejected(tmp_path):
             read_table(written(tmp_path, table))
 
 
+def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
+    # A row's motion of at most 180 degrees a day, over a step of P/8 days,
+    # must advance the anomaly by a finite amount for the lookup to fold it.
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace(",96.0,", ",1e307,").replace(
+        "# step: 4.0\n", "# step: 1.25e306\n"))
+    with pytest.raises(TableParseError, match=r"P < 2\*\*36"):
+        read_table(path)
+    with pytest.raises(DomainError, match=r"P < 2\*\*36"):
+        build_planet_table(make_el(P=2.0**36), 2.0**33)
+
+
 def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
     table = single_table()
     fifth, sixth = table.rows[5], table.rows[6]
