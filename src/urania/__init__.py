@@ -16,7 +16,7 @@ import importlib
 # Public name -> the module that defines it.
 _EXPORTS = {
     "angles": ("aphelion_shift", "normalize_deg", "wrap_diff_deg"),
-    "compare": ("double_errors", "single_errors", "sweep", "synodic_period"),
+    "compare": ("double_errors", "single_errors", "sweep"),
     "dataset": ("ElementsDataset", "default_elements_path", "load_elements"),
     "errors": (
         "DegenerateGeometryError",

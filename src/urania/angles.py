@@ -20,19 +20,20 @@ def normalize_deg(x: float) -> float:
     """Reduce ``x`` to the equivalent angle in [0, 360).
 
     Values already in range are returned unchanged (bit-exact), which keeps
-    table knots stable under repeated normalization.
+    table knots stable under repeated normalization. A value far outside
+    [0, 360) is folded by ``fmod`` first, so the loops below run at most
+    once: a single-entry row may advance its anomaly by up to 180 degrees a
+    day over a step of any length.
     """
     if not math.isfinite(x):
         raise DomainError(f"angle must be finite, got {x!r}")
-    if 0.0 <= x < 360.0:
-        return x
-    y = math.fmod(x, 360.0)
-    if y < 0.0:
-        y += 360.0
-    if y >= 360.0:
-        # the += above can round to exactly 360 for tiny negative inputs
-        y = 0.0
-    return y
+    if not -360.0 <= x < 720.0:
+        x = math.fmod(x, 360.0)
+    while x < 0.0:
+        x += 360.0
+    while x >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
+        x -= 360.0
+    return x
 
 
 def wrap_diff_deg(a: float, b: float) -> float:

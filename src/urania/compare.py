@@ -15,14 +15,7 @@ from .geocentric import geocentric_at
 from .kepler import OrbitalElements, position_since_aphelion
 from .tables import DoubleEntryTable, PlanetTable
 
-__all__ = ["double_errors", "single_errors", "sweep", "synodic_period"]
-
-
-def synodic_period(p_inner: float, p_outer: float) -> float:
-    """Period between repeats of the same relative configuration."""
-    if p_inner == p_outer:
-        raise DomainError("synodic period undefined for equal periods")
-    return abs(1.0 / (1.0 / p_inner - 1.0 / p_outer))
+__all__ = ["double_errors", "single_errors", "sweep"]
 
 
 def double_errors(planet_el: OrbitalElements, earth_el: OrbitalElements, table: DoubleEntryTable):

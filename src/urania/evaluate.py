@@ -15,6 +15,7 @@ import functools
 import math
 from pathlib import Path
 
+from .angles import normalize_deg
 from .errors import DomainError, TableNotFoundError
 from .geocentric import GeocentricPosition, _new_tuple
 from .kepler import MAX_ELAPSED_DAYS
@@ -133,22 +134,6 @@ def _locate(x: float, dx: float, n: int):
     return i, x0
 
 
-def _renormalize(angle: float) -> float:
-    """Bounded arithmetic normalization for interpolation results.
-
-    A value far outside [0, 360) is folded by ``fmod`` first, so the loops
-    below run at most once: a single-entry row may advance its anomaly by up
-    to 180 degrees a day over a step of any length.
-    """
-    if not -360.0 <= angle < 720.0:
-        angle = math.fmod(angle, 360.0)
-    while angle < 0.0:
-        angle += 360.0
-    while angle >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
-        angle -= 360.0
-    return angle
-
-
 def lookup_planet(table: "PlanetTable", t: float):
     """(true anomaly from aphelion deg, radius AU) at ``t`` days past aphelion.
 
@@ -168,7 +153,7 @@ def lookup_planet(table: "PlanetTable", t: float):
     hours = (dt - whole_days) * 24.0
 
     row = table.rows[idx]
-    nu = _renormalize(row.nu_aph + (whole_days * row.motion_per_day + hours * row.motion_per_hour))
+    nu = normalize_deg(row.nu_aph + (whole_days * row.motion_per_day + hours * row.motion_per_hour))
     if idx + 1 < n:
         nxt = table.rows[idx + 1]
         gap = nxt.t - row.t
@@ -214,7 +199,7 @@ def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosi
     so a 359 -> 1 degree seam interpolates through 0, never through 180. One
     body, for speed: each corner's longitude offset is folded into
     (-180, 180] and the sum renormalized into [0, 360) inline. The tests
-    hold it to a reference lookup that calls ``_renormalize``
+    hold it to a reference lookup that calls ``angles.normalize_deg``
     (tests/oracles.py): the same bits and the same tally.
     """
     n_u = table.n_u

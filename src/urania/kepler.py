@@ -276,13 +276,10 @@ def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:
         math.sqrt(1.0 + el.e) * math.sin(half),
         math.sqrt(1.0 - el.e) * math.cos(half),
     )
-    M_aph = E_aph + el.e * math.sin(E_aph)  # radians in [0, 2*pi)
-    t = M_aph * RAD2DEG / 360.0 * el.P
-    if t < 0.0:
-        t = 0.0
-    elif t >= el.P:
-        t -= el.P
-    return t
+    # for nu in [0, 360), 2*atan2 of a y >= 0 puts E_aph, and so M_aph, in
+    # [0, 2*pi), and t in [0, P): no fold needed
+    M_aph = E_aph + el.e * math.sin(E_aph)
+    return M_aph * RAD2DEG / 360.0 * el.P
 
 
 # From here on, the pre-lean chain that heliocentric_xyz replaced: no query

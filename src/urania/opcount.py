@@ -223,9 +223,8 @@ _CHAIN = {
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
     "tables": ("row_count", "stencil_points", "_check_single", "_check_monotone_rows",
                "build_planet_table", "build_double_entry"),
-    "evaluate": ("_locate", "_renormalize", "phase_days", "lookup_planet",
-                 "lookup_double", "lookup_grid", "geocentric_at_table",
-                 "heliocentric_at_table"),
+    "evaluate": ("_locate", "phase_days", "lookup_planet", "lookup_double", "lookup_grid",
+                 "geocentric_at_table", "heliocentric_at_table"),
 }
 _MODULE_OF = {name: module_name for module_name, names in _CHAIN.items() for name in names}
 

@@ -34,6 +34,7 @@ from .dataset import elements_from_row, elements_row
 from .errors import TableParseError, TableVersionError
 from .tables import DoubleEntryTable, PlanetTable, TableRow, parse_shape, row_count
 from .tables import _check_double, _check_monotone_rows, _check_periodic, _check_single
+from .tables import _check_single_body
 
 __all__ = [
     "FORMAT_VERSION",
@@ -229,13 +230,13 @@ def _invalid(what, path, line=None):
         raise TableParseError(f"invalid {what}: {exc}", path=path, line=line) from None
 
 
-def _elements(headers, key, path):
+def _elements(headers, key, path, check=_check_periodic):
     """The elements of the body whose CSV row is header ``key``, refused
-    if a table cannot hold them."""
+    at that line if ``check`` refuses them."""
     row, line = _require(headers, key, path)
     with _invalid(f"{key} header", path, line):
         el = elements_from_row(row.split(","))
-        _check_periodic(el)
+        check(el)
     return el
 
 
@@ -258,7 +259,7 @@ def _triples(values, count, what, columns, path):
 
 
 def _read_single(path, headers, values):
-    el = _elements(headers, "body", path)
+    el = _elements(headers, "body", path, _check_single_body)
     text, line = _require(headers, "step", path)
     with _invalid("step header", path, line):
         step = float(text)

@@ -166,13 +166,17 @@ def _check_stencil(el: OrbitalElements) -> None:
         )
 
 
-def _check_single(el: OrbitalElements, step: float) -> None:
+def _check_single_body(el: OrbitalElements) -> None:
     _check_periodic(el)
     # Every row's stencil then lies in the direct chain's domain, and a
     # lookup's advance of at most 180 degrees a day over a step stays finite.
     if not el.P < MAX_ELAPSED_DAYS:
         raise DomainError(f"{el.name}: a single-entry table needs P < 2**36 days, got {el.P!r}")
     _check_stencil(el)
+
+
+def _check_single(el: OrbitalElements, step: float) -> None:
+    _check_single_body(el)
     max_step = el.P / 8.0
     # At most 2**20 rows, which bounds the compiler's loops and the reader's
     # payload. An int-literal divisor is free in the tally, as bookkeeping is.

@@ -6,9 +6,8 @@ the coordinate chain is recomputed from scratch in mpmath, and calendar
 conversions come from the standard library's proleptic Gregorian ordinal.
 The double-entry table lookup is kept as it was written before it became one
 flat body: grid spacing recomputed per call, the offset fold as a function of
-its own, and the engine's own factored step ``evaluate._renormalize`` as a
-call, so the flat body's inline copies are checked against the one factored
-source.
+its own, and the engine's own ``angles.normalize_deg`` as a call, so the flat
+body's inline copies are checked against the one factored source.
 """
 
 import datetime
@@ -16,7 +15,7 @@ import math
 
 import mpmath as mp
 
-from urania.evaluate import _renormalize
+from urania.angles import normalize_deg
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,7 +136,7 @@ def wrap_abs_deg(a, b) -> float:
 
 # ---------------------------------------------------------------------------
 # The double-entry lookup as it was written before it became one flat body,
-# on the engine's own _renormalize. Plain float code in the engine's own
+# on the engine's own normalize_deg. Plain float code in the engine's own
 # style, so opcount can derive its counted twin too.
 # ---------------------------------------------------------------------------
 
@@ -180,7 +179,7 @@ def ref_lookup_double(table, u: float, v: float):
     d10 = ref_wrap180(c10[0] - c00[0])
     d01 = ref_wrap180(c01[0] - c00[0])
     d11 = ref_wrap180(c11[0] - c00[0])
-    lam = _renormalize(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
+    lam = normalize_deg(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
     beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
     delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
     return lam, beta, delta

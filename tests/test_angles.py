@@ -28,8 +28,9 @@ def test_normalize_range_and_congruence():
 
 
 def test_normalize_tiny_negative():
-    y = normalize_deg(-1e-18)
-    assert 0.0 <= y < 360.0
+    # -1e-15 + 360.0 rounds to 360.0, which folds to 0.0
+    assert normalize_deg(-1e-15) == 0.0
+    assert normalize_deg(-1e-18) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -38,7 +39,8 @@ def test_normalize_rejects_nonfinite(bad):
         normalize_deg(bad)
 
 
-@pytest.mark.parametrize("a,b,expected", [(10.0, 350.0, 20.0), (350.0, 10.0, -20.0), (180.0, 0.0, 180.0)])
+@pytest.mark.parametrize("a,b,expected", [(10.0, 350.0, 20.0), (350.0, 10.0, -20.0), (180.0, 0.0, 180.0),
+                                          (725.0, -5.0, 10.0)])
 def test_wrap_diff_basic(a, b, expected):
     assert wrap_diff_deg(a, b) == pytest.approx(expected, abs=1e-12)
 

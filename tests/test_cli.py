@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import urania
 from conftest import reseal
 from urania import (
+    DomainError,
     DoubleEntryTable,
     OpCounter,
     TableParseError,
@@ -23,6 +26,7 @@ from urania import (
     lookup_planet,
     position_since_aphelion,
     read_table,
+    sweep,
     table_filename,
     wrap_diff_deg,
     write_table,
@@ -103,15 +107,6 @@ def test_gen_bad_config_writes_nothing(tmp_path, capsys, config):
     assert code == 2
     assert "8x8" in err or "P/8" in err
     assert list(tmp_path.glob("*.tbl")) == []
-
-
-def test_gen_all_with_double(table_dir):
-    singles = sorted(p.name for p in table_dir.glob("*.single.tbl"))
-    doubles = sorted(p.name for p in table_dir.glob("*.double.tbl"))
-    assert len(singles) == 6
-    assert len(doubles) == 5
-    assert "earth.single.tbl" in singles
-    assert all(name.endswith(".earth.double.tbl") for name in doubles)
 
 
 def test_gen_requires_selection(tmp_path, capsys):
@@ -240,6 +235,8 @@ def test_query_refuses_jds_beyond_the_elapsed_bound(capsys, table_dir, mode):
         assert code == 2
         assert out == ""
         assert "outside the valid domain" in err
+    code, out, err = run(capsys, *args, "--jd=nan")
+    assert (code, out) == (2, "") and "--jd must be finite" in err
 
 
 def test_direct_heliocentric_radius_is_the_solved_radius(capsys, dataset):
@@ -252,20 +249,13 @@ def test_direct_heliocentric_radius_is_the_solved_radius(capsys, dataset):
         assert json.loads(out)["helio_r"] == position_since_aphelion(el, jd - el.T_aph)[1]
 
 
-def test_query_deterministic(capsys):
-    args = ("query", "--mode", "direct", "--planet", "jupiter", "--jd", "2455555.25",
-            "--count-ops", "--no-timestamp")
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
-
-
 def test_query_date_equals_jd(capsys):
-    _, by_jd, _ = run(capsys, "query", "--mode", "direct", "--planet", "saturn",
-                      "--jd", "2451545.0", "--no-timestamp")
-    _, by_date, _ = run(capsys, "query", "--mode", "direct", "--planet", "saturn",
-                        "--date", "2000-01-01T12:00", "--no-timestamp")
-    assert by_jd == by_date
+    args = ("query", "--mode", "direct", "--planet", "mercury", "--json", "--no-timestamp")
+    jd = repr(2451544.5 + (((6 * 60 + 30) * 60 + 15) + 0.5) / 86400.0)
+    assert run(capsys, *args, "--jd", jd) == run(capsys, *args, "--date", "2000-01-01T06:30:15.500")
+    for date in ("noon", "2000-01-01T12:00+01:00"):
+        code, out, err = run(capsys, *args, "--date", date)
+        assert (code, out) == (2, "") and ("ISO date-time" in err or "naive" in err)
 
 
 def test_query_table_mode(capsys, table_dir):
@@ -519,6 +509,9 @@ def test_compare_report_is_pinned(capsys, dataset, kind):
 
     errors = _compare_errors(dataset, kind)
     jd_start, span, samples = 2451545.0, 700.0, 300
+    for empty in ((jd_start, jd_start, samples), (jd_start, jd_start + span, 0)):
+        with pytest.raises(DomainError, match="jd_end must exceed|samples must be >= 1"):
+            sweep(errors, *empty)
     maxes = dict.fromkeys(columns, 0.0)
     sums = dict.fromkeys(columns, 0.0)
     for i in range(samples):
@@ -582,11 +575,13 @@ def test_bench_reports_the_frame_tally_next_to_the_direct_one(capsys, table_dir)
 
 
 def test_bench_deterministic(capsys, table_dir):
-    args = ("bench", "--queries", "120", "--seed", "5", "--table-dir", str(table_dir),
-            "--no-timestamp")
-    _, first, _ = run(capsys, *args)
-    _, second, _ = run(capsys, *args)
-    assert first == second
+    # what --no-timestamp leaves out: the generated line and each mode's wall time
+    args = ("bench", "--queries", "120", "--seed", "5", "--table-dir", str(table_dir))
+    _, stamped, _ = run(capsys, *args)
+    _, plain, _ = run(capsys, *args, "--no-timestamp")
+    generated, rest = stamped.split("\n", 1)
+    assert generated.startswith("generated: ")
+    assert re.sub(r" wall=[0-9.]+s", "", rest) == plain != rest
 
 
 # Every query gets one tally per mode, healthy except for the broken contract.
@@ -772,6 +767,8 @@ def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
         code, out, _ = run(capsys, *argv, "--double", "none", "--elements", str(csv))
         assert code == 0
         assert "cells=0" in out
+    code, out, _ = run(capsys, "validate", "--elements", str(csv), "--table-dir", str(tmp_path))
+    assert code == 1 and "FAIL elements-dataset: dataset lacks an 'earth' entry" in out
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +782,27 @@ def test_validate_fresh_checkout(capsys, tmp_path):
     assert "PASS solver-grid-residual" in out
     assert "PASS zero-transcendental-sweep" in out
     assert "all" in out and "passed" in out
+
+
+def _nudged(value):
+    """``value`` a float, or a tuple whose last float, moved by 1e-6."""
+    return value + 1e-6 if isinstance(value, float) else (*value[:-1], value[-1] + 1e-6)
+
+
+@pytest.mark.parametrize("module, name, check", [
+    ("kepler", "solve_kepler", "solver-grid-residual"),
+    ("juliandate", "jd_to_calendar", "calendar-round-trip"),
+    ("kepler", "time_since_aphelion", "anomaly-round-trip"),
+    ("evaluate", "lookup_planet", "knot-exactness"),
+    ("evaluate", "lookup_grid", "knot-exactness"),
+])
+def test_validate_flags_each_failing_self_check(capsys, tmp_path, monkeypatch, module, name, check):
+    module = importlib.import_module(f"urania.{module}")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: _nudged(real(*args)))
+    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+    assert code == 1
+    assert f"FAIL {check}: " in out
 
 
 @pytest.mark.parametrize("flag", ["--json", "--no-timestamp"])
@@ -845,6 +863,7 @@ def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
     assert code == 1
     assert "FAIL serialization-round-trip" in out
+    assert out.splitlines()[-1] == "1 of 8 checks failed"
 
 
 def test_env_var_table_dir(capsys, table_dir, monkeypatch):

@@ -96,8 +96,27 @@ def test_invalid_name_rejected(tmp_path):
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="no header row"):
         load_elements(path)
+    with pytest.raises(ParseError, match="no element rows"):
+        load_elements(write(tmp_path, []))
+
+
+TRIPLES = ",amp1_deg,per1_days,ph1_deg,amp2_deg,per2_days,ph2_deg"
+ROW = "mars,1.5,0.1,1.0,0,0,687,2451545"
+
+
+@pytest.mark.parametrize("header, row, message", [
+    (HEADER + ",amp1_deg,per1_days", ROW, "amp/per/ph triples"),
+    (HEADER + ",amp1_deg,per1_days,x1", ROW, r"columns \['amp1_deg', 'per1_days', 'x1'\]"),
+    (HEADER, ROW + ",0.25,4000,30", "expected 8 to 8 columns, got 11"),
+    (HEADER, "mars,1.5,0.1,1.0,inf,0,687,2451545", "column Omega_deg must be finite"),
+    (HEADER + TRIPLES, ROW + ",0.25,4000,30,0.1,,5", "correction term 2 must set"),
+    (HEADER + TRIPLES, ROW + ",0.25,4000,30,0.1,x,5", "column per2 is not a number"),
+])
+def test_a_malformed_row_or_header_names_its_fault(tmp_path, header, row, message):
+    with pytest.raises(ParseError, match=message):
+        load_elements(write(tmp_path, [row], header=header))
 
 
 def test_text_that_is_not_utf8_names_its_line(tmp_path):

@@ -115,6 +115,8 @@ def test_rows_whose_quotient_rounds_a_row_off_return_their_values(step):
             assert evaluate._locate(below, step, n) == (k - 1, table.rows[k - 1].t)
             rounded_up += 1
     assert rounded_low >= 3 and rounded_up >= 3
+    # the last phase below P can divide to n itself, which is clamped to the last row
+    assert evaluate._locate(math.nextafter(10.0, 0.0), 10.0 / 39, 39) == (38, 38 * (10.0 / 39))
 
 
 def _never_returned(signum, frame):
@@ -212,10 +214,10 @@ def test_knot_returns_a_stored_negative_zero_latitude():
 @functools.cache
 def _counted_reference():
     """The counted twin of the reference lookup, derived as the engine's are,
-    calling the counted twin of the engine's _renormalize."""
-    namespace = dict(vars(oracles), _renormalize=twin("_renormalize"))
+    calling the counted twin of the engine's normalize_deg."""
+    namespace = dict(vars(oracles), normalize_deg=twin("normalize_deg"))
     derive_counted(inspect.getsource(oracles), ("ref_wrap180", "ref_lookup_double"), namespace,
-                   ("ref_wrap180", "_renormalize"))
+                   ("ref_wrap180", "normalize_deg"))
     return namespace["ref_lookup_double"]
 
 
@@ -298,7 +300,8 @@ def test_flat_lookup_is_the_reference_on_the_seam_table(corners, data):
 
 
 def test_flat_lookup_folds_offsets_of_exactly_180_as_the_reference():
-    for lams in itertools.product([0.0, 180.0], repeat=4):
+    # and offsets just past 180, which fold
+    for lams in itertools.product([0.0, 180.0, 180.5], repeat=4):
         table = tiled_seam_table([(lam, 0.5, 2.0) for lam in lams])
         for fu, fv in ((0.5, 0.5), (0.25, 0.75), (1.5, 0.0)):
             assert_flat_lookup_is_the_reference(table, fu * table.du, fv * table.dv)
@@ -363,8 +366,8 @@ def test_double_lookup_matches_direct_between_knots(dataset):
 
 def test_lookup_double_rejects_out_of_range(dataset):
     table = build_double_entry(dataset["mars"], dataset["earth"], 8, 8)
-    with pytest.raises(DomainError):
-        lookup_double(table, -1.0, 0.0)
+    with pytest.raises(DomainError):  # u = P would divide to the wrap column
+        lookup_double(table, dataset["mars"].P, 0.0)
     with pytest.raises(DomainError):
         lookup_double(table, 0.0, dataset["earth"].P)
     for bad in (math.nan, math.inf, -math.inf):
@@ -411,19 +414,6 @@ def test_the_last_phase_below_the_period_reads_the_wrap_column(dataset):
         assert abs(got.beta - beta) < 1e-12 and abs(got.delta - delta) < 1e-12
 
 
-def test_longitude_continuity_across_cells(dataset):
-    jupiter, earth = dataset["jupiter"], dataset["earth"]
-    table = build_double_entry(jupiter, earth, 64, 64)
-    tables = TableSet()
-    tables.add(table)
-    jd0 = 2451545.0
-    prev = geocentric_at_table(tables, "jupiter", jd0).lam
-    for k in range(1, 2000):
-        cur = geocentric_at_table(tables, "jupiter", jd0 + 0.25 * k).lam
-        assert wrap_abs_deg(cur, prev) < 0.2  # no seam artifacts near 0/360
-        prev = cur
-
-
 # ---------------------------------------------------------------------------
 # composite queries and counting
 # ---------------------------------------------------------------------------
@@ -436,26 +426,6 @@ def test_grid_node_jd_returns_cell_verbatim():
     tables.add(build_double_entry(planet, earth, 8, 8))
     pos = geocentric_at_table(tables, "outer", 2451545.0)  # phases (0, 0)
     assert (pos.lam, pos.beta, pos.delta) == tables.double["outer"].cells[0][0]
-
-
-def test_determinism_same_query_same_counts(default_tables):
-    jd = 2451823.625
-    a, ca = counted_query("table", "saturn", jd, tables=default_tables)
-    b, cb = counted_query("table", "saturn", jd, tables=default_tables)
-    assert a == b
-    assert ca.as_dict() == cb.as_dict()
-
-
-def test_counted_direct_matches_pure_chain(dataset):
-    rng = random.Random(77)
-    bodies = [n for n in dataset.names if n != "earth"]
-    earth = dataset["earth"]
-    for _ in range(300):
-        planet = dataset[rng.choice(bodies)]
-        jd = 2451545.0 + rng.uniform(-40000.0, 40000.0)
-        pure = geocentric_at(planet, earth, jd)
-        counted, _ = counted_query("direct", planet.name, jd, dataset=dataset)
-        assert counted == pure  # bit-identical: the counted chain is derived from this one
 
 
 def test_table_mode_counts(default_tables, dataset):
@@ -477,6 +447,10 @@ def test_missing_table_names_pair(default_tables):
 def test_counted_query_rejects_unknown_mode(dataset):
     with pytest.raises(DomainError):
         counted_query("hybrid", "mars", 2451545.0, dataset=dataset)
+    with pytest.raises(DomainError, match="table mode requires loaded tables"):
+        counted_query("table", "mars", 2451545.0, dataset=dataset)
+    with pytest.raises(DomainError, match="direct mode requires an elements dataset"):
+        counted_query("direct", "mars", 2451545.0)
 
 
 def test_heliocentric_at_table_hits_knots(dataset):
@@ -491,15 +465,11 @@ def test_heliocentric_at_table_hits_knots(dataset):
 
 
 def test_phase_days_reduces_into_period():
-    c = OpCounter()
-    rng = random.Random(6)
-    for _ in range(500):
-        P = rng.uniform(10.0, 1e4)
-        T = 2451545.0 + rng.uniform(-1e6, 1e6)
-        jd = 2451545.0 + rng.uniform(-1e6, 1e6)
-        u = twin("phase_days")(c, None, jd, T, P)
-        assert 0.0 <= u < P
-    assert c.transcendental_calls == 0
+    # where dt / P rounds up to an integer, where dt + P rounds to P, and a
+    # period under a day
+    assert 0.0 <= phase_days(None, -418466965.9310731, 0.0, 3089.6624060002) < 3089.6624060002
+    assert phase_days(None, -1e-20, 0.0, 687.0) == 0.0
+    assert phase_days(None, 10.25, 0.0, 0.5) == 0.25
 
 
 @settings(max_examples=500, deadline=None)
@@ -572,6 +542,8 @@ def test_table_set_rejects_a_second_table_for_a_key(dataset):
         tables.add(build_planet_table(dataset["mars"], 2.0))
     with pytest.raises(DomainError, match="mars"):
         tables.add(build_double_entry(dataset["mars"], dataset["earth"], 8, 8))
+    with pytest.raises(TypeError, match="cannot hold str"):
+        tables.add("mars")
 
 
 def write_pairs(directory, dataset, planets):
@@ -601,8 +573,12 @@ def test_load_tables_reads_one_file_per_table_used(tmp_path, dataset, monkeypatc
     heliocentric_at_table(tables, "mars", 2451545.0)
     assert read == ["mars.earth.double.tbl", "mars.single.tbl"]
     assert list(tables.double) == ["mars"] and list(tables.single) == ["mars"]
-    with pytest.raises(TableNotFoundError, match="jupiter"):
+    with pytest.raises(TableNotFoundError, match="no double-entry table loaded for the pair jupiter"):
         tables.double_for("jupiter")
+    with pytest.raises(TableNotFoundError, match="no single-entry table loaded for 'jupiter'"):
+        tables.single_for("jupiter")
+    with pytest.raises(FileNotFoundError, match="does not exist"):
+        load_tables(tmp_path / "missing")
     (tmp_path / "sub").mkdir()
     with pytest.raises(TableNotFoundError):
         load_tables(tmp_path / "sub").double_for("../mars")

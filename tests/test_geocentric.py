@@ -34,6 +34,8 @@ def test_rect_axis_cases():
 
 def test_spherical_axis_case():
     assert rect_to_spherical((1.0, 0.0, 0.0)) == (0.0, 0.0, 1.0)
+    assert rect_to_spherical((-1.0, 0.0, 0.0)) == (180.0, 0.0, 1.0)  # y = 0, not a pole
+    assert rect_to_spherical((0.0, 1.0, 0.0)) == (90.0, 0.0, 1.0)  # x = 0, not a pole
 
 
 def test_spherical_pole_convention():
@@ -41,6 +43,10 @@ def test_spherical_pole_convention():
     assert lam == 0.0
     assert beta == 90.0
     assert delta == 2.0
+    assert rect_to_spherical((-0.0, -0.0, 2.0))[0] == 0.0  # atan2 would say 180
+    # z*z is subnormal here, and z/d rounds above 1, which asin refuses
+    assert rect_to_spherical((0.0, 0.0, 1e-160))[1] == 90.0
+    assert rect_to_spherical((0.0, 0.0, -1e-160))[1] == -90.0
 
 
 def test_spherical_frozen_value():
@@ -107,6 +113,9 @@ def test_quadrature_frozen_value():
 def test_coincident_positions_rejected():
     with pytest.raises(DegenerateGeometryError):
         reduce_rect(state(12.0, 3.0, 1.5), state(12.0, 3.0, 1.5))
+    # a direction exists, but below COINCIDENCE_AU it means nothing
+    with pytest.raises(DegenerateGeometryError, match="coincide"):
+        reduce_rect((1e-13, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 def test_translation_consistency():

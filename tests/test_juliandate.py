@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ def test_j2000_noon():
 
 
 def test_j2000_midnight():
-    assert calendar_to_jd(2000, 1, 1, 0.0) == 2451544.5
+    assert calendar_to_jd(2000, 1, 1, 0.0) == calendar_to_jd(2000, 1, 1) == 2451544.5
     assert jd_from_date(2000, 1, 1, 0.0) == 2451544.5
 
 
@@ -32,6 +33,9 @@ def test_inverse_of_calendar():
     y, m, d, f = jd_to_calendar(2451544.5)
     assert (y, m, d) == (2000, 1, 1)
     assert f == 0.0
+    for jd in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):  # not math.floor's ValueError
+            jd_to_calendar(jd)
 
 
 def test_round_trip_calendar_first():

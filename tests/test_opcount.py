@@ -221,10 +221,10 @@ def test_tally_rules():
         "        y += 1.5\n"
         "    return y, k\n"
     )
-    c = OpCounter()
-    assert counted(c, 4.0, 7) == plain(4.0, 7)
-    assert _tally(c) == [2 + 3, 2 + 1, 1 + 1]
-    assert c.row_accesses == 0
+    first = OpCounter()
+    assert counted(first, 4.0, 7) == plain(4.0, 7)
+    assert _tally(first) == [2 + 3, 2 + 1, 1 + 1]
+    assert first.row_accesses == 0
 
     plain, counted = _derive(
         "def f(t, i):\n"
@@ -237,6 +237,10 @@ def test_tally_rules():
     c = OpCounter()
     assert counted(c, t, 1) == plain(t, 1) == 5.0
     assert [*_tally(c), c.row_accesses] == [1, 0, 0, 2]
+    merged = OpCounter()
+    merged.merge(first)
+    merged.merge(c)
+    assert [*_tally(merged), merged.row_accesses, merged.total_ops()] == [6, 3, 2, 2, 13]
 
 
 _EARLY_EXITS = (
@@ -306,6 +310,8 @@ def test_counter_passes_to_derived_callees():
         ("return (lambda y: y + 1.0)(x)", "lambda"),
         ("while x * 2.0 < 8.0:\n        x = x + 1.0\n    return x", "while test"),
         ("return 0.0 < x < x * 2.0", "chained comparison"),
+        ("with x:\n        return x", "a With statement"),
+        ("_c = x\n    return _c", "uses the name '_c'"),
     ],
 )
 def test_derivation_refuses_uncountable_arithmetic(body, construct):
@@ -352,11 +358,10 @@ def test_import_does_not_derive():
     env = dict(os.environ, PYTHONPATH=str(Path(urania.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    # a counted table query derives only evaluate's twins; a counted direct
-    # query then derives the direct chain's, each module after those it calls
-    assert out.stdout.split() == [
-        "0", "0", "evaluate", "evaluate,angles,kepler,geocentric"
-    ]
+    # a counted table query derives only the twins of evaluate and of angles,
+    # whose normalize_deg lookup_planet calls; a counted direct query then
+    # derives the direct chain's, each module after those it calls
+    assert out.stdout.split() == ["0", "0", "angles,evaluate", "angles,evaluate,kepler,geocentric"]
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,8 @@ def test_write_is_deterministic(tmp_path):
         write_table(table, second)
         assert first.read_bytes() == second.read_bytes()
         assert str(tmp_path).encode() not in first.read_bytes()
+    with pytest.raises(TypeError, match="cannot serialize str"):
+        write_table("proto", tmp_path / "proto.single.tbl")
 
 
 def test_version_mismatch(tmp_path):
@@ -130,6 +132,9 @@ def test_truncated_single_table(tmp_path):
     path.write_bytes(path.read_bytes()[: -3 * 24])  # drop the last three rows
     with pytest.raises(TableParseError, match="truncated"):
         read_table(path)
+    path.write_bytes(path.read_bytes()[:40])  # within the header
+    with pytest.raises(TableParseError, match="without its '# payload:' line"):
+        read_table(path)
 
 
 def test_truncated_double_table(tmp_path):
@@ -154,15 +159,17 @@ def test_payload_of_wrong_length_rejected(tmp_path):
         for grow in (False, True):
             path = written(tmp_path, table)
             _resized(path, grow)
-            with pytest.raises(TableParseError, match=f"expected .* {what}"):
+            with pytest.raises(TableParseError, match=rf"expected \d+ {what}.* \(\d+ floats\)"):
                 read_table(path)
 
 
 def test_out_of_range_value_rejected(tmp_path):
     bad_cells = {
         (400.0, 0.0, 1.0): "lambda 400.0 is not in",
+        (360.0, 0.0, 1.0): "lambda 360.0 is not in",
         (-1e-300, 0.0, 1.0): "lambda -1e-300 is not in",
         (10.0, 90.5, 1.0): "beta 90.5 is not in",
+        (10.0, -90.5, 1.0): "beta -90.5 is not in",
         (10.0, 0.0, 0.0): "delta 0.0 is not positive",
         (10.0, math.nan, 1.0): "non-finite",
         (10.0, 0.0, math.inf): "non-finite",
@@ -203,8 +210,9 @@ def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: text.replace(",96.0,", ",1e307,").replace(
         "# step: 4.0\n", "# step: 1.25e306\n"))
-    with pytest.raises(TableParseError, match=r"P < 2\*\*36"):
+    with pytest.raises(TableParseError, match=r"invalid body header: .*P < 2\*\*36") as err:
         read_table(path)
+    assert err.value.line == 4
     with pytest.raises(DomainError, match=r"P < 2\*\*36"):
         build_planet_table(make_el(P=2.0**36), 2.0**33)
 
@@ -215,6 +223,10 @@ def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
     table.rows[5] = fifth._replace(nu_aph=sixth.nu_aph)
     table.rows[6] = sixth._replace(nu_aph=fifth.nu_aph)
     with pytest.raises(TableParseError, match="not strictly increasing"):
+        read_table(written(tmp_path, table))
+    # every row a little ahead, and half a degree past a turn in all
+    table.rows[:] = [row._replace(nu_aph=k * 360.5 / 23 % 360.0) for k, row in enumerate(table.rows)]
+    with pytest.raises(TableParseError, match="spans a full revolution"):
         read_table(written(tmp_path, table))
 
 
@@ -248,12 +260,13 @@ def test_a_corrected_body_is_refused_at_build_and_at_read(tmp_path, build):
 
 
 def test_a_body_too_fast_for_the_motion_stencil_is_refused_at_read(tmp_path):
-    table = single_table()
-    path = written(tmp_path, table)
-    fast = table.elements._replace(e=0.9, P=30.0)
-    edit_header(path, lambda text: text.replace(elements_row(table.elements), elements_row(fast)))
-    with pytest.raises(TableParseError, match="invalid step header: proto: sweeps 180 degrees"):
+    # a step of P/8 passes the step check, so only the body line is at fault
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace(",96.0,", ",3.0,").replace(
+        "# step: 4.0\n", "# step: 0.375\n"))
+    with pytest.raises(TableParseError, match="invalid body header: proto: sweeps 180") as err:
         read_table(path)
+    assert err.value.line == 4
 
 
 def test_shape_header_over_the_cell_bound_is_a_parse_error(tmp_path):
@@ -280,6 +293,9 @@ def test_crc_field_compared_as_text(tmp_path):
     path.write_bytes(head + sep + rest[:8].upper() + rest[8:])
     with pytest.raises(TableParseError, match="crc32"):
         read_table(path)
+    path.write_bytes(reseal(data.replace(b"# payload: floats=", b"# payload: floats=+")))
+    with pytest.raises(TableParseError, match="malformed payload line"):
+        read_table(path)
 
 
 def test_unknown_header_keys_ignored(tmp_path):
@@ -298,6 +314,9 @@ def test_missing_mandatory_key(tmp_path):
     ))
     with pytest.raises(TableParseError, match="step"):
         read_table(path)
+    edit_header(path, lambda text: text.replace("# kind: single", "# kind: triple"))
+    with pytest.raises(TableParseError, match="unknown table kind 'triple'"):
+        read_table(path)
 
 
 def test_invalid_elements_header_rejected(tmp_path):
@@ -306,6 +325,9 @@ def test_invalid_elements_header_rejected(tmp_path):
     with pytest.raises(TableParseError, match="eccentricity") as err:
         read_table(path)
     assert err.value.line == 4
+    edit_header(path, lambda text: text.replace("proto,1.5,1.5,", "proto,1.5,"))
+    with pytest.raises(TableParseError, match="proto: row is missing element columns"):
+        read_table(path)
 
 
 def test_header_line_without_key_rejected(tmp_path):
@@ -374,11 +396,11 @@ def test_filenames():
     assert table_filename(double_table()) == "proto.earth.double.tbl"
 
 
-@pytest.mark.parametrize("table", [single_table(), double_table()], ids=["single", "double"])
-def test_a_renamed_file_is_refused(tmp_path, table):
-    path = written(tmp_path, table)
+@pytest.mark.parametrize("build", [single_table, double_table], ids=["single", "double"])
+def test_a_renamed_file_is_refused(tmp_path, build):
+    path = written(tmp_path, build())
     renamed = path.rename(tmp_path / "venus.single.tbl")
-    with pytest.raises(TableParseError, match=re.escape(table_filename(table))):
+    with pytest.raises(TableParseError, match=re.escape(path.name)):
         read_table(renamed)
 
 
