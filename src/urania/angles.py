@@ -22,8 +22,7 @@ def normalize_deg(x: float) -> float:
     Values already in range are returned unchanged (bit-exact), which keeps
     table knots stable under repeated normalization. A value far outside
     [0, 360) is folded by ``fmod`` first, so the loops below run at most
-    once: a single-entry row may advance its anomaly by up to 180 degrees a
-    day over a step of any length.
+    once: a mean anomaly may lie up to 2**36 days of motion past aphelion.
     """
     if not math.isfinite(x):
         raise DomainError(f"angle must be finite, got {x!r}")

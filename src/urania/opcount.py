@@ -221,8 +221,8 @@ _CHAIN = {
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "radius", "_nu_aph_from_E",
                "position_since_aphelion", "orbit_frame", "heliocentric_xyz"),
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
-    "tables": ("row_count", "stencil_points", "_check_single", "_check_monotone_rows",
-               "build_planet_table", "build_double_entry"),
+    "tables": ("row_count", "_check_single", "build_planet_table", "planet_rows",
+               "build_double_entry"),
     "evaluate": ("_locate", "phase_days", "lookup_planet", "lookup_double", "lookup_grid",
                  "geocentric_at_table", "heliocentric_at_table"),
 }

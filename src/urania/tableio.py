@@ -1,7 +1,7 @@
 """Reading and writing compiled table files.
 
-Format v3 is a UTF-8 text header followed by a binary payload. The header is
-``# key: value`` lines: the magic ``# urania-table v3``, then ``kind``
+Format v4 is a UTF-8 text header followed by a binary payload. The header is
+``# key: value`` lines: the magic ``# urania-table v4``, then ``kind``
 (``single`` or ``double``), ``step`` for a single-entry table or
 ``shape: <n_u>x<n_v>`` for a double-entry one, and ``body``, plus ``earth`` for
 a double-entry table, each holding that body's row of the elements CSV (see
@@ -11,14 +11,14 @@ dataset's own codec. Unknown keys are ignored. The header closes with
 lowercase hex digits) covers every byte of the file but those 8 digits. The
 payload follows that line's newline: N little-endian float64 values,
 ``lambda, beta, delta`` per cell, row-major, for a double-entry table, and
-``nu_aph, r, motion_day`` per row for a single-entry one, whose ``t = k * step``
-and ``motion_hour = motion_day / 24`` are rebuilt on read as the compiler
-computes them. No value goes through decimal text, so the round trip is
-bit-exact. A corrupt, truncated or out-of-range file, one whose step or grid
-fails the compiler's checks, whose anomaly does not increase row by row or
-whose header does not describe the table its file name names raises
-TableParseError; a file of another format version (v1 was all text, v2
-wrote its own key=value element header) raises TableVersionError, and
+the knots ``nu_aph, r`` per row for a single-entry one, whose rows
+``tables.planet_rows`` rebuilds from them as the compiler does. No value goes
+through decimal text, so the round trip is bit-exact. A corrupt, truncated or
+out-of-range file, one whose step or grid fails the compiler's checks, whose
+anomaly does not increase row by row or whose header does not describe the
+table its file name names raises TableParseError; a file of another format
+version (v1 was all text, v2 wrote its own key=value element header, v3
+stored a daily motion beside each knot) raises TableVersionError, and
 ``urania gen`` rebuilds the tables.
 """
 
@@ -32,9 +32,8 @@ from pathlib import Path
 
 from .dataset import elements_from_row, elements_row
 from .errors import TableParseError, TableVersionError
-from .tables import DoubleEntryTable, PlanetTable, TableRow, parse_shape, row_count
-from .tables import _check_double, _check_monotone_rows, _check_periodic, _check_single
-from .tables import _check_single_body
+from .tables import DoubleEntryTable, PlanetTable, parse_shape, planet_rows, row_count
+from .tables import _check_double, _check_periodic, _check_single, _check_single_body
 
 __all__ = [
     "FORMAT_VERSION",
@@ -46,15 +45,13 @@ __all__ = [
     "double_planets",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _MAGIC = re.compile(rb"# urania-table v(\d+)\n")
 _PAYLOAD = re.compile(rb"# payload: floats=(\d+) crc32=(\S*)")
 # Payload columns, interleaved per row or cell: name, range, test of one value.
 _SINGLE_COLUMNS = (
     ("nu_aph", "in [0, 360)", lambda x: 0.0 <= x < 360.0),
     ("r", "positive", lambda x: x > 0.0),
-    # the compiler's motion is a wrap-aware difference over a 1-day stencil
-    ("motion_day", "in (0, 180]", lambda x: 0.0 < x <= 180.0),
 )
 _DOUBLE_COLUMNS = (
     ("lambda", "in [0, 360)", lambda x: 0.0 <= x < 360.0),
@@ -106,7 +103,7 @@ def write_table(table, destination) -> None:
     """Serialize a PlanetTable or DoubleEntryTable to ``destination``."""
     if isinstance(table, PlanetTable):
         header = {"kind": "single", "step": repr(table.step), "body": elements_row(table.elements)}
-        values = [x for row in table.rows for x in (row.nu_aph, row.r, row.motion_per_day)]
+        values = [x for row in table.rows for x in (row.nu_aph, row.r)]
     elif isinstance(table, DoubleEntryTable):
         header = {
             "kind": "double",
@@ -240,22 +237,23 @@ def _elements(headers, key, path, check=_check_periodic):
     return el
 
 
-def _triples(values, count, what, columns, path):
-    """The payload as ``count`` 3-tuples, each of its ``columns`` checked."""
-    if len(values) != 3 * count:
+def _records(values, count, what, columns, path):
+    """The payload as ``count`` tuples of one value per column, each of
+    ``columns`` checked."""
+    width = len(columns)
+    if len(values) != width * count:
         raise TableParseError(
-            f"expected {count} {what} ({3 * count} floats), the payload holds {len(values)}",
+            f"expected {count} {what} ({width * count} floats), the payload holds {len(values)}",
             path=path,
         )
     if not all(map(math.isfinite, values)):
         raise TableParseError("non-finite value in the payload", path=path)
     for j, (name, bounds, ok) in enumerate(columns):
-        column = values[j::3]
+        column = values[j::width]
         for x in (min(column), max(column)):
             if not ok(x):
                 raise TableParseError(f"{name} {x!r} is not {bounds}", path=path)
-    it = iter(values)
-    return list(zip(it, it, it))
+    return list(zip(*[iter(values)] * width))
 
 
 def _read_single(path, headers, values):
@@ -266,12 +264,9 @@ def _read_single(path, headers, values):
         _check_single(el, step)
 
     what = f"rows for P={el.P!r} step={step!r}"
-    triples = _triples(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
-    rows = [
-        TableRow(k * step, nu, r, mday, mday / 24.0) for k, (nu, r, mday) in enumerate(triples)
-    ]
+    knots = _records(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
     with _invalid("payload", path):
-        _check_monotone_rows(el.name, rows)
+        rows = planet_rows(el, step, knots)
     return PlanetTable(elements=el, step=step, rows=rows)
 
 
@@ -282,7 +277,7 @@ def _read_double(path, headers, values):
         n_u, n_v = parse_shape(text)
         _check_double(planet, earth, n_u, n_v)
 
-    triples = _triples(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
+    triples = _records(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
     cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]
     return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v,
                             du=planet.P / n_u, dv=earth.P / n_v, cells=cells)

@@ -3,10 +3,10 @@
 The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
 later, at interpolation time. It does no step of that chain twice: a
-single-entry table solves Kepler's equation once per distinct abscissa of its
-rows' motion stencils (``stencil_points``), and a double-entry table computes
-each body's orbit frame once, places each grid line's body in it once
-(``kepler.heliocentric_xyz``), then reduces each cell from the two
+single-entry table solves Kepler's equation once per row, and derives each
+row's daily motion from its knots (``planet_rows``), and a double-entry table
+computes each body's orbit frame once, places each grid line's body in it
+once (``kepler.heliocentric_xyz``), then reduces each cell from the two
 rectangular positions (``geocentric.reduce_rect``).
 
 A configuration is known here alone: ``parse_shape`` reads its grid, the
@@ -14,8 +14,8 @@ step and grid checks serve the table reader too, and ``compile_plan`` returns
 the checked list of (builder, args) pairs that ``urania gen`` builds and
 writes, that ``opcount.measure_compile_ops`` runs counted, and that
 ``calculation_census`` counts into the record the CLI prints: its Kepler
-solves come from the builders' own ``stencil_points`` and grid lines, so they
-are the solves ``urania gen`` makes.
+solves are the builders' rows and grid lines, so they are the solves
+``urania gen`` makes.
 """
 
 import math
@@ -44,24 +44,19 @@ __all__ = [
     "build_double_entry",
     "compile_plan",
     "parse_shape",
+    "planet_rows",
     "row_count",
-    "stencil_points",
     "calculation_census",
     "census_line",
-    "MOTION_STENCIL_DAYS",
 ]
-
-# Half-day stencil: the motion column stores a centred daily rate, from the
-# anomaly at t - h and t + h. At the default 1-day step a row's t - h is the
-# previous row's t + h, so n rows need 2n + 1 Kepler solves, not 3n.
-MOTION_STENCIL_DAYS = 0.5
 
 
 class TableRow(NamedTuple):
     """One single-entry table row.
 
     t: days since aphelion; nu_aph: true anomaly from aphelion (degrees);
-    r: radius (AU); motion per day and per hour in degrees.
+    r: radius (AU); motion per day and per hour in degrees, the anomaly's
+    advance to the next row spread evenly over the days between them.
     """
 
     t: float
@@ -112,28 +107,6 @@ def row_count(P: float, step: float) -> int:
     return n
 
 
-def stencil_points(P: float, step: float) -> tuple[list[float], list[int]]:
-    """The abscissae a single-entry table of period ``P`` solves at, each
-    once, and the index among them of each row's own abscissa.
-
-    Row k sits at t = k*step, at ``points[j]`` for ``j = centres[k]``; its
-    motion stencil t - h and t + h is ``points[j - 1]`` and ``points[j + 1]``.
-    A row whose t - h equals the previous row's t + h exactly shares that
-    point, as every row after the first does at the default 1-day step.
-    """
-    h = MOTION_STENCIL_DAYS
-    points, centres = [], []
-    for k in range(row_count(P, step)):
-        t = k * step
-        before = t - h
-        if not points or points[-1] != before:
-            points.append(before)
-        centres.append(len(points))
-        points.append(t)
-        points.append(t + h)
-    return points, centres
-
-
 def parse_shape(text: str) -> tuple[int, int]:
     """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``: ASCII
     digits either side of an ``x`` or ``X``, and nothing else."""
@@ -150,29 +123,11 @@ def _check_periodic(el: OrbitalElements) -> None:
         raise DomainError(f"{el.name}: a table cannot hold correction terms; use direct mode")
 
 
-def _check_stencil(el: OrbitalElements) -> None:
-    # A row's motion is the wrap-aware anomaly difference across its stencil,
-    # so the body must sweep less than 180 degrees in 2*h days. It sweeps
-    # fastest across perihelion: 180 degrees, from a true anomaly of -90 to
-    # +90, in twice the time from perihelion (nu_aph 180, at t = P/2) to +90
-    # (nu_aph 270). Outside opcount's chain, so no tally counts the inversion.
-    h = MOTION_STENCIL_DAYS
-    to_quadrature = time_since_aphelion(el, 270.0) - el.P / 2
-    if to_quadrature <= h:
-        raise DomainError(
-            f"{el.name}: sweeps 180 degrees or more within the {2 * h:g}-day motion stencil "
-            f"around perihelion ({to_quadrature!r} days from perihelion to a true anomaly of "
-            f"90 degrees; a single-entry table needs more than {h:g})"
-        )
-
-
 def _check_single_body(el: OrbitalElements) -> None:
     _check_periodic(el)
-    # Every row's stencil then lies in the direct chain's domain, and a
-    # lookup's advance of at most 180 degrees a day over a step stays finite.
+    # Every row then lies in the direct chain's domain.
     if not el.P < MAX_ELAPSED_DAYS:
         raise DomainError(f"{el.name}: a single-entry table needs P < 2**36 days, got {el.P!r}")
-    _check_stencil(el)
 
 
 def _check_single(el: OrbitalElements, step: float) -> None:
@@ -183,6 +138,18 @@ def _check_single(el: OrbitalElements, step: float) -> None:
     min_step = el.P / 1048576
     if not (math.isfinite(step) and 0.0 < step <= max_step and step >= min_step):
         raise DomainError(f"{el.name}: step must satisfy P/2**20 <= step <= P/8, got {step!r}")
+    # A row's motion is the wrap-aware anomaly advance to the next row, so the
+    # body must sweep less than 180 degrees in a step. It sweeps fastest across
+    # perihelion: 180 degrees, from a true anomaly of -90 to +90, in twice the
+    # time from perihelion (nu_aph 180, at t = P/2) to +90 (nu_aph 270). The
+    # inversion is a call outside opcount's chain, so no tally counts it.
+    to_quadrature = time_since_aphelion(el, 270.0) - el.P / 2
+    if to_quadrature <= step / 2:
+        raise DomainError(
+            f"{el.name}: sweeps 180 degrees or more within a {step:g}-day row interval "
+            f"around perihelion ({to_quadrature!r} days from perihelion to a true anomaly of "
+            f"90 degrees; a single-entry table at this step needs more than {step / 2:g})"
+        )
 
 
 def _check_double(
@@ -198,45 +165,51 @@ def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     """Compile the single-entry table for one body.
 
     Rows sit at t = 0, step, 2*step, ... < P (the last interval may be
-    shorter). Motion columns come from a wrap-aware central difference of the
-    direct chain, so the compiler and the evaluator stay independent; each
-    distinct abscissa of ``stencil_points`` is solved once.
+    shorter), each solved once by the direct chain; ``planet_rows`` derives
+    their motion columns from those knots, as the table reader does.
     """
     _check_single(el, step)
-    points, centres = stencil_points(el.P, step)
-    solved = []
-    for x in points:
-        solved.append(position_since_aphelion(el, x))
+    knots = []
+    for k in range(row_count(el.P, step)):
+        knots.append(position_since_aphelion(el, k * step))
+    return PlanetTable(elements=el, step=step, rows=planet_rows(el, step, knots))
+
+
+def planet_rows(el: OrbitalElements, step: float, knots) -> list[TableRow]:
+    """The rows of ``el``'s single-entry table at ``step`` whose (nu_aph, r)
+    knots are ``knots``: row k sits at t = k * step, and its motion per day
+    is the wrap-aware anomaly advance to the next row over the days between
+    them (the last row's to row 0, one period on), per hour a 24th of it.
+
+    Raises DomainError unless every advance is positive and the rows before
+    the last sweep less than a full turn: then the advances add up to one
+    revolution, and between rows a lookup interpolates to the next row.
+    """
+    n = len(knots)
+    swept = 0.0
     rows = []
-    for j in centres:
-        t = points[j]
-        nu, r = solved[j]
-        per_day = wrap_diff_deg(solved[j + 1][0], solved[j - 1][0]) / (2.0 * MOTION_STENCIL_DAYS)
-        if per_day <= 0.0:
-            raise DomainError(
-                f"{el.name}: non-positive daily motion {per_day!r} at t={t!r}; the body "
-                "sweeps 180 degrees or more within the motion stencil"
-            )
-        rows.append(
-            TableRow(t=t, nu_aph=nu, r=r, motion_per_day=per_day, motion_per_hour=per_day / 24.0)
-        )
-
-    _check_monotone_rows(el.name, rows)
-    return PlanetTable(elements=el, step=step, rows=rows)
-
-
-def _check_monotone_rows(name: str, rows: list[TableRow]) -> None:
-    unwrapped = rows[0].nu_aph
-    for prev, cur in zip(rows, rows[1:]):
-        advance = wrap_diff_deg(cur.nu_aph, prev.nu_aph)
+    t = 0.0
+    nu, r = knots[0]
+    for k in range(1, n + 1):
+        if k < n:
+            t_next = k * step
+            nu_next, r_next = knots[k]
+        else:  # the last row's next is row 0, one period on
+            if swept >= 360.0:
+                raise DomainError(f"{el.name}: unwrapped true anomaly spans a full revolution")
+            t_next = el.P
+            nu_next, r_next = knots[0]
+        advance = wrap_diff_deg(nu_next, nu)
         if advance <= 0.0:
             raise DomainError(
-                f"{name}: true anomaly not strictly increasing between "
-                f"t={prev.t!r} and t={cur.t!r}"
+                f"{el.name}: true anomaly not strictly increasing between "
+                f"t={t!r} and t={t_next!r}"
             )
-        unwrapped += advance
-    if unwrapped >= rows[0].nu_aph + 360.0:
-        raise DomainError(f"{name}: unwrapped true anomaly spans a full revolution")
+        swept += advance
+        per_day = advance / (t_next - t)
+        rows.append(TableRow(t, nu, r, per_day, per_day / 24.0))
+        t, nu, r = t_next, nu_next, r_next
+    return rows
 
 
 def build_double_entry(
@@ -298,17 +271,14 @@ def compile_plan(
 
 def calculation_census(plan: list[tuple[Callable, tuple]]) -> dict:
     """The record ``urania census`` and ``urania gen`` print for a
-    ``compile_plan``: rows and cells per table, their totals, Kepler solves.
-    It builds nothing, so ``gen`` runs each single-entry table's
-    ``stencil_points`` twice, here and in the builder: a few milliseconds
-    over the default set, with no Kepler solve."""
+    ``compile_plan``: rows and cells per table, their totals, and Kepler
+    solves, one per single-entry row and per grid line. It builds nothing."""
     single, double, solves = {}, {}, 0
     for builder, args in plan:
         if builder is build_planet_table:
             el, step = args
-            points, centres = stencil_points(el.P, step)
-            single[el.name] = len(centres)
-            solves += len(points)
+            single[el.name] = row_count(el.P, step)
+            solves += single[el.name]
         else:
             planet_el, earth_el, n_u, n_v = args
             double[f"{planet_el.name}*{earth_el.name}"] = n_u * n_v

@@ -83,7 +83,7 @@ ALL_FILES = [f"{n}.single.tbl" for n in BODIES] + [
     (["--planet", "mars", "--step-days", "1"], ["mars"], 1.0, None, 0, ["mars.single.tbl"]),
     (["--planet", "mars", "--double", "16x16"], ["mars"], 1.0, (16, 16), 256,
      ["mars.single.tbl", "mars.earth.double.tbl"]),
-    # at a 2-day step rows share no stencil point, so a table costs 3n solves
+    # every body at a 2-day step: one solve per row and per grid line
     (["--all", "--double", "8x8", "--step-days", "2"], BODIES, 2.0, (8, 8), 320, ALL_FILES),
 ], ids=["single", "double", "all-unshared"])
 def test_gen_writes_its_plan_and_prints_its_census_line(
@@ -323,6 +323,8 @@ def test_query_table_rejects_v1_tables(capsys, table_dir):
               "# columns: iu,iv,lambda,beta,delta\n0,0,121.5,1.25,2.5\n",
         "v2": "# urania-table v2\n# kind=double\n# name=mars,earth=earth\n"
               "# n_u=8 n_v=8\n# payload: floats=192 crc32=00000000\n",
+        "v3": "# urania-table v3\n# kind: double\n# shape: 8x8\n"
+              "# payload: floats=192 crc32=00000000\n",
     }
     for version, text in older.items():
         (table_dir / "mars.earth.double.tbl").write_text(text)
@@ -347,6 +349,17 @@ def test_query_unknown_planet(capsys):
                        "--jd", "2451545.0")
     assert code == 2
     assert "vulcan" in err
+
+
+def test_a_planet_at_the_observer_is_degenerate_geometry(capsys, tmp_path):
+    # a body whose elements are the Earth's lies at the observer: no direction
+    csv = tmp_path / "twin.csv"
+    row = "1.0,0.0167,0.0,0.0,102.9,365.256363,2451545.0"
+    csv.write_text(f"{ELEMENTS_HEADER}\ntwin,{row}\nearth,{row}\n")
+    code, out, err = run(capsys, "query", "--mode", "direct", "--planet", "twin",
+                         "--jd", "2451545.0", "--elements", str(csv), "--no-timestamp")
+    assert (code, out) == (1, "")
+    assert err == "error: zero vector has no direction\n"
 
 
 def test_query_json(capsys, dataset):
@@ -523,6 +536,15 @@ def test_compare_report_is_pinned(capsys, dataset, kind):
         assert payload[f"mean_{name}"] == sums[name] / samples
 
 
+def test_compare_single_steps_one_day_by_default(capsys):
+    argv = ("compare", "--planet", "mercury", "--kind", "single", "--from-jd", "2451545",
+            "--span-days", "88", "--samples", "100", "--json", "--no-timestamp")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(default)["table_config"] == "single step=1.0"
+    assert run(capsys, *argv, "--step-days", "1")[1] == default
+
+
 @pytest.mark.parametrize("span", [("--to-jd", "inf"), ("--span-days", "inf"),
                                   ("--to-jd", "nan")])
 def test_compare_rejects_non_finite_bounds(capsys, span):
@@ -572,6 +594,19 @@ def test_bench_reports_the_frame_tally_next_to_the_direct_one(capsys, table_dir)
     _, out, _ = run(capsys, "bench", "--queries", "200", "--table-dir", str(table_dir),
                     "--no-timestamp")
     assert "frame_ops per element set: adds=5 muls=26 transcendental=7 total=38" in out
+
+
+def test_bench_tallies_are_pinned(capsys, table_dir):
+    # The query stream at one seed: planets round-robin, JDs uniform within
+    # a century of J2000. Frozen, so a change to the stream shows here.
+    code, out, _ = run(capsys, "bench", "--queries", "200", "--seed", "0",
+                       "--table-dir", str(table_dir), "--json", "--no-timestamp")
+    assert code == 0
+    report = json.loads(out)
+    assert report["table"] == {"adds": 4041, "muls": 4200, "transcendental_calls": 0,
+                               "row_accesses": 800, "total": 9041}
+    assert report["direct"] == {"adds": 8345, "muls": 8016, "transcendental_calls": 3620,
+                                "row_accesses": 0, "total": 19981}
 
 
 def test_bench_deterministic(capsys, table_dir):
@@ -710,20 +745,24 @@ def test_tables_refuse_a_corrected_body_that_direct_mode_takes(capsys, tmp_path)
 
 
 def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(capsys, tmp_path):
-    # 180 degrees in 0.56 days around perihelion, under the 1-day stencil
-    csv = tmp_path / "fast.csv"
-    csv.write_text(f"{ELEMENTS_HEADER}\nfast,1.0,0.9,0.0,0.0,0.0,30.0,2451545.0\n"
-                   "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0\n")
-    out_dir = tmp_path / "t"
-    for argv in (["census", "--double", "none"],
-                 ["gen", "--all", "--double", "8x8", "--table-dir", str(out_dir)],
-                 ["compare", "--planet", "fast", "--kind", "single", "--from-jd", "2451545",
-                  "--span-days", "10"]):
-        code, out, err = run(capsys, *argv, "--elements", str(csv), "--no-timestamp")
-        assert (code, out) == (2, ""), argv
-        assert "fast: sweeps 180 degrees or more within the 1-day motion stencil" in err
-        assert "correction" not in err
-    assert not out_dir.exists()
+    # A row's motion is differenced across its row interval. "fast" sweeps
+    # 180 degrees in 0.56 days around perihelion, under the default 1-day
+    # step, and "slow" in 7.5 days: under a 10-day step, but not a 1-day one.
+    for body, period, step in (("fast", "30.0", "1"), ("slow", "400.0", "10")):
+        csv = tmp_path / f"{body}.csv"
+        csv.write_text(f"{ELEMENTS_HEADER}\n{body},1.0,0.9,0.0,0.0,0.0,{period},2451545.0\n"
+                       "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0\n")
+        out_dir = tmp_path / "t"
+        for argv in (["census", "--double", "none"],
+                     ["gen", "--all", "--double", "8x8", "--table-dir", str(out_dir)],
+                     ["compare", "--planet", body, "--kind", "single", "--from-jd", "2451545",
+                      "--span-days", "10"]):
+            code, out, err = run(capsys, *argv, "--step-days", step, "--elements", str(csv),
+                                 "--no-timestamp")
+            assert (code, out) == (2, ""), argv
+            assert f"{body}: sweeps 180 degrees or more within a {step}-day row interval" in err
+            assert "correction" not in err
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
@@ -872,3 +911,12 @@ def test_env_var_table_dir(capsys, table_dir, monkeypatch):
                        "--jd", "2451545.0", "--no-timestamp")
     assert code == 0
     assert "mode: table" in out
+
+
+def test_table_dir_defaults_to_tables_in_the_working_directory(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("URANIA_DATA_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "gen", "--planet", "mars", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[0] == f"wrote {Path('tables') / 'mars.single.tbl'}"
+    assert [p.name for p in (tmp_path / "tables").iterdir()] == ["mars.single.tbl"]

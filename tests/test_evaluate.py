@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import re
-import signal
 from fractions import Fraction
 
 import pytest
@@ -32,6 +31,7 @@ from urania import (
     lookup_grid,
     lookup_planet,
     position_since_aphelion,
+    wrap_diff_deg,
     write_table,
 )
 from urania import evaluate, tableio
@@ -119,35 +119,33 @@ def test_rows_whose_quotient_rounds_a_row_off_return_their_values(step):
     assert evaluate._locate(math.nextafter(10.0, 0.0), 10.0 / 39, 39) == (38, 38 * (10.0 / 39))
 
 
-def _never_returned(signum, frame):
-    raise TimeoutError("the lookup did not return: it folds 360 degrees at a time")
+def test_each_interval_ends_at_the_next_rows_anomaly(default_tables):
+    # A row's motion carries the anomaly to the next row's, the last row's to
+    # row 0 one period on, so the interpolant is continuous across each row.
+    for table in default_tables.single.values():
+        rows, P = table.rows, table.elements.P
+        for k in range(1, len(rows) + 1):
+            below = math.nextafter(rows[k].t if k < len(rows) else P, 0.0)
+            nu, _ = lookup_planet(table, below)
+            assert wrap_abs_deg(nu, rows[k % len(rows)].nu_aph) < 1e-9, (table.elements.name, k)
 
 
-def test_an_anomaly_advanced_by_many_turns_folds_at_once(tmp_path):
-    # 8 rows 7.5e9 days apart and 180 degrees a day in row 0: every reader
-    # check passes, and near the end of row 0's interval the anomaly runs
-    # about 1.3e12 degrees past the row, which must fold in one step rather
-    # than 360 degrees at a time.
-    table = build_planet_table(make_el(name="far", P=6e10), 6e10 / 8)
-    table.rows[0] = table.rows[0]._replace(motion_per_day=180.0, motion_per_hour=7.5)
-    path = tmp_path / tableio.table_filename(table)
-    write_table(table, path)
-    table = tableio.read_table(path)
-    t = 0.999 * table.step
-    counter = OpCounter()
-    previous = signal.signal(signal.SIGALRM, _never_returned)
-    signal.alarm(60)
+@settings(max_examples=100, deadline=None)
+@given(valid_elements("planet", corrected=False), st.integers(8, 400),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_between_two_rows_the_anomaly_lies_between_theirs(el, per_period, fraction):
     try:
-        nu, r = twin("lookup_planet")(counter, table, t)
-        assert (nu, r) == lookup_planet(table, t)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    whole_days = float(math.floor(t))
-    turns = table.rows[0].nu_aph + (whole_days * 180.0 + (t - whole_days) * 24.0 * 7.5)
-    assert turns > 1e12
-    assert nu == math.fmod(turns, 360.0)
-    assert counter.adds < 20
+        table = build_planet_table(el, el.P / per_period)
+    except DomainError:  # too fast for this step
+        assume(False)
+    rows = table.rows
+    for k, row in enumerate(rows):
+        t_next = rows[k + 1].t if k + 1 < len(rows) else el.P
+        t = row.t + fraction * (t_next - row.t)
+        if t < t_next:
+            nu, _ = lookup_planet(table, t)
+            assert wrap_diff_deg(nu, row.nu_aph) >= -1e-9, (k, t)
+            assert wrap_diff_deg(rows[(k + 1) % len(rows)].nu_aph, nu) >= -1e-9, (k, t)
 
 
 # ---------------------------------------------------------------------------

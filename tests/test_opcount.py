@@ -413,14 +413,12 @@ def test_census_solver_calls_are_the_builders_solves(dataset, monkeypatch):
         return real(M, e)
 
     monkeypatch.setattr(kepler, "solve_kepler", counting)
-    # At 8 days no stencil point is shared; at the default 1 day every row
-    # after a table's first shares its t - h with the row before.
+    # one solve per single-entry row and per grid line, at any step
     for step in (8.0, 1.0):
         solves = 0
         plan = compile_plan(dataset, dataset.names, step, (8, 12))
         for builder, args in plan:
             builder(*args)
         census = calculation_census(plan)
-        assert solves == census["solver_calls"]
-    rows = sum(row_count(el.P, 1.0) for el in dataset)
-    assert census["solver_calls"] == 2 * rows + len(dataset.names) + 5 * (8 + 12)
+        rows = sum(row_count(el.P, step) for el in dataset)
+        assert solves == census["solver_calls"] == rows + 5 * (8 + 12)

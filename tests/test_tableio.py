@@ -38,6 +38,12 @@ V2_TEXT = (
     "# elements: a=1.5 e=0.34999999999999998 i=3 Omega=40 omega=110 P=96 T_aph=2451545\n"
     "# step=4\n# payload: floats=72 crc32=00000000\n"
 )
+# The header of a format v3 file: v4's, with nu_aph, r, motion_day per row.
+V3_TEXT = (
+    "# urania-table v3\n# kind: single\n# step: 4.0\n"
+    "# body: proto,1.5,0.35,3.0,40.0,110.0,96.0,2451545.0\n"
+    "# payload: floats=72 crc32=00000000\n"
+)
 
 
 def single_table(**overrides):
@@ -106,14 +112,14 @@ def test_write_is_deterministic(tmp_path):
 
 def test_version_mismatch(tmp_path):
     path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace("# urania-table v3\n", "# urania-table v99\n"))
+    edit_header(path, lambda text: text.replace("# urania-table v4\n", "# urania-table v99\n"))
     with pytest.raises(TableVersionError):
         read_table(path)
 
 
 def test_v1_file_asks_for_gen(tmp_path):
     path = tmp_path / "proto.single.tbl"
-    for text in (V1_TEXT, V2_TEXT):
+    for text in (V1_TEXT, V2_TEXT, V3_TEXT):
         path.write_text(text)
         with pytest.raises(TableVersionError, match="urania gen"):
             read_table(path)
@@ -129,7 +135,7 @@ def test_missing_magic(tmp_path):
 
 def test_truncated_single_table(tmp_path):
     path = written(tmp_path, single_table())
-    path.write_bytes(path.read_bytes()[: -3 * 24])  # drop the last three rows
+    path.write_bytes(path.read_bytes()[: -3 * 16])  # drop the last three rows
     with pytest.raises(TableParseError, match="truncated"):
         read_table(path)
     path.write_bytes(path.read_bytes()[:40])  # within the header
@@ -144,21 +150,21 @@ def test_truncated_double_table(tmp_path):
         read_table(path)
 
 
-def _resized(path, grow):
-    """Repeat (grow) or drop the file's final row or cell, with the payload
-    line's float count and the crc32 made to match."""
+def _resized(path, width, grow):
+    """Repeat (grow) or drop the file's final row or cell of ``width``
+    floats, with the payload line's float count and the crc32 made to match."""
     data = path.read_bytes()
     floats = int(data.split(b"floats=")[1].split(b" ")[0])
-    data = data + data[-24:] if grow else data[:-24]
-    new = floats + 3 if grow else floats - 3
+    data = data + data[-8 * width:] if grow else data[:-8 * width]
+    new = floats + width if grow else floats - width
     path.write_bytes(reseal(data.replace(b"floats=%d " % floats, b"floats=%d " % new, 1)))
 
 
 def test_payload_of_wrong_length_rejected(tmp_path):
-    for table, what in ((single_table(), "rows"), (double_table(), "cells")):
+    for table, width, what in ((single_table(), 2, "rows"), (double_table(), 3, "cells")):
         for grow in (False, True):
             path = written(tmp_path, table)
-            _resized(path, grow)
+            _resized(path, width, grow)
             with pytest.raises(TableParseError, match=rf"expected \d+ {what}.* \(\d+ floats\)"):
                 read_table(path)
 
@@ -179,34 +185,20 @@ def test_out_of_range_value_rejected(tmp_path):
         table.cells[0][0] = cell
         with pytest.raises(TableParseError, match=message):
             read_table(written(tmp_path, table))
-    bad_rows = {
-        "nu_aph": (360.0, "nu_aph 360.0 is not in"),
-        "r": (-1.0, "r -1.0 is not positive"),
-        "motion_per_day": (math.nan, "non-finite"),
-    }
-    for field, (value, message) in bad_rows.items():
+    bad_rows = [
+        ("nu_aph", 360.0, "nu_aph 360.0 is not in"),
+        ("r", -1.0, "r -1.0 is not positive"),
+        ("r", math.nan, "non-finite"),
+    ]
+    for field, value, message in bad_rows:
         table = single_table()
         table.rows[5] = table.rows[5]._replace(**{field: value})
         with pytest.raises(TableParseError, match=message):
             read_table(written(tmp_path, table))
 
 
-def test_motion_beyond_the_stencils_half_turn_is_rejected(tmp_path):
-    # The compiler's motion is a wrap-aware difference over a 1-day stencil,
-    # at most 180 degrees a day; a lookup renormalizes the anomaly it
-    # advances by 360 at a time, so a far larger motion would never finish.
-    table = single_table()
-    table.rows[5] = table.rows[5]._replace(motion_per_day=180.0)
-    assert read_table(written(tmp_path, table)).rows[5].motion_per_day == 180.0
-    for value in (math.nextafter(180.0, math.inf), 1e300):
-        table.rows[5] = table.rows[5]._replace(motion_per_day=value)
-        with pytest.raises(TableParseError, match=r"motion_day .* is not in \(0, 180\]"):
-            read_table(written(tmp_path, table))
-
-
 def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
-    # A row's motion of at most 180 degrees a day, over a step of P/8 days,
-    # must advance the anomaly by a finite amount for the lookup to fold it.
+    # A row's knot is a direct-chain solve, defined below 2**36 days.
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: text.replace(",96.0,", ",1e307,").replace(
         "# step: 4.0\n", "# step: 1.25e306\n"))
@@ -227,6 +219,11 @@ def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
     # every row a little ahead, and half a degree past a turn in all
     table.rows[:] = [row._replace(nu_aph=k * 360.5 / 23 % 360.0) for k, row in enumerate(table.rows)]
     with pytest.raises(TableParseError, match="spans a full revolution"):
+        read_table(written(tmp_path, table))
+    # every row a little ahead, and a quarter turn in all: the last row's
+    # advance to row 0, one period on, runs backwards
+    table.rows[:] = [row._replace(nu_aph=k * 90.0 / 24) for k, row in enumerate(table.rows)]
+    with pytest.raises(TableParseError, match="not strictly increasing between t=92.0 and t=96.0"):
         read_table(written(tmp_path, table))
 
 
@@ -260,13 +257,13 @@ def test_a_corrected_body_is_refused_at_build_and_at_read(tmp_path, build):
 
 
 def test_a_body_too_fast_for_the_motion_stencil_is_refused_at_read(tmp_path):
-    # a step of P/8 passes the step check, so only the body line is at fault
+    # at e = 0.9 the body sweeps 180 degrees in 1.8 days around perihelion,
+    # under the 4-day step, so the step line is at fault
     path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace(",96.0,", ",3.0,").replace(
-        "# step: 4.0\n", "# step: 0.375\n"))
-    with pytest.raises(TableParseError, match="invalid body header: proto: sweeps 180") as err:
+    edit_header(path, lambda text: text.replace("proto,1.5,0.35,", "proto,1.5,0.9,"))
+    with pytest.raises(TableParseError, match="invalid step header: proto: sweeps 180") as err:
         read_table(path)
-    assert err.value.line == 4
+    assert err.value.line == 3
 
 
 def test_shape_header_over_the_cell_bound_is_a_parse_error(tmp_path):

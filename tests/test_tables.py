@@ -13,11 +13,12 @@ from urania import (
     normalize_deg,
     position_since_aphelion,
     reduce_rect,
+    time_since_aphelion,
     wrap_diff_deg,
 )
 from urania import tables
 from urania.kepler import heliocentric_xyz, orbit_frame
-from urania.tables import MOTION_STENCIL_DAYS, row_count, stencil_points
+from urania.tables import row_count
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +48,12 @@ def test_aphelion_row_is_exact():
 def test_rows_match_direct_chain_exactly(dataset):
     mars = dataset["mars"]
     table = build_planet_table(mars, 1.0)
-    h = MOTION_STENCIL_DAYS
-    for row in table.rows[::97] + [table.rows[-1]]:
+    # the last row's motion runs to row 0, one period on
+    ahead = table.rows[1:] + [table.rows[0]._replace(t=mars.P)]
+    for row, nxt in list(zip(table.rows, ahead))[::97] + [(table.rows[-1], ahead[-1])]:
         nu, r = position_since_aphelion(mars, row.t)
         assert (nu, r) == (row.nu_aph, row.r)
-        nu_after, _ = position_since_aphelion(mars, row.t + h)
-        nu_before, _ = position_since_aphelion(mars, row.t - h)
-        assert row.motion_per_day == wrap_diff_deg(nu_after, nu_before) / (2.0 * h)
-
-
-@pytest.mark.parametrize("step, solves", [(1.0, 2 * 100 + 1), (3.0, 3 * 34)])
-def test_stencil_points_solve_each_shared_abscissa_once(step, solves):
-    points, centres = stencil_points(100.0, step)
-    h = MOTION_STENCIL_DAYS
-    assert len(points) == len(set(points)) == solves
-    for k, j in enumerate(centres):
-        t = k * step
-        assert points[j - 1:j + 2] == [t - h, t, t + h]
+        assert row.motion_per_day == wrap_diff_deg(nxt.nu_aph, row.nu_aph) / (nxt.t - row.t)
 
 
 def test_row_grid_and_counts():
@@ -212,23 +202,30 @@ def test_tables_refuse_a_corrected_body(corrected):
 
 
 def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(monkeypatch):
-    # 0.28 days from perihelion to a true anomaly of 90 degrees, so 180
-    # degrees within the 1-day stencil; a circular orbit of P = 2 days sits
-    # exactly on the limit, and one a little slower clears it
+    # A row's motion is differenced across its row interval, so the body
+    # must sweep less than 180 degrees in a step. This one takes 0.28 days
+    # from perihelion to a true anomaly of 90 degrees: a step of twice that
+    # sits exactly on the limit, and one an ulp shorter clears it.
     fast = make_el(name="fast", a=1.0, e=0.9, P=30.0)
+    to_quadrature = time_since_aphelion(fast, 270.0) - fast.P / 2
+    limit = 2.0 * to_quadrature
     bodies = {"fast": fast, "earth": circular_pair()[1]}
-    message = "fast: sweeps 180 degrees or more within the 1-day motion stencil"
+    message = "fast: sweeps 180 degrees or more within a 1-day row interval"
     with pytest.raises(DomainError, match=message):
         build_planet_table(fast, 1.0)
     with pytest.raises(DomainError, match=message):
         compile_plan(bodies, bodies, 1.0, None)
     with pytest.raises(DomainError, match="sweeps 180 degrees"):
-        build_planet_table(make_el(e=0.0, P=2.0), 0.25)
-    assert build_planet_table(make_el(e=0.0, P=2.001), 0.25).rows[1].motion_per_day > 0.0
-    # the builder's own guard names the same limit
-    monkeypatch.setattr("urania.tables._check_stencil", lambda el: None)
-    with pytest.raises(DomainError, match="non-positive daily motion .* sweeps 180 degrees"):
-        build_planet_table(fast, 1.0)
+        build_planet_table(fast, limit)
+    assert build_planet_table(fast, math.nextafter(limit, 0.0)).rows[1].motion_per_day > 0.0
+    # a circular orbit takes P/4 to sweep 90 degrees, more than half of any step P/8 allows
+    assert len(build_planet_table(make_el(e=0.0, P=2.0), 0.25).rows) == 8
+    # the row function's own guard refuses the wrapped advance: at a 2-day
+    # step the rows at 14 and 16 days straddle perihelion, at 15
+    monkeypatch.setattr(tables, "_check_single", lambda el, step: None)
+    with pytest.raises(DomainError, match="fast: true anomaly not strictly increasing between "
+                                          "t=14.0 and t=16.0"):
+        build_planet_table(fast, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def test_census_single_only():
     assert report["single_rows"] == {"solo": 100}
     assert report["cells"] == 0
     assert report["entries"] == 100
-    assert report["solver_calls"] == 201  # 2n + 1: each row shares t - h with the row before
+    assert report["solver_calls"] == 100  # one solve per row
 
 
 def test_census_double_cells():
