@@ -384,66 +384,6 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_pair():
-    """A made-up planet and Earth whose tables build in milliseconds."""
-    from .kepler import OrbitalElements
-
-    planet = OrbitalElements(
-        name="check-planet", a=2.1, e=0.3, i=4.0, Omega=40.0, omega=120.0,
-        P=400.0, T_aph=2451545.0,
-    )
-    earth = OrbitalElements(
-        name="earth", a=1.0, e=0.05, i=0.0, Omega=0.0, omega=80.0,
-        P=160.0, T_aph=2451500.0,
-    )
-    return planet, earth
-
-
-def _check_solver_grid() -> None:
-    import math
-
-    from .kepler import KEPLER_TOL, solve_kepler
-
-    eccs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.97]
-    for e in eccs:
-        for k in range(500):
-            M = 2.0 * math.pi * k / 500.0
-            E = solve_kepler(M, e)
-            if abs(E - e * math.sin(E) - M) >= KEPLER_TOL:
-                raise AssertionError(f"residual above tolerance at e={e} M={M}")
-
-
-def _check_calendar_round_trip() -> None:
-    from .juliandate import calendar_to_jd, jd_to_calendar
-
-    for year in range(1500, 2501, 37):
-        for month, day in ((1, 1), (2, 28), (6, 15), (12, 31)):
-            for frac in (0.0, 0.25, 0.875):
-                jd = calendar_to_jd(year, month, day, frac)
-                y, m, d, f = jd_to_calendar(jd)
-                if (y, m, d) != (year, month, day) or abs(f - frac) >= 1e-9:
-                    raise AssertionError(f"round trip broke at {year}-{month}-{day} {frac}")
-
-
-def _check_anomaly_round_trip() -> None:
-    import random
-
-    from .kepler import OrbitalElements, position_since_aphelion, time_since_aphelion
-
-    rng = random.Random(7)
-    for _ in range(200):
-        el = OrbitalElements(
-            name="rt", a=1.0 + 4.0 * rng.random(), e=0.97 * rng.random(),
-            i=0.0, Omega=0.0, omega=0.0,
-            P=10.0 + 5000.0 * rng.random(), T_aph=2451545.0,
-        )
-        t = rng.uniform(0.0, el.P)
-        nu, _ = position_since_aphelion(el, t)
-        back = time_since_aphelion(el, nu)
-        if abs(back - t) >= 1e-9:
-            raise AssertionError(f"|{back} - {t}| too large for e={el.e} P={el.P}")
-
-
 def _check_knot_exactness(tables) -> None:
     from .evaluate import lookup_grid, lookup_planet
 
@@ -460,72 +400,49 @@ def _check_knot_exactness(tables) -> None:
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 
-def _check_serialization(tables) -> None:
-    import tempfile
-    from pathlib import Path
-
-    from .evaluate import load_tables
-    from .tableio import table_filename, write_table
-
-    with tempfile.TemporaryDirectory() as tmp:
-        back = load_tables(tmp)  # the lazy reader of query and bench
-        for held, read_back in ((tables.single, back.single_for),
-                                (tables.double, back.double_for)):
-            for name, table in held.items():
-                write_table(table, Path(tmp) / table_filename(table))
-                if read_back(name) != table:
-                    raise AssertionError(f"round trip altered {table_filename(table)}")
+def _check_table_elements(read, dataset) -> None:
+    """Each table's header elements against the dataset's record of the same
+    body: a table compiled from other elements is stale."""
+    for filename, table in read:
+        held = [table.planet, table.earth] if hasattr(table, "planet") else [table.elements]
+        for el in held:
+            if el.name not in dataset:
+                raise AssertionError(f"{filename}: the dataset has no body named {el.name!r}")
+            expected = dataset[el.name]
+            if el != expected:
+                field = next(f for f, x, y in zip(el._fields, el, expected) if x != y)
+                raise AssertionError(
+                    f"{filename}: {el.name} {field} is {getattr(el, field)!r} in the table "
+                    f"but {getattr(expected, field)!r} in the dataset; regenerate the table "
+                    "or pass the --elements it was compiled from"
+                )
 
 
 def cmd_validate(args) -> int:
-    from .evaluate import TableSet, load_tables
+    from .evaluate import load_tables
     from .tableio import read_table, table_paths
-    from .tables import compile_plan
-
-    checks = []
-    planet, earth = _synthetic_pair()
-    bodies = {planet.name: planet, earth.name: earth}
 
     def dataset_check():
         if "earth" not in _dataset(args):
             raise AssertionError("dataset lacks an 'earth' entry")
 
-    ts = None
-
-    def build_check():
-        nonlocal ts
-        built = TableSet()
-        for builder, build_args in compile_plan(bodies, bodies, earth.P / 64.0, (16, 16)):
-            built.add(builder(*build_args))
-        ts = built
-
-    def contract_check():
-        import random
-
-        rng = random.Random(11)
-        queries = [(planet.name, 2451545.0 + rng.uniform(-5000.0, 5000.0)) for _ in range(300)]
-        _, breaches = _count_both_modes(queries, bodies, ts)
-        if breaches:
-            raise AssertionError("; ".join(breaches.values()))
-
-    checks.append(("elements-dataset", dataset_check))
-    checks.append(("solver-grid-residual", _check_solver_grid))
-    checks.append(("calendar-round-trip", _check_calendar_round_trip))
-    checks.append(("anomaly-round-trip", _check_anomaly_round_trip))
-    checks.append(("table-build", build_check))
-    checks.append(("knot-exactness", lambda: _check_knot_exactness(ts)))
-    checks.append(("zero-transcendental-sweep", contract_check))
-    checks.append(("serialization-round-trip", lambda: _check_serialization(ts)))
-
+    checks = [("elements-dataset", dataset_check)]
     table_dir = _table_dir(args)
     table_files = table_paths(table_dir)
+    read = []  # (file name, table) of each file table-files read
+
+    def table_files_check():
+        loaded = load_tables(table_dir)  # fails a path that is not a directory
+        for path in table_files:
+            table = read_table(path)
+            loaded.add(table)
+            read.append((path.name, table))
+        _check_knot_exactness(loaded)
+
     if table_files or (table_dir.exists() and not table_dir.is_dir()):
-        def table_files_check():
-            loaded = load_tables(table_dir)  # fails a path that is not a directory
-            for path in table_files:
-                loaded.add(read_table(path))
-            _check_knot_exactness(loaded)
         checks.append(("table-files", table_files_check))
+    if table_files:
+        checks.append(("table-elements", lambda: _check_table_elements(read, _dataset(args))))
 
     failures = 0
     for name, fn in checks:
@@ -615,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("validate", help="run the built-in invariant checks")
+    p = sub.add_parser("validate", help="check the elements dataset and the table files "
+                       "against it: each reads, keeps its knots and holds the dataset's elements")
     _add_common(p, tables=True, report=False)
     p.set_defaults(func=cmd_validate)
 

@@ -318,7 +318,7 @@ def heliocentric_at_table(tables: TableSet, planet: str, jd: float):
 def counted_query(mode: str, planet: str, jd: float, dataset=None,
                   tables: TableSet | None = None):
     """Run one geocentric query in either mode with a fresh counter: the
-    counted query of ``urania query --count-ops``, ``bench`` and ``validate``.
+    counted query of ``urania query --count-ops`` and ``bench``.
 
     Returns (GeocentricPosition, OpCounter). ``dataset`` (a mapping of name
     to OrbitalElements) backs direct mode; ``tables`` backs table mode.

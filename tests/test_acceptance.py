@@ -34,6 +34,7 @@ from urania import (
     write_table,
 )
 from urania.cli import main
+from urania.dataset import REQUIRED_COLUMNS, elements_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -199,6 +200,7 @@ def test_criterion_9_geometric_exactness():
 
 def test_criterion_10_serialization_and_validate(tmp_path):
     rng = random.Random(1010)
+    bodies = []
     for trial in range(6):
         el = make_el(
             name=f"rand{trial}",
@@ -214,9 +216,10 @@ def test_criterion_10_serialization_and_validate(tmp_path):
         write_table(table, path)
         again = read_table(path)
         assert again.elements == table.elements and again.rows == table.rows
+        bodies.append(el)
 
     earth = make_el(name="earth", a=1.0, e=0.02, i=0.0, Omega=0.0, omega=10.0, P=365.25)
-    dtable = build_double_entry(make_el(name="rand0", a=3.0, P=900.0), earth, 8, 8)
+    dtable = build_double_entry(bodies[0], earth, 8, 8)
     dpath = tmp_path / table_filename(dtable)
     write_table(dtable, dpath)
     assert read_table(dpath).cells == dtable.cells
@@ -233,8 +236,11 @@ def test_criterion_10_serialization_and_validate(tmp_path):
     truncated.unlink()
     mangled.unlink()
 
+    # validate compares each table's header elements with the dataset's
+    csv = tmp_path / "elements.csv"
+    csv.write_text("\n".join([",".join(REQUIRED_COLUMNS), *map(elements_row, [*bodies, earth])]))
     start = time.perf_counter()
-    assert main(["validate", "--table-dir", str(tmp_path)]) == 0
+    assert main(["validate", "--table-dir", str(tmp_path), "--elements", str(csv)]) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     passed(10, f"round trips value-exact, corruption detected, validate passed in {elapsed:.2f}s")

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import re
@@ -12,7 +11,6 @@ import urania
 from conftest import reseal
 from urania import (
     DomainError,
-    DoubleEntryTable,
     OpCounter,
     TableParseError,
     TableSet,
@@ -31,8 +29,9 @@ from urania import (
     wrap_diff_deg,
     write_table,
 )
-from urania import tableio
+from urania import evaluate
 from urania.cli import main
+from urania.dataset import elements_row
 from urania.evaluate import phase_days
 
 ELEMENTS_HEADER = "name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd"
@@ -191,6 +190,13 @@ def test_plain_query_imports_only_its_own_mode(table_dir, mode):
     assert "urania.opcount" in loaded - bare
     if mode == "direct":
         assert (loaded - bare) & {"urania.tableio", "urania.tables"} == set()
+
+
+def test_validate_loads_no_counting_machinery(table_dir):
+    _, bare = _fresh_main()
+    out, loaded = _fresh_main("validate", "--table-dir", str(table_dir))
+    assert out.splitlines()[-1] == "all 3 checks passed"
+    assert "urania.opcount" not in loaded - bare
 
 
 def test_query_table_counts_only_with_count_ops(capsys, monkeypatch, table_dir):
@@ -817,10 +823,14 @@ def test_census_double_needs_earth_as_gen_does(capsys, tmp_path):
 
 def test_validate_fresh_checkout(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+    assert (code, out) == (0, "PASS elements-dataset\nall 1 checks passed\n")
+
+
+def test_validate_checks_the_dataset_and_the_tables_against_it(capsys, table_dir):
+    code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
     assert code == 0
-    assert "PASS solver-grid-residual" in out
-    assert "PASS zero-transcendental-sweep" in out
-    assert "all" in out and "passed" in out
+    assert out.splitlines() == ["PASS elements-dataset", "PASS table-files",
+                                "PASS table-elements", "all 3 checks passed"]
 
 
 def _nudged(value):
@@ -828,20 +838,16 @@ def _nudged(value):
     return value + 1e-6 if isinstance(value, float) else (*value[:-1], value[-1] + 1e-6)
 
 
-@pytest.mark.parametrize("module, name, check", [
-    ("kepler", "solve_kepler", "solver-grid-residual"),
-    ("juliandate", "jd_to_calendar", "calendar-round-trip"),
-    ("kepler", "time_since_aphelion", "anomaly-round-trip"),
-    ("evaluate", "lookup_planet", "knot-exactness"),
-    ("evaluate", "lookup_grid", "knot-exactness"),
+@pytest.mark.parametrize("name", [
+    pytest.param("lookup_planet", id="evaluate-lookup_planet-knot-exactness"),
+    pytest.param("lookup_grid", id="evaluate-lookup_grid-knot-exactness"),
 ])
-def test_validate_flags_each_failing_self_check(capsys, tmp_path, monkeypatch, module, name, check):
-    module = importlib.import_module(f"urania.{module}")
-    real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: _nudged(real(*args)))
-    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+def test_validate_flags_each_failing_self_check(capsys, table_dir, monkeypatch, name):
+    real = getattr(evaluate, name)
+    monkeypatch.setattr(evaluate, name, lambda *args: _nudged(real(*args)))
+    code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
     assert code == 1
-    assert f"FAIL {check}: " in out
+    assert "FAIL table-files: " in out
 
 
 @pytest.mark.parametrize("flag", ["--json", "--no-timestamp"])
@@ -864,15 +870,6 @@ def test_a_table_directory_that_is_a_file_is_named_as_such(capsys, tmp_path):
     assert f"FAIL table-files: table directory {path} is not a directory" in out
 
 
-def test_validate_sweep_checks_the_contract_bench_checks(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("urania.evaluate.counted_query",
-                        lambda *_, **__: (None, OpCounter(transcendental_calls=1)))
-    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
-    assert code == 1
-    assert ("FAIL zero-transcendental-sweep: 300 table queries used transcendental calls; "
-            "300 table queries cost no fewer ops than in direct mode") in out
-
-
 def test_validate_flags_corrupt_table(capsys, table_dir):
     truncate(table_dir / "mars.single.tbl")
     code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
@@ -888,21 +885,37 @@ def test_validate_flags_moved_table(capsys, table_dir):
     assert "venus.earth.double.tbl" in out
 
 
-def test_validate_flags_altered_round_trip(capsys, tmp_path, monkeypatch):
-    real = tableio.read_table
-
-    def perturbed(path):
-        table = real(path)
-        if isinstance(table, DoubleEntryTable):
-            lam, beta, delta = table.cells[3][5]
-            table.cells[3][5] = (lam, beta, delta + 1e-12)
-        return table
-
-    monkeypatch.setattr(tableio, "read_table", perturbed)
-    code, out, _ = run(capsys, "validate", "--table-dir", str(tmp_path / "missing"))
+@pytest.mark.parametrize("body, field, value, selection", [
+    ("mars", "e", 0.1, "--all"),
+    ("earth", "omega", 103.0, "--planet=mars"),  # the Earth in the grid, as its observer
+])
+def test_validate_flags_tables_compiled_from_other_elements(
+        capsys, tmp_path, dataset, body, field, value, selection):
+    csv = tmp_path / "other.csv"
+    rows = [el._replace(**{field: value}) if el.name == body else el for el in dataset]
+    csv.write_text("\n".join([ELEMENTS_HEADER, *map(elements_row, rows)]) + "\n")
+    d = tmp_path / "tables"
+    code, _, err = run(capsys, "gen", selection, "--double", "16x16", "--elements", str(csv),
+                       "--table-dir", str(d), "--no-timestamp")
+    assert code == 0, err
+    code, out, _ = run(capsys, "validate", "--table-dir", str(d))
     assert code == 1
-    assert "FAIL serialization-round-trip" in out
-    assert out.splitlines()[-1] == "1 of 8 checks failed"
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL table-elements: mars.earth.double.tbl: {body} {field} is {value!r} in the table but "
+        f"{getattr(dataset[body], field)!r} in the dataset; regenerate the table or pass "
+        "the --elements it was compiled from"]
+    code, out, _ = run(capsys, "validate", "--table-dir", str(d), "--elements", str(csv))
+    assert (code, out.splitlines()[-1]) == (0, "all 3 checks passed")
+
+
+def test_validate_names_a_table_body_the_dataset_lacks(capsys, tmp_path):
+    d = tmp_path / "tables"
+    code, _, err = run(capsys, "gen", "--planet", "circ", "--elements", str(synthetic_csv(tmp_path)),
+                       "--table-dir", str(d), "--no-timestamp")
+    assert code == 0, err
+    code, out, _ = run(capsys, "validate", "--table-dir", str(d))
+    assert code == 1
+    assert "FAIL table-elements: circ.single.tbl: the dataset has no body named 'circ'\n" in out
 
 
 def test_env_var_table_dir(capsys, table_dir, monkeypatch):
