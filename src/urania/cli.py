@@ -300,7 +300,7 @@ def cmd_bench(args) -> int:
 
     from .evaluate import load_tables
     from .opcount import OpCounter, twin
-    from .tableio import double_planets
+    from .tableio import double_planets, table_filename
 
     if args.queries < 1:
         raise DomainError(f"--queries must be >= 1, got {args.queries}")
@@ -314,6 +314,12 @@ def cmd_bench(args) -> int:
         raise TableNotFoundError(
             "no double-entry tables loaded; run 'urania gen --all --double 64x64'"
         )
+    try:  # a table compiled from other elements answers for another sky
+        _check_table_elements([(table_filename(t), t) for t in tables.double.values()], dataset)
+    except AssertionError as exc:
+        _emit(args, [f"FAIL table-elements: {exc}"],
+              {"planets": planets, "table_elements": "fail", "error": str(exc)})
+        return 1
 
     rng = random.Random(args.seed)
     jd0 = 2451545.0
@@ -396,7 +402,7 @@ def _check_knot_exactness(tables) -> None:
         for iu in range(table.n_u):
             for iv in range(table.n_v):
                 got = lookup_grid(table, float(iu), float(iv))
-                if list(map(float.hex, got)) != list(map(float.hex, table.cells[iu][iv])):
+                if list(map(float.hex, got)) != list(map(float.hex, table.knot(iu, iv))):
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
 
 

@@ -195,11 +195,16 @@ def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosi
     can divide to it) is the wrap column's knot, interpolated from the last
     interval at weight 1, and so ``y = n_v``.
 
-    Longitudes interpolate through wrap-aware offsets from the corner cell,
-    so a 359 -> 1 degree seam interpolates through 0, never through 180. One
-    body, for speed: each corner's longitude offset is folded into
-    (-180, 180] and the sum renormalized into [0, 360) inline. The tests
-    hold it to a reference lookup that calls ``angles.normalize_deg``
+    One row fetch: ``table.cells[iu]`` is row iu's coefficient cells
+    (``tables.coefficient_row``), and its cell ``[iv::n_v]`` holds each
+    component's knot f00 and forward differences f_u, f_v, f_uv, so at the
+    fractions fu = x - iu, fv = y - iv the bilinear interpolant is
+    f00 + fu*f_u + fv*(f_v + fu*f_uv): no other corner to read, and no
+    offset to fold, since the longitude's differences were folded into
+    (-180, 180] when the row was derived and a 359 -> 1 degree seam
+    interpolates through 0. The longitude is renormalized into [0, 360)
+    inline; the tests hold this body to a reference lookup that derives the
+    cell with ``angles.wrap_diff_deg`` and calls ``angles.normalize_deg``
     (tests/oracles.py): the same bits and the same tally.
     """
     n_u = table.n_u
@@ -217,47 +222,18 @@ def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosi
         iv = n_v - 1
     fu = x - iu
     fv = y - iv
-    iu1 = iu + 1 if iu + 1 < n_u else 0
-    iv1 = iv + 1 if iv + 1 < n_v else 0
-
-    c00 = table.cells[iu][iv]
-    c10 = table.cells[iu1][iv]
-    c01 = table.cells[iu][iv1]
-    c11 = table.cells[iu1][iv1]
-
-    gu = 1.0 - fu
-    gv = 1.0 - fv
-    w00 = gu * gv
-    w10 = fu * gv
-    w01 = gu * fv
-    w11 = fu * fv
-
-    lam0 = c00[0]
-    d10 = c10[0] - lam0
-    if d10 > 180.0:
-        d10 -= 360.0
-    elif d10 <= -180.0:
-        d10 += 360.0
-    d01 = c01[0] - lam0
-    if d01 > 180.0:
-        d01 -= 360.0
-    elif d01 <= -180.0:
-        d01 += 360.0
-    d11 = c11[0] - lam0
-    if d11 > 180.0:
-        d11 -= 360.0
-    elif d11 <= -180.0:
-        d11 += 360.0
-    lam = lam0 + (w10 * d10 + w01 * d01 + w11 * d11)
+    (lam, lam_u, lam_v, lam_uv, beta, beta_u, beta_v, beta_uv,
+     delta, delta_u, delta_v, delta_uv) = table.cells[iu][iv::n_v]
+    if fu == 0.0 and fv == 0.0:
+        # the knot as stored: the sums below turn a stored -0.0 into +0.0
+        return _new_tuple(GeocentricPosition, (lam, beta, delta))
+    lam = lam + fu * lam_u + fv * (lam_v + fu * lam_uv)
     while lam < 0.0:
         lam += 360.0
     while lam >= 360.0:  # after the fold up: -1e-15 + 360.0 rounds to 360.0
         lam -= 360.0
-    beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
-    delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
-    if fu == 0.0 and fv == 0.0:
-        # the sums above turn a stored -0.0 into +0.0
-        lam, beta, delta = c00
+    beta = beta + fu * beta_u + fv * (beta_v + fu * beta_uv)
+    delta = delta + fu * delta_u + fv * (delta_v + fu * delta_uv)
     return _new_tuple(GeocentricPosition, (lam, beta, delta))
 
 

@@ -32,7 +32,12 @@ outside the chain, so it is free in the query's tally; ``bench`` prints its
 tally beside the query's. A
 double-entry table's grid spacing ``du``, ``dv`` is compile work likewise:
 the builder and the reader compute it once into the table, which a table
-query reads.
+query reads. So are its coefficient cells: ``tables.coefficient_row``
+derives each row's from the knots, in the chain, and ``measure_compile_ops``
+counts every row of every double-entry table of the plan through it, as it
+counts a single-entry table's ``planet_rows``. A query fetches its row from
+``table.cells``, which derives the row on its first read: a call outside the
+chain, so free in the query's tally, as ``kepler.cached_frame`` is.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
 ``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
@@ -222,7 +227,7 @@ _CHAIN = {
                "position_since_aphelion", "orbit_frame", "heliocentric_xyz"),
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
     "tables": ("row_count", "_check_single", "build_planet_table", "planet_rows",
-               "build_double_entry"),
+               "build_double_entry", "coefficient_row"),
     "evaluate": ("_locate", "phase_days", "lookup_planet", "lookup_double", "lookup_grid",
                  "geocentric_at_table", "heliocentric_at_table"),
 }
@@ -251,8 +256,13 @@ def _twins(module_name: str) -> dict:
 
 def measure_compile_ops(plan) -> OpCounter:
     """Arithmetic of compiling a ``tables.compile_plan``, counted by running
-    its builders' twins over the same list that ``urania gen`` builds."""
+    its builders' twins over the same list that ``urania gen`` builds, and
+    the derivation of every double-entry row, which queries make on first
+    use."""
     c = OpCounter()
     for builder, args in plan:
-        twin(builder.__name__)(c, *args)
+        table = twin(builder.__name__)(c, *args)
+        if builder.__name__ == "build_double_entry":
+            for iu in range(table.n_u):
+                twin("coefficient_row")(c, *table.cells.knot_rows(iu), table.n_v)
     return c

@@ -9,9 +9,11 @@ a double-entry table, each holding that body's row of the elements CSV (see
 dataset's own codec. Unknown keys are ignored. The header closes with
 ``# payload: floats=N crc32=XXXXXXXX``, whose CRC-32 (``zlib.crc32``, 8
 lowercase hex digits) covers every byte of the file but those 8 digits. The
-payload follows that line's newline: N little-endian float64 values,
-``lambda, beta, delta`` per cell, row-major, for a double-entry table, and
-the knots ``nu_aph, r`` per row for a single-entry one, whose rows
+payload follows that line's newline: N little-endian float64 values. For a
+double-entry table they are its ``knots``, ``lambda, beta, delta`` per cell,
+row-major, written and read as one array; the reader derives nothing from
+them, and a query derives each row's coefficient cells on its first read.
+For a single-entry table they are the knots ``nu_aph, r`` per row, whose rows
 ``tables.planet_rows`` rebuilds from them as the compiler does. No value goes
 through decimal text, so the round trip is bit-exact. A corrupt, truncated or
 out-of-range file, one whose step or grid fails the compiler's checks, whose
@@ -111,7 +113,7 @@ def write_table(table, destination) -> None:
             "body": elements_row(table.planet),
             "earth": elements_row(table.earth),
         }
-        values = [x for col in table.cells for cell in col for x in cell]
+        values = table.knots
     else:
         raise TypeError(f"cannot serialize {type(table).__name__}")
     payload = array("d", values)
@@ -237,9 +239,9 @@ def _elements(headers, key, path, check=_check_periodic):
     return el
 
 
-def _records(values, count, what, columns, path):
-    """The payload as ``count`` tuples of one value per column, each of
-    ``columns`` checked."""
+def _check_payload(values, count, what, columns, path) -> None:
+    """Refuse the payload unless it holds ``count`` records of one value per
+    column, each of ``columns`` checked."""
     width = len(columns)
     if len(values) != width * count:
         raise TableParseError(
@@ -253,7 +255,6 @@ def _records(values, count, what, columns, path):
         for x in (min(column), max(column)):
             if not ok(x):
                 raise TableParseError(f"{name} {x!r} is not {bounds}", path=path)
-    return list(zip(*[iter(values)] * width))
 
 
 def _read_single(path, headers, values):
@@ -264,9 +265,9 @@ def _read_single(path, headers, values):
         _check_single(el, step)
 
     what = f"rows for P={el.P!r} step={step!r}"
-    knots = _records(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
+    _check_payload(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
     with _invalid("payload", path):
-        rows = planet_rows(el, step, knots)
+        rows = planet_rows(el, step, list(zip(values[0::2], values[1::2])))
     return PlanetTable(elements=el, step=step, rows=rows)
 
 
@@ -277,7 +278,7 @@ def _read_double(path, headers, values):
         n_u, n_v = parse_shape(text)
         _check_double(planet, earth, n_u, n_v)
 
-    triples = _records(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
-    cells = [triples[iu * n_v:(iu + 1) * n_v] for iu in range(n_u)]
+    _check_payload(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
+    # held as an exact-size copy: frombytes leaves a 16th of the array spare
     return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v,
-                            du=planet.P / n_u, dv=earth.P / n_v, cells=cells)
+                            du=planet.P / n_u, dv=earth.P / n_v, knots=values[:])

@@ -7,7 +7,10 @@ single-entry table solves Kepler's equation once per row, and derives each
 row's daily motion from its knots (``planet_rows``), and a double-entry table
 computes each body's orbit frame once, places each grid line's body in it
 once (``kepler.heliocentric_xyz``), then reduces each cell from the two
-rectangular positions (``geocentric.reduce_rect``).
+rectangular positions (``geocentric.reduce_rect``). A double-entry table
+holds those knots; each row's coefficient cells, the knots with their forward
+differences, are derived from them the first time a query reads the row
+(``coefficient_row``), and kept.
 
 A configuration is known here alone: ``parse_shape`` reads its grid, the
 step and grid checks serve the table reader too, and ``compile_plan`` returns
@@ -20,6 +23,7 @@ solves are the builders' rows and grid lines, so they are the solves
 
 import math
 import re
+from array import array
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -42,6 +46,7 @@ __all__ = [
     "DoubleEntryTable",
     "build_planet_table",
     "build_double_entry",
+    "coefficient_row",
     "compile_plan",
     "parse_shape",
     "planet_rows",
@@ -74,27 +79,69 @@ class PlanetTable(NamedTuple):
     rows: list[TableRow]
 
 
-class DoubleEntryTable(NamedTuple):
+class DoubleEntryTable:
     """Grid over (planet phase, Earth phase) -> geocentric (lambda, beta, delta).
 
     Cell (iu, iv) is evaluated with the planet iu*du days past its aphelion
     and the Earth iv*dv days past its own, where du = P_planet/n_u and dv =
     P_earth/n_v are computed once, by the builder or the reader; both axes
-    are logically periodic.
+    are logically periodic. ``knots`` holds the cells' (lambda, beta, delta),
+    row-major, as the table file's payload does. ``cells[iu]`` is row iu's
+    coefficient cells (see ``coefficient_row``), derived on its first read;
+    two tables are equal when all but their cells are, since equal knots
+    derive equal cells.
     """
 
-    planet: OrbitalElements
-    earth: OrbitalElements
-    n_u: int
-    n_v: int
-    du: float
-    dv: float
-    cells: list[list[tuple[float, float, float]]]
+    __slots__ = ("planet", "earth", "n_u", "n_v", "du", "dv", "knots", "cells")
+
+    def __init__(self, planet: OrbitalElements, earth: OrbitalElements, n_u: int, n_v: int,
+                 du: float, dv: float, knots: array):
+        self.planet, self.earth, self.n_u, self.n_v = planet, earth, n_u, n_v
+        self.du, self.dv, self.knots = du, dv, knots
+        self.cells = CoefficientRows(knots, n_u, n_v)
+
+    def __eq__(self, other):
+        if not isinstance(other, DoubleEntryTable):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
+
+    def knot(self, iu: int, iv: int) -> tuple[float, float, float]:
+        """The stored (lambda, beta, delta) of cell (iu, iv)."""
+        k = 3 * (iu * self.n_v + iv)
+        return tuple(self.knots[k:k + 3])
 
     def __repr__(self) -> str:
-        # The cells are n_u * n_v triples: too many to print.
+        # The knots are 3 * n_u * n_v floats: too many to print.
         return (f"DoubleEntryTable(planet={self.planet!r}, earth={self.earth!r}, "
                 f"n_u={self.n_u!r}, n_v={self.n_v!r})")
+
+
+class CoefficientRows(dict):
+    """Row index -> that row of a double-entry table's coefficient cells.
+
+    A row is derived from the knots by ``coefficient_row`` when it is first
+    read, and kept: so a lookup fetches its row with one subscript, and a
+    table read for one query derives one row, not all of them.
+    """
+
+    __slots__ = ("knots", "n_u", "n_v")
+
+    def __init__(self, knots: array, n_u: int, n_v: int):
+        super().__init__()
+        self.knots, self.n_u, self.n_v = knots, n_u, n_v
+
+    def __missing__(self, iu: int) -> array:
+        row = self[iu] = coefficient_row(*self.knot_rows(iu), self.n_v)
+        return row
+
+    def knot_rows(self, iu: int) -> tuple[array, array]:
+        """The knots of row ``iu`` and of the row after it (row 0 after the last)."""
+        if not 0 <= iu < self.n_u:
+            raise KeyError(iu)
+        width = 3 * self.n_v
+        start = width * iu
+        after = start + width if iu + 1 < self.n_u else 0
+        return self.knots[start:start + width], self.knots[after:after + width]
 
 
 def row_count(P: float, step: float) -> int:
@@ -218,8 +265,9 @@ def build_double_entry(
     """Compile the double-entry geocentric table for a planet/Earth pair.
 
     Each body's orbit frame is computed once and each grid line's position
-    once, so the cells cost 2 frames, n_u + n_v positions and n_u * n_v
-    ``reduce_rect`` calls.
+    once, so the knots cost 2 frames, n_u + n_v positions and n_u * n_v
+    ``reduce_rect`` calls. No row of coefficient cells is derived here: a
+    query derives each on its first read.
     """
     _check_double(planet_el, earth_el, n_u, n_v)
     du = planet_el.P / n_u
@@ -229,17 +277,53 @@ def build_double_entry(
     earth_vecs = []
     for iv in range(n_v):
         earth_vecs.append(heliocentric_xyz(earth_el, earth_frame, iv * dv))
-    cells = []
+    knots = array("d")
     for iu in range(n_u):
         planet_vec = heliocentric_xyz(planet_el, planet_frame, iu * du)
-        col = []
         for earth_vec in earth_vecs:
-            g = reduce_rect(planet_vec, earth_vec)
-            col.append((g.lam, g.beta, g.delta))
-        cells.append(col)
+            knots.extend(reduce_rect(planet_vec, earth_vec))
     return DoubleEntryTable(
-        planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, du=du, dv=dv, cells=cells
+        planet=planet_el, earth=earth_el, n_u=n_u, n_v=n_v, du=du, dv=dv, knots=knots
     )
+
+
+def coefficient_row(near: array, far: array, n_v: int) -> array:
+    """The coefficient cells of a double-entry table's row iu, from ``near``,
+    the knots of row iu (lambda, beta, delta per cell), and ``far``, those of
+    row iu + 1 (row 0 after the last).
+
+    Cell iv holds, for each of lambda, beta and delta, its knot f00 and three
+    forward differences: fu = f10 - f00, fv = f01 - f00 and
+    fuv = (f11 - f00) - fu - fv, where f10 is the knot one row on, f01 one
+    column on (column 0 after the last) and f11 both. Then
+    f00 + x*fu + y*(fv + x*fuv) is the bilinear interpolant at fractions
+    (x, y) of the cell (Abramowitz & Stegun 1964, section 25.2). The
+    longitude's offsets f10 - f00, f01 - f00 and f11 - f00 are folded into
+    (-180, 180], so a cell across the 360 -> 0 seam interpolates through 0,
+    never through 180.
+
+    The row is one array of 12 * n_v floats in blocks of n_v, one per
+    coefficient, [lambda, lambda_u, lambda_v, lambda_uv, beta, ..., delta_uv],
+    so cell iv is ``row[iv::n_v]``.
+    """
+    row = near * 4  # 12 * n_v floats, each overwritten below, in an exact-size array
+    for iv in range(n_v):
+        k = 3 * iv
+        j = k + 3
+        if iv + 1 == n_v:
+            j = 0
+        lam_u = wrap_diff_deg(far[k], near[k])
+        lam_v = wrap_diff_deg(near[j], near[k])
+        beta_u = far[k + 1] - near[k + 1]
+        beta_v = near[j + 1] - near[k + 1]
+        delta_u = far[k + 2] - near[k + 2]
+        delta_v = near[j + 2] - near[k + 2]
+        row[iv::n_v] = array("d", (
+            near[k], lam_u, lam_v, wrap_diff_deg(far[j], near[k]) - lam_u - lam_v,
+            near[k + 1], beta_u, beta_v, far[j + 1] - near[k + 1] - beta_u - beta_v,
+            near[k + 2], delta_u, delta_v, far[j + 2] - near[k + 2] - delta_u - delta_v,
+        ))
+    return row
 
 
 def compile_plan(

@@ -4,10 +4,13 @@ Nothing here imports the engine's solver or reduction code paths: Kepler's
 equation is solved by interval bisection (in float or in 50-digit mpmath),
 the coordinate chain is recomputed from scratch in mpmath, and calendar
 conversions come from the standard library's proleptic Gregorian ordinal.
-The double-entry table lookup is kept as it was written before it became one
-flat body: grid spacing recomputed per call, the offset fold as a function of
-its own, and the engine's own ``angles.normalize_deg`` as a call, so the flat
-body's inline copies are checked against the one factored source.
+The double-entry table lookup is written twice. ``ref_lookup_double`` is the
+engine's difference form factored into calls: grid spacing recomputed per
+call, the cell derived from its four corner knots with ``angles.wrap_diff_deg``
+and the sum renormalized with ``angles.normalize_deg``, so the engine's flat
+body and its row derivation are checked against the factored sources.
+``four_corner_lookup`` is the textbook weighted sum of the four corners, which
+the difference form must agree with to rounding.
 """
 
 import datetime
@@ -15,7 +18,7 @@ import math
 
 import mpmath as mp
 
-from urania.angles import normalize_deg
+from urania.angles import normalize_deg, wrap_diff_deg
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,51 +138,68 @@ def wrap_abs_deg(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The double-entry lookup as it was written before it became one flat body,
-# on the engine's own normalize_deg. Plain float code in the engine's own
-# style, so opcount can derive its counted twin too.
+# The double-entry lookup, factored into calls, on the engine's own angle
+# functions. Plain float code in the engine's own style, so opcount can derive
+# the counted twin of ref_lookup_double and ref_bilinear; ref_cell stays
+# plain, as the engine's row derivation is free in a query's tally.
 # ---------------------------------------------------------------------------
 
 
-def ref_wrap180(d: float) -> float:
-    """Fold a difference of two normalized angles into (-180, 180]."""
-    if d > 180.0:
-        d -= 360.0
-    elif d <= -180.0:
-        d += 360.0
-    return d
+def ref_knot(table, iu: int, iv: int):
+    """The (lambda, beta, delta) stored for cell (iu, iv), read off the knots."""
+    k = 3 * (iu * table.n_v + iv)
+    return tuple(table.knots[k:k + 3])
+
+
+def ref_cell(table, iu: int, iv: int):
+    """Per component, (f00, fu, fv, fuv) of the cell at (iu, iv): its knot and
+    forward differences to the knots one row on (f10), one column on (f01)
+    and both (f11), wrapping past the last row and column; for lambda each
+    offset from f00 is folded into (-180, 180]."""
+    iu1 = (iu + 1) % table.n_u
+    iv1 = (iv + 1) % table.n_v
+    c00, c10 = ref_knot(table, iu, iv), ref_knot(table, iu1, iv)
+    c01, c11 = ref_knot(table, iu, iv1), ref_knot(table, iu1, iv1)
+    offsets = [(wrap_diff_deg(c10[0], c00[0]), wrap_diff_deg(c01[0], c00[0]),
+                wrap_diff_deg(c11[0], c00[0]))]
+    offsets += [(c10[i] - c00[i], c01[i] - c00[i], c11[i] - c00[i]) for i in (1, 2)]
+    return [(c00[i], d10, d01, d11 - d10 - d01) for i, (d10, d01, d11) in enumerate(offsets)]
+
+
+def ref_bilinear(f, fu: float, fv: float) -> float:
+    """The cell ``f`` = (f00, fu, fv, fuv) at fractions (fu, fv)."""
+    return f[0] + fu * f[1] + fv * (f[2] + fu * f[3])
 
 
 def ref_lookup_double(table, u: float, v: float):
     """Bilinear (lambda, beta, delta) at phases (u, v) in range, as a tuple.
 
     Each axis is located in grid coordinates: the phase over the spacing,
-    its integer part clamped to the last interval, and the fraction left."""
+    its integer part clamped to the last interval, and the fraction left.
+    A knot is returned as stored."""
     x = u / (table.planet.P / table.n_u)
     y = v / (table.earth.P / table.n_v)
     iu = min(int(x), table.n_u - 1)
     iv = min(int(y), table.n_v - 1)
     fu = x - iu
     fv = y - iv
-    iu1 = iu + 1 if iu + 1 < table.n_u else 0
-    iv1 = iv + 1 if iv + 1 < table.n_v else 0
+    lam, beta, delta = ref_cell(table, iu, iv)
+    if fu == 0.0 and fv == 0.0:
+        return lam[0], beta[0], delta[0]
+    return (normalize_deg(ref_bilinear(lam, fu, fv)), ref_bilinear(beta, fu, fv),
+            ref_bilinear(delta, fu, fv))
 
-    c00 = table.cells[iu][iv]
-    c10 = table.cells[iu1][iv]
-    c01 = table.cells[iu][iv1]
-    c11 = table.cells[iu1][iv1]
 
-    gu = 1.0 - fu
-    gv = 1.0 - fv
-    w00 = gu * gv
-    w10 = fu * gv
-    w01 = gu * fv
-    w11 = fu * fv
-
-    d10 = ref_wrap180(c10[0] - c00[0])
-    d01 = ref_wrap180(c01[0] - c00[0])
-    d11 = ref_wrap180(c11[0] - c00[0])
-    lam = normalize_deg(c00[0] + (w10 * d10 + w01 * d01 + w11 * d11))
-    beta = (w00 * c00[1] + w10 * c10[1]) + (w01 * c01[1] + w11 * c11[1])
-    delta = (w00 * c00[2] + w10 * c10[2]) + (w01 * c01[2] + w11 * c11[2])
-    return lam, beta, delta
+def four_corner_lookup(table, x: float, y: float):
+    """Bilinear (lambda, beta, delta) at grid coordinates (x, y) in range as
+    the weighted sum of the four corner knots; lambda as the first corner's
+    plus the weighted offsets of the others, each folded into (-180, 180]."""
+    iu = min(int(x), table.n_u - 1)
+    iv = min(int(y), table.n_v - 1)
+    fu, fv = x - iu, y - iv
+    iu1, iv1 = (iu + 1) % table.n_u, (iv + 1) % table.n_v
+    corners = [ref_knot(table, i, j) for i, j in ((iu, iv), (iu1, iv), (iu, iv1), (iu1, iv1))]
+    weights = [(1.0 - fu) * (1.0 - fv), fu * (1.0 - fv), (1.0 - fu) * fv, fu * fv]
+    lam0 = corners[0][0]
+    lam = lam0 + sum(w * wrap_diff_deg(c[0], lam0) for w, c in zip(weights, corners))
+    return (normalize_deg(lam), *(sum(w * c[i] for w, c in zip(weights, corners)) for i in (1, 2)))

@@ -609,8 +609,8 @@ def test_bench_tallies_are_pinned(capsys, table_dir):
                        "--table-dir", str(table_dir), "--json", "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["table"] == {"adds": 4041, "muls": 4200, "transcendental_calls": 0,
-                               "row_accesses": 800, "total": 9041}
+    assert report["table"] == {"adds": 3009, "muls": 3000, "transcendental_calls": 0,
+                               "row_accesses": 200, "total": 6209}
     assert report["direct"] == {"adds": 8345, "muls": 8016, "transcendental_calls": 3620,
                                 "row_accesses": 0, "total": 19981}
 
@@ -885,12 +885,9 @@ def test_validate_flags_moved_table(capsys, table_dir):
     assert "venus.earth.double.tbl" in out
 
 
-@pytest.mark.parametrize("body, field, value, selection", [
-    ("mars", "e", 0.1, "--all"),
-    ("earth", "omega", 103.0, "--planet=mars"),  # the Earth in the grid, as its observer
-])
-def test_validate_flags_tables_compiled_from_other_elements(
-        capsys, tmp_path, dataset, body, field, value, selection):
+def _gen_from_other_elements(capsys, tmp_path, dataset, body, field, value, selection):
+    """(table directory, elements CSV) of a 16x16 set compiled from the
+    dataset with ``body``'s ``field`` set to ``value``."""
     csv = tmp_path / "other.csv"
     rows = [el._replace(**{field: value}) if el.name == body else el for el in dataset]
     csv.write_text("\n".join([ELEMENTS_HEADER, *map(elements_row, rows)]) + "\n")
@@ -898,14 +895,44 @@ def test_validate_flags_tables_compiled_from_other_elements(
     code, _, err = run(capsys, "gen", selection, "--double", "16x16", "--elements", str(csv),
                        "--table-dir", str(d), "--no-timestamp")
     assert code == 0, err
+    return d, csv
+
+
+def _stale_line(dataset, body, field, value):
+    return (f"FAIL table-elements: mars.earth.double.tbl: {body} {field} is {value!r} in the "
+            f"table but {getattr(dataset[body], field)!r} in the dataset; regenerate the table "
+            "or pass the --elements it was compiled from")
+
+
+OTHER_ELEMENTS = pytest.mark.parametrize("body, field, value, selection", [
+    ("mars", "e", 0.1, "--all"),
+    ("earth", "omega", 103.0, "--planet=mars"),  # the Earth in the grid, as its observer
+])
+
+
+@OTHER_ELEMENTS
+def test_validate_flags_tables_compiled_from_other_elements(
+        capsys, tmp_path, dataset, body, field, value, selection):
+    d, csv = _gen_from_other_elements(capsys, tmp_path, dataset, body, field, value, selection)
     code, out, _ = run(capsys, "validate", "--table-dir", str(d))
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL table-elements: mars.earth.double.tbl: {body} {field} is {value!r} in the table but "
-        f"{getattr(dataset[body], field)!r} in the dataset; regenerate the table or pass "
-        "the --elements it was compiled from"]
+        _stale_line(dataset, body, field, value)]
     code, out, _ = run(capsys, "validate", "--table-dir", str(d), "--elements", str(csv))
     assert (code, out.splitlines()[-1]) == (0, "all 3 checks passed")
+
+
+@OTHER_ELEMENTS
+def test_bench_refuses_tables_compiled_from_other_elements(
+        capsys, tmp_path, dataset, body, field, value, selection):
+    d, csv = _gen_from_other_elements(capsys, tmp_path, dataset, body, field, value, selection)
+    args = ("bench", "--queries", "20", "--table-dir", str(d), "--no-timestamp")
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (1, _stale_line(dataset, body, field, value) + "\n")
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 1 and json.loads(out)["table_elements"] == "fail"
+    code, out, _ = run(capsys, *args, "--elements", str(csv))
+    assert code == 0 and "FAIL" not in out
 
 
 def test_validate_names_a_table_body_the_dataset_lacks(capsys, tmp_path):

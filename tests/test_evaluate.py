@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from urania.evaluate import phase_days
 from urania.geocentric import reduce_rect
 from urania.kepler import MAX_ELAPSED_DAYS, cached_frame, heliocentric_xyz, orbit_frame
 from urania.opcount import derive_counted, twin
+from urania.tables import coefficient_row
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def test_knot_identity_double(dataset):
     for iu in range(table.n_u):
         for iv in range(table.n_v):
             got = lookup_grid(table, float(iu), float(iv))
-            assert _hex(got) == _hex(table.cells[iu][iv])
+            assert _hex(got) == _hex(table.knot(iu, iv))
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,35 +180,35 @@ def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v)
     planet_frame, earth_frame = orbit_frame(planet), orbit_frame(earth)
     for iu in range(n_u):
         for iv in range(n_v):
-            cell = table.cells[iu][iv]
+            cell = table.knot(iu, iv)
             assert _hex(lookup_grid(table, float(iu), float(iv))) == _hex(cell)
             want = reduce_rect(heliocentric_xyz(planet, planet_frame, iu * du),
                                heliocentric_xyz(earth, earth_frame, iv * dv))
             assert _hex(cell) == _hex(want)
 
 
-def wrap_seam_table():
-    """Hand-built grid whose longitudes straddle the 0/360 seam."""
+def seam_knot(iu, iv):
+    """Longitudes either side of the 0/360 seam, alternating row by row."""
+    return (359.0 if iu % 2 == 0 else 1.0, 0.5, 2.0)
+
+
+def wrap_seam_table(knot=seam_knot):
+    """Hand-built 8x8 grid whose cell (iu, iv) holds ``knot(iu, iv)``."""
     planet = make_el(name="outer", P=800.0)
     earth = make_el(name="earth", a=1.0, e=0.0, i=0.0, Omega=0.0, omega=0.0, P=320.0)
-    n = 8
-    cells = []
-    for iu in range(n):
-        col = []
-        for iv in range(n):
-            lam = 359.0 if iu % 2 == 0 else 1.0
-            col.append((lam, 0.5, 2.0))
-        cells.append(col)
-    return DoubleEntryTable(planet=planet, earth=earth, n_u=n, n_v=n,
-                            du=planet.P / n, dv=earth.P / n, cells=cells)
+    knots = array("d", [x for iu in range(8) for iv in range(8) for x in knot(iu, iv)])
+    return DoubleEntryTable(planet, earth, 8, 8, planet.P / 8, earth.P / 8, knots)
 
 
-def test_knot_returns_a_stored_negative_zero_latitude():
+def test_knot_returns_a_stored_negative_zero_latitude(tmp_path):
     # -0.0 * 1.0 + 0.0 * x rounds to +0.0: the sum alone loses the sign
-    table = wrap_seam_table()
-    table.cells[3][5] = (10.0, -0.0, 1.5)
-    assert _hex(lookup_grid(table, 3.0, 5.0)) == _hex((10.0, -0.0, 1.5))
-    assert _hex(twin("lookup_grid")(OpCounter(), table, 3.0, 5.0)) == _hex((10.0, -0.0, 1.5))
+    stored = (10.0, -0.0, 1.5)
+    table = wrap_seam_table(lambda iu, iv: stored if (iu, iv) == (3, 5) else seam_knot(iu, iv))
+    tables = TableSet(tmp_path)
+    write_table(table, tmp_path / tableio.table_filename(table))
+    for held in (table, tables.double_for("outer")):  # as built, and as read back
+        assert _hex(lookup_grid(held, 3.0, 5.0)) == _hex(stored)
+        assert _hex(twin("lookup_grid")(OpCounter(), held, 3.0, 5.0)) == _hex(stored)
 
 
 @functools.cache
@@ -214,29 +216,26 @@ def _counted_reference():
     """The counted twin of the reference lookup, derived as the engine's are,
     calling the counted twin of the engine's normalize_deg."""
     namespace = dict(vars(oracles), normalize_deg=twin("normalize_deg"))
-    derive_counted(inspect.getsource(oracles), ("ref_wrap180", "ref_lookup_double"), namespace,
-                   ("ref_wrap180", "normalize_deg"))
+    derive_counted(inspect.getsource(oracles), ("ref_bilinear", "ref_lookup_double"), namespace,
+                   ("ref_bilinear", "normalize_deg"))
     return namespace["ref_lookup_double"]
 
 
 def assert_flat_lookup_is_the_reference(table, u, v):
-    """lookup_double at (u, v), plain and counted, against the lookup as it
-    was written before it became one body: the same bits, and the same
-    tally less the 2 muls of the grid spacing it now reads from the table."""
+    """lookup_double at (u, v), plain and counted, against the reference
+    lookup factored into calls: the same bits, and the same tally less the 2
+    muls of the grid spacing the engine reads from the table, and plus the
+    one row fetch that stands in the engine for the reference's plain call
+    to ref_cell. The tally holds whether the engine derived the row in this
+    call or an earlier one."""
     got = lookup_double(table, u, v)
     counter, ref_counter = OpCounter(), OpCounter()
     assert _hex(twin("lookup_double")(counter, table, u, v)) == _hex(got)
     want = _counted_reference()(ref_counter, table, u, v)
     assert _hex(want) == _hex(oracles.ref_lookup_double(table, u, v))
-    x, y = u / table.du, v / table.dv
-    if x == int(x) < table.n_u and y == int(y) < table.n_v:
-        # weights (1, 0, 0, 0), at a knot in grid coordinates: the stored
-        # cell, where the reference may turn -0.0 into +0.0
-        cell = table.cells[int(x)][int(y)]
-        assert want == cell
-        want = cell
     assert _hex(got) == _hex(want), (u, v)
     ref_counter.muls -= 2
+    ref_counter.row_accesses += 1
     assert counter == ref_counter
 
 
@@ -281,10 +280,7 @@ seam_cell = st.tuples(seam_lam, st.one_of(st.just(-0.0), st.floats(-90.0, 90.0))
 def tiled_seam_table(corners):
     """The seam table with the four ``corners`` tiled over it, so that every
     lookup interpolates between all four, in some arrangement."""
-    table = wrap_seam_table()
-    for iu, col in enumerate(table.cells):
-        col[:] = [corners[2 * (iu % 2) + iv % 2] for iv in range(table.n_v)]
-    return table
+    return wrap_seam_table(lambda iu, iv: corners[2 * (iu % 2) + iv % 2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,6 +301,71 @@ def test_flat_lookup_folds_offsets_of_exactly_180_as_the_reference():
             assert_flat_lookup_is_the_reference(table, fu * table.du, fv * table.dv)
 
 
+def grid_point(n):
+    """A grid coordinate in [0, n]: a knot, n itself (the wrap column's
+    knot), or any point between."""
+    return st.one_of(st.integers(0, n).map(float), st.just(float(n)),
+                     st.floats(0.0, float(n)))
+
+
+def assert_near_four_corner(table, x, y):
+    got = lookup_grid(table, x, y)
+    lam, beta, delta = oracles.four_corner_lookup(table, x, y)
+    assert 0.0 <= got.lam < 360.0
+    assert wrap_abs_deg(got.lam, lam) < 1e-12, (x, y)
+    assert abs(got.beta - beta) < 1e-12 and abs(got.delta - delta) < 1e-12, (x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+       st.integers(8, 12), st.integers(8, 12), st.data())
+def test_difference_form_is_the_four_corner_formula_on_drawn_grids(planet, earth, n_u, n_v, data):
+    try:
+        table = build_double_entry(planet, earth, n_u, n_v)
+    except DegenerateGeometryError:
+        assume(False)
+    for _ in range(20):
+        assert_near_four_corner(table, data.draw(grid_point(n_u)), data.draw(grid_point(n_v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(seam_cell, min_size=4, max_size=4), st.data())
+def test_difference_form_is_the_four_corner_formula_across_the_seam(corners, data):
+    table = tiled_seam_table(corners)
+    for _ in range(20):
+        assert_near_four_corner(table, data.draw(grid_point(8)), data.draw(grid_point(8)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=st.permutations(range(8)))
+def test_rows_derived_in_any_order_are_the_same_bits(dataset, order):
+    built = build_double_entry(dataset["mars"], dataset["earth"], 8, 12)
+    in_order, shuffled = (DoubleEntryTable(built.planet, built.earth, 8, 12, built.du, built.dv,
+                                           array("d", built.knots)) for _ in range(2))
+    for iu in order:
+        shuffled.cells[iu]
+    assert list(shuffled.cells) == order
+    for iu in range(8):
+        assert shuffled.cells[iu].tobytes() == in_order.cells[iu].tobytes()
+        assert len(in_order.cells[iu]) == 12 * 12
+    for x, y in ((0.5, 0.5), (7.25, 11.5), (8.0, 12.0), (3.0, 4.0)):
+        assert _hex(lookup_grid(shuffled, x, y)) == _hex(lookup_grid(in_order, x, y))
+
+
+def test_a_geocentric_query_derives_one_row(tmp_path, dataset):
+    table = build_double_entry(dataset["mars"], dataset["earth"], 16, 16)
+    write_table(table, tmp_path / tableio.table_filename(table))
+    tables = load_tables(tmp_path)
+    jd = 2451545.0 + 123.4
+    want = geocentric_at_table(tables, "mars", jd)
+    read = tables.double["mars"]
+    iu = int(phase_days(None, jd, read.planet.T_aph, read.planet.P) / read.du)
+    assert list(read.cells) == [iu]
+    assert read.cells[iu] == coefficient_row(*read.cells.knot_rows(iu), 16)
+    assert counted_query("table", "mars", jd, tables=tables)[0] == want
+    assert list(read.cells) == [iu]
+
+
 def test_wrap_aware_longitude_midpoint():
     table = wrap_seam_table()
     lam, beta, delta = lookup_double(table, 0.5 * table.du, 0.0)
@@ -315,10 +376,8 @@ def test_wrap_aware_longitude_midpoint():
 
 def test_longitude_just_below_the_seam_folds_to_zero():
     # lambda = 0 - 1e-15 folds up to 360.0 exactly, which must fold on to 0.0
-    table = wrap_seam_table()
-    for col in table.cells:
-        col[:] = [(0.0, 0.0, 1.0)] * table.n_v
-    table.cells[1][0] = (359.9, 0.0, 1.0)
+    table = wrap_seam_table(lambda iu, iv: (359.9, 0.0, 1.0) if (iu, iv) == (1, 0)
+                            else (0.0, 0.0, 1.0))
     lam, beta, delta = lookup_double(table, 1e-12, 0.0)
     assert 0.0 <= lam < 360.0
     assert (lam, beta, delta) == (0.0, 0.0, 1.0)
@@ -337,10 +396,8 @@ def test_lookup_double_is_continuous_across_the_seam(lam0, slope_u, slope_v, fu,
     # [0, 360), so neighbouring cells straddle the 359 -> 0 edge wherever the
     # plane crosses it. Bilinear interpolation reproduces a plane, so away
     # from the periodic last interval the lookup follows it across the seam.
-    table = wrap_seam_table()
-    for iu, col in enumerate(table.cells):
-        for iv in range(table.n_v):
-            col[iv] = ((lam0 + iu * slope_u + iv * slope_v) % 360.0, 0.5, 2.0)
+    table = wrap_seam_table(
+        lambda iu, iv: ((lam0 + iu * slope_u + iv * slope_v) % 360.0, 0.5, 2.0))
     lam, beta, delta = lookup_double(table, fu * table.du, fv * table.dv)
     assert 0.0 <= lam < 360.0
     assert wrap_abs_deg(lam, lam0 + fu * slope_u + fv * slope_v) < 1e-9
@@ -406,7 +463,7 @@ def test_the_last_phase_below_the_period_reads_the_wrap_column(dataset):
                (lookup_double(table, 0.0, v), 0)]
     wrapped += [(lookup_grid(table, 21.0, float(iv)), iv) for iv in range(table.n_v)]
     for got, iv in wrapped:
-        lam, beta, delta = table.cells[0][iv]
+        lam, beta, delta = table.knot(0, iv)
         assert 0.0 <= got.lam < 360.0
         assert wrap_abs_deg(got.lam, lam) < 1e-12
         assert abs(got.beta - beta) < 1e-12 and abs(got.delta - delta) < 1e-12
@@ -423,7 +480,7 @@ def test_grid_node_jd_returns_cell_verbatim():
     tables = TableSet()
     tables.add(build_double_entry(planet, earth, 8, 8))
     pos = geocentric_at_table(tables, "outer", 2451545.0)  # phases (0, 0)
-    assert (pos.lam, pos.beta, pos.delta) == tables.double["outer"].cells[0][0]
+    assert (pos.lam, pos.beta, pos.delta) == tables.double["outer"].knot(0, 0)
 
 
 def test_table_mode_counts(default_tables, dataset):
@@ -433,7 +490,7 @@ def test_table_mode_counts(default_tables, dataset):
     assert ct.transcendental_calls == 0
     assert cd.transcendental_calls >= 6
     assert ct.total_ops() < cd.total_ops()
-    assert ct.row_accesses == 4
+    assert ct.row_accesses == 1
     assert wrap_abs_deg(pos_t.lam, pos_d.lam) < 0.2
 
 

@@ -131,19 +131,21 @@ def test_golden_table_records_cover_every_fix_up(golden_table):
 
 
 def test_compile_tally_counts_the_builders_own_code(golden):
-    # The frozen compile tally is also the sum of its parts. A single-entry
-    # table counts as built alone. A double-entry table counts its two orbit
-    # frames (compile work, once per element set), one position per grid
-    # line, one reduction per cell, and its own du, dv and grid abscissae:
-    # 2 + n_u + n_v muls.
+    # The frozen compile tally is the builders' own code, and the measured
+    # one is the sum of its parts. A single-entry table counts as built
+    # alone. A double-entry table counts its two orbit frames (compile work,
+    # once per element set), one position per grid line, one reduction per
+    # cell, and its own du, dv and grid abscissae: 2 + n_u + n_v muls. Then
+    # each of its rows' coefficient cells, which a query derives on first
+    # use: per cell 3 fmods, 15 differences, and one add per longitude offset
+    # folded into (-180, 180].
     cfg = golden["compile"]
     bodies = {d["name"]: _elements(d) for d in cfg["bodies"]}
     plan = compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"])
     c = measure_compile_ops(plan)
-    assert _tally(c) == [cfg["tally"][k] for k in ("adds", "muls", "transcendental_calls")]
     assert c.row_accesses == 0
 
-    parts = OpCounter()
+    parts, rows = OpCounter(), OpCounter()
     for builder, args in plan:
         if builder is not build_double_entry:
             parts.merge(measure_compile_ops([(builder, args)]))
@@ -162,6 +164,15 @@ def test_compile_tally_counts_the_builders_own_code(golden):
             for earth_vec in earth_vecs:
                 twin("reduce_rect")(parts, planet_vec, earth_vec)
         parts.muls += 2 + n_u + n_v
+
+        lam = builder(*args).knots[0::3]
+        offsets = [lam[(iu + a) % n_u * n_v + (iv + b) % n_v] - lam[iu * n_v + iv]
+                   for iu in range(n_u) for iv in range(n_v) for a, b in ((1, 0), (0, 1), (1, 1))]
+        rows.adds += 15 * n_u * n_v + sum(not -180.0 < d <= 180.0 for d in offsets)
+        rows.muls += 3 * n_u * n_v
+    assert _tally(c) == [cfg["tally"][k] + getattr(rows, k)
+                         for k in ("adds", "muls", "transcendental_calls")]
+    parts.merge(rows)
     assert parts == c
 
 
@@ -396,7 +407,7 @@ def test_counted_table_query_is_the_plain_path(default_tables, planet, jd):
     pos, c = counted_query("table", planet, jd, tables=default_tables)
     plain = geocentric_at_table(default_tables, planet, jd)
     assert _bits(pos.lam, pos.beta, pos.delta) == _bits(plain.lam, plain.beta, plain.delta)
-    assert (c.transcendental_calls, c.row_accesses) == (0, 4)
+    assert (c.transcendental_calls, c.row_accesses) == (0, 1)
     c = OpCounter()
     helio = twin("heliocentric_at_table")(c, default_tables, planet, jd)
     assert _bits(*helio) == _bits(*heliocentric_at_table(default_tables, planet, jd))

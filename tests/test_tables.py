@@ -111,7 +111,7 @@ def circular_pair():
 def test_collinear_cell():
     planet, earth = circular_pair()
     table = build_double_entry(planet, earth, 8, 8)
-    lam, beta, delta = table.cells[0][0]
+    lam, beta, delta = table.knot(0, 0)
     assert abs(wrap_diff_deg(lam, normalize_deg(30.0 + 180.0))) < 1e-9
     assert abs(beta) < 1e-12
     assert delta == pytest.approx(1.0, rel=1e-12)
@@ -121,10 +121,9 @@ def test_latitude_bound(dataset):
     mercury, earth = dataset["mercury"], dataset["earth"]
     table = build_double_entry(mercury, earth, 16, 16)
     bound = mercury.i + earth.i + 1e-9
-    for col in table.cells:
-        for _, beta, delta in col:
-            assert abs(beta) <= bound
-            assert delta > 0.0
+    for beta, delta in zip(table.knots[1::3], table.knots[2::3], strict=True):
+        assert abs(beta) <= bound
+        assert delta > 0.0
 
 
 def test_cells_equal_direct_mode_at_grid_phases(dataset):
@@ -138,7 +137,7 @@ def test_cells_equal_direct_mode_at_grid_phases(dataset):
                 heliocentric_xyz(jupiter, orbit_frame(jupiter), iu * du),
                 heliocentric_xyz(earth, orbit_frame(earth), iv * dv),
             )
-            assert table.cells[iu][iv] == (want.lam, want.beta, want.delta)
+            assert table.knot(iu, iv) == (want.lam, want.beta, want.delta)
 
 
 def test_double_entry_converts_each_grid_line_once(dataset, monkeypatch):
@@ -157,14 +156,27 @@ def test_double_entry_converts_each_grid_line_once(dataset, monkeypatch):
     spy("orbit_frame")
     table = build_double_entry(dataset["mars"], dataset["earth"], 8, 12)
     assert calls == {"heliocentric_xyz": 8 + 12, "orbit_frame": 2}
-    assert (len(table.cells), len(table.cells[0])) == (8, 12)
+    assert len(table.knots) == 3 * 8 * 12
+    assert len(table.cells) == 0  # a row's coefficient cells wait for a query
 
 
 def test_double_entry_repr_leaves_out_the_cells():
     planet, earth = circular_pair()
     table = build_double_entry(planet, earth, 8, 8)
     assert repr(table) == f"DoubleEntryTable(planet={planet!r}, earth={earth!r}, n_u=8, n_v=8)"
-    assert repr(table.cells[0][0][0]) not in repr(table)
+    assert repr(table.knots[0]) not in repr(table)
+    assert repr(table.knots[0]) not in repr(table)
+
+
+def test_double_entry_tables_are_equal_by_their_knots_not_their_derived_rows():
+    planet, earth = circular_pair()
+    table, again = build_double_entry(planet, earth, 8, 8), build_double_entry(planet, earth, 8, 8)
+    table.cells[3]
+    assert table == again and list(table.cells) == [3] and list(again.cells) == []
+    again.knots[8] = math.nextafter(again.knots[8], 0.0)  # a distance, one ulp short
+    assert table != again
+    assert table != build_double_entry(planet, earth, 8, 12)
+    assert table != (planet, earth, 8, 8)
 
 
 def test_grid_minimum_enforced():
