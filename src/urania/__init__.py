@@ -15,9 +15,16 @@ import importlib
 
 # Public name -> the module that defines it.
 _EXPORTS = {
-    "angles": ("aphelion_shift", "normalize_deg", "wrap_diff_deg"),
+    "angles": ("GeocentricPosition", "aphelion_shift", "normalize_deg", "wrap_diff_deg"),
     "compare": ("double_errors", "single_errors", "sweep"),
-    "dataset": ("ElementsDataset", "default_elements_path", "load_elements"),
+    "dataset": (
+        "CorrectionTerm",
+        "ElementsDataset",
+        "OrbitalElements",
+        "default_elements_path",
+        "load_elements",
+        "validate_elements",
+    ),
     "errors": (
         "DegenerateGeometryError",
         "DomainError",
@@ -38,34 +45,25 @@ _EXPORTS = {
         "lookup_grid",
         "lookup_planet",
     ),
-    "geocentric": (
-        "GeocentricPosition",
-        "geocentric_at",
-        "rect_to_spherical",
-        "reduce_rect",
-    ),
+    "geocentric": ("geocentric_at", "rect_to_spherical", "reduce_rect"),
     "juliandate": ("calendar_to_jd", "jd_to_calendar"),
-    "kepler": (
-        "CorrectionTerm",
-        "OrbitalElements",
-        "position_since_aphelion",
-        "radius",
-        "solve_kepler",
-        "time_since_aphelion",
-        "validate_elements",
-    ),
+    "kepler": ("position_since_aphelion", "radius", "solve_kepler", "time_since_aphelion"),
     "opcount": ("OpCounter", "measure_compile_ops"),
-    "tableio": ("read_table", "table_filename", "write_table"),
-    "tables": (
+    "tableio": (
         "DoubleEntryTable",
         "PlanetTable",
         "TableRow",
+        "parse_shape",
+        "read_table",
+        "table_filename",
+        "write_table",
+    ),
+    "tables": (
         "build_double_entry",
         "build_planet_table",
         "calculation_census",
         "census_line",
         "compile_plan",
-        "parse_shape",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,5 @@
-"""Degree-based angle arithmetic used throughout the package.
+"""Degree-based angle arithmetic used throughout the package, and the
+geocentric position record that both query modes return.
 
 Public interfaces carry angles in degrees; trigonometric work converts to
 radians through the constants below so that every module multiplies by the
@@ -6,6 +7,7 @@ same factor.
 """
 
 import math
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -13,7 +15,19 @@ DEG2RAD = math.pi / 180.0
 RAD2DEG = 180.0 / math.pi
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["DEG2RAD", "RAD2DEG", "TWO_PI", "normalize_deg", "wrap_diff_deg", "aphelion_shift"]
+__all__ = ["DEG2RAD", "RAD2DEG", "TWO_PI", "GeocentricPosition", "normalize_deg",
+           "wrap_diff_deg", "aphelion_shift"]
+
+# GeocentricPosition's own __new__ is a Python function around this call.
+_new_tuple = tuple.__new__
+
+
+class GeocentricPosition(NamedTuple):
+    """Geocentric ecliptic longitude/latitude (degrees) and distance (AU)."""
+
+    lam: float
+    beta: float
+    delta: float
 
 
 def normalize_deg(x: float) -> float:

@@ -45,7 +45,7 @@ def _dataset(args):
 
 def _double_shape(text):
     """The grid of a gen or census ``--double``: None for no option or 'none'."""
-    from .tables import parse_shape
+    from .tableio import parse_shape
 
     return None if text in (None, "none") else parse_shape(text)
 
@@ -161,12 +161,11 @@ def cmd_query(args) -> int:
     lines = [f"planet: {args.planet}", f"jd: {jd!r}", f"mode: {args.mode}"]
     payload = {"planet": args.planet, "jd": jd, "mode": args.mode}
     _observed(args.planet)
-    if args.mode == "direct":
-        dataset, tables = _dataset(args), None
-    else:
+    dataset, tables = _dataset(args), None
+    if args.mode == "table":
         from .evaluate import load_tables
 
-        dataset, tables = None, load_tables(_table_dir(args))
+        tables = load_tables(_table_dir(args))
     if args.count_ops:
         from .evaluate import counted_query
 
@@ -199,6 +198,8 @@ def cmd_query(args) -> int:
             nu, r = heliocentric_at_table(tables, args.planet, jd)
             lines += [f"nu_aph: {nu:.{p}f}", f"r: {r:.6f}"]
             payload.update(nu_aph=nu, r=r)
+    if tables is not None and _stale(args, tables, dataset, {"planet": args.planet, "jd": jd}):
+        return 1
 
     if args.count_ops:
         ops = counter.as_dict()
@@ -218,7 +219,8 @@ def cmd_query(args) -> int:
 
 def cmd_compare(args) -> int:
     from .compare import double_errors, single_errors, sweep
-    from .tables import build_double_entry, build_planet_table, parse_shape
+    from .tableio import parse_shape
+    from .tables import build_double_entry, build_planet_table
 
     limit = args.max_lambda_err
     if limit is not None and not 0.0 <= limit < float("inf"):
@@ -300,7 +302,7 @@ def cmd_bench(args) -> int:
 
     from .evaluate import load_tables
     from .opcount import OpCounter, twin
-    from .tableio import double_planets, table_filename
+    from .tableio import double_planets
 
     if args.queries < 1:
         raise DomainError(f"--queries must be >= 1, got {args.queries}")
@@ -314,11 +316,7 @@ def cmd_bench(args) -> int:
         raise TableNotFoundError(
             "no double-entry tables loaded; run 'urania gen --all --double 64x64'"
         )
-    try:  # a table compiled from other elements answers for another sky
-        _check_table_elements([(table_filename(t), t) for t in tables.double.values()], dataset)
-    except AssertionError as exc:
-        _emit(args, [f"FAIL table-elements: {exc}"],
-              {"planets": planets, "table_elements": "fail", "error": str(exc)})
+    if _stale(args, tables, dataset, {"planets": planets}):
         return 1
 
     rng = random.Random(args.seed)
@@ -404,6 +402,21 @@ def _check_knot_exactness(tables) -> None:
                 got = lookup_grid(table, float(iu), float(iv))
                 if list(map(float.hex, got)) != list(map(float.hex, table.knot(iu, iv))):
                     raise AssertionError(f"{name}: lookup at cell ({iu},{iv}) altered stored values")
+
+
+def _stale(args, tables, dataset, payload) -> bool:
+    """Whether the TableSet ``tables`` holds a table compiled from elements other
+    than ``dataset``'s; if so, emit ``FAIL table-elements`` with ``payload``."""
+    from .tableio import table_filename
+
+    read = [(table_filename(t), t) for t in (*tables.double.values(), *tables.single.values())]
+    try:
+        _check_table_elements(read, dataset)
+    except AssertionError as exc:
+        _emit(args, [f"FAIL table-elements: {exc}"],
+              {**payload, "table_elements": "fail", "error": str(exc)})
+        return True
+    return False
 
 
 def _check_table_elements(read, dataset) -> None:

@@ -9,11 +9,12 @@ the identical reduced phase so that only interpolation error shows.
 import math
 
 from .angles import wrap_diff_deg
+from .dataset import OrbitalElements
 from .errors import DomainError
 from .evaluate import TableSet, geocentric_at_table, lookup_planet, phase_days
 from .geocentric import geocentric_at
-from .kepler import OrbitalElements, position_since_aphelion
-from .tables import DoubleEntryTable, PlanetTable
+from .kepler import position_since_aphelion
+from .tableio import DoubleEntryTable, PlanetTable
 
 __all__ = ["double_errors", "single_errors", "sweep"]
 

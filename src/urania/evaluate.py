@@ -4,21 +4,21 @@ The table path is written once, as plain float code that does not count.
 ``counted_query`` runs the counted twin ``opcount.twin`` derives from this
 source, so the zero-transcendental property of the table path is measured on
 every counted query rather than merely claimed; a plain query derives
-nothing and does not import opcount. Nor are tableio and tables imported
-until a table is read or held, so a counted direct query loads neither. So
-the ``OpCounter`` and table annotations are strings: these names are bound
-neither here nor where the twins are compiled, a copy of this module's
-namespace.
+nothing and does not import opcount. Its constant and record come from
+``dataset`` and ``angles``, so a table query loads no module of the direct
+chain; and tableio is imported only to read or hold a table, so a counted
+direct query loads no table module. So the ``OpCounter`` and table
+annotations are strings: these names are bound neither here nor where the
+twins are compiled, a copy of this module's namespace.
 """
 
 import functools
 import math
 from pathlib import Path
 
-from .angles import normalize_deg
+from .angles import GeocentricPosition, _new_tuple, normalize_deg
+from .dataset import MAX_ELAPSED_DAYS
 from .errors import DomainError, TableNotFoundError
-from .geocentric import GeocentricPosition, _new_tuple
-from .kepler import MAX_ELAPSED_DAYS
 
 __all__ = [
     "TableSet",
@@ -50,7 +50,7 @@ class TableSet:
         self.double: "dict[str, DoubleEntryTable]" = {}
 
     def add(self, table) -> None:
-        from .tables import DoubleEntryTable, PlanetTable
+        from .tableio import DoubleEntryTable, PlanetTable
 
         if isinstance(table, PlanetTable):
             held, key = self.single, table.elements.name
@@ -196,7 +196,7 @@ def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosi
     interval at weight 1, and so ``y = n_v``.
 
     One row fetch: ``table.cells[iu]`` is row iu's coefficient cells
-    (``tables.coefficient_row``), and its cell ``[iv::n_v]`` holds each
+    (``tableio.coefficient_row``), and its cell ``[iv::n_v]`` holds each
     component's knot f00 and forward differences f_u, f_v, f_uv, so at the
     fractions fu = x - iu, fv = y - iv the bilinear interpolant is
     f00 + fu*f_u + fv*(f_v + fu*f_uv): no other corner to read, and no

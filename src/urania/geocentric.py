@@ -4,12 +4,12 @@ positions: one ``rect_to_spherical`` of the planet-minus-Earth vector."""
 import math
 from typing import NamedTuple
 
-from .angles import RAD2DEG, normalize_deg
+from .angles import RAD2DEG, GeocentricPosition, _new_tuple, normalize_deg
+from .dataset import OrbitalElements
 from .errors import DegenerateGeometryError
-from .kepler import OrbitalElements, cached_frame, heliocentric_xyz
+from .kepler import cached_frame, heliocentric_xyz
 
 __all__ = [
-    "GeocentricPosition",
     "rect_to_spherical",
     "reduce_rect",
     "geocentric_at",
@@ -18,18 +18,6 @@ __all__ = [
 
 # Below this separation the direction from Earth to planet is meaningless.
 COINCIDENCE_AU = 1e-12
-
-# GeocentricPosition's own __new__ is a Python function around this call.
-_new_tuple = tuple.__new__
-
-
-class GeocentricPosition(NamedTuple):
-    """Geocentric ecliptic longitude/latitude (degrees) and distance (AU)."""
-
-    lam: float
-    beta: float
-    delta: float
-
 
 def rect_to_spherical(v) -> tuple[float, float, float]:
     """Rectangular (x, y, z) to (longitude deg, latitude deg, distance).

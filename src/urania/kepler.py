@@ -8,7 +8,7 @@ Positions are rectangular, (cos E - e)*P + sin E*Q in the body's orbit frame,
 which the direct chain computes once per element set (``cached_frame``) with
 the body's mean motion 360/P. A position carries no radius: a caller that
 needs one takes it from ``position_since_aphelion``, which computes it with
-``radius``.
+``radius``. The element record and its domain live in ``dataset``.
 """
 
 import functools
@@ -16,12 +16,10 @@ import math
 from typing import NamedTuple
 
 from .angles import DEG2RAD, RAD2DEG, TWO_PI, aphelion_shift, normalize_deg
+from .dataset import MAX_ELAPSED_DAYS, OrbitalElements
 from .errors import DomainError, UnsupportedInversionError
 
 __all__ = [
-    "CorrectionTerm",
-    "OrbitalElements",
-    "validate_elements",
     "orbit_frame",
     "cached_frame",
     "mean_anomaly_elapsed",
@@ -31,7 +29,6 @@ __all__ = [
     "heliocentric_xyz",
     "time_since_aphelion",
     "KEPLER_TOL",
-    "MAX_ELAPSED_DAYS",
 ]
 
 # Guaranteed residual bound for Kepler's equation, radians.
@@ -43,77 +40,6 @@ _EXIT_TOL = 1e-14
 _STEP_TOL = 1e-8
 _MAX_NEWTON = 50
 _MAX_BISECT = 200
-# Largest |jd - T_aph| accepted, in days (about 188 million years), by both
-# modes. Below it one ulp of an elapsed time is at most 2**-17 days, which at
-# the default set's fastest mean motion (Mercury, 4.09 deg/day) is 3.1e-5 deg:
-# over a thousand times below table mode's frozen 0.042 deg Jupiter bound.
-# Further out the rounding of the elapsed time alone outgrows that budget,
-# and a phase reduced modulo the period no longer lands in [0, P).
-MAX_ELAPSED_DAYS = 2.0**36
-# Semi-major axes are refused from 1e100 AU up: below it every coordinate of
-# a position or a planet-minus-Earth vector stays under 4e100 AU, so the sum
-# of their squares in geocentric.rect_to_spherical cannot overflow to inf.
-_MAX_SEMI_MAJOR_AU = 1e100
-
-
-class CorrectionTerm(NamedTuple):
-    """Additive periodic correction to the mean anomaly.
-
-    amplitude in degrees, period in days, phase in degrees.
-    """
-
-    amplitude: float
-    period: float
-    phase: float
-
-
-class OrbitalElements(NamedTuple):
-    """Keplerian elements of one body, with period and an aphelion epoch.
-
-    a in AU, angles in degrees, P in days, T_aph a Julian Date at which the
-    body passed aphelion. Elements are treated as constant in time.
-    """
-
-    name: str
-    a: float
-    e: float
-    i: float
-    Omega: float
-    omega: float
-    P: float
-    T_aph: float
-    corrections: tuple[CorrectionTerm, ...] = ()
-
-
-def validate_elements(el: OrbitalElements) -> None:
-    """Raise DomainError naming the offending field if ``el`` is invalid."""
-
-    def bad(fieldname, why):
-        raise DomainError(f"{el.name}: {fieldname} {why}")
-
-    if not el.name:
-        raise DomainError("element record has an empty name")
-    if not (0.0 < el.a < _MAX_SEMI_MAJOR_AU):
-        bad("a (semi-major axis)", f"must be in (0, {_MAX_SEMI_MAJOR_AU:g}), got {el.a!r}")
-    if not (math.isfinite(el.e) and 0.0 <= el.e < 1.0):
-        bad("e (eccentricity)", f"must be in [0, 1), got {el.e!r}")
-    if not (math.isfinite(el.i) and 0.0 <= el.i < 180.0):
-        bad("i (inclination)", f"must be in [0, 180), got {el.i!r}")
-    if not (math.isfinite(el.Omega) and 0.0 <= el.Omega < 360.0):
-        bad("Omega (ascending node)", f"must be normalized to [0, 360), got {el.Omega!r}")
-    if not (math.isfinite(el.omega) and 0.0 <= el.omega < 360.0):
-        bad("omega (argument of perihelion)", f"must be normalized to [0, 360), got {el.omega!r}")
-    if not (math.isfinite(el.P) and el.P > 0.0):
-        bad("P (period)", f"must be > 0, got {el.P!r}")
-    if not math.isfinite(el.T_aph):
-        bad("T_aph (aphelion epoch)", f"must be finite, got {el.T_aph!r}")
-    for idx, c in enumerate(el.corrections):
-        if not (math.isfinite(c.amplitude) and c.amplitude >= 0.0):
-            bad(f"correction {idx + 1} amplitude", f"must be >= 0, got {c.amplitude!r}")
-        if not (math.isfinite(c.period) and c.period > 0.0):
-            bad(f"correction {idx + 1} period", f"must be > 0, got {c.period!r}")
-        if not math.isfinite(c.phase):
-            bad(f"correction {idx + 1} phase", f"must be finite, got {c.phase!r}")
 
 
 def mean_anomaly_elapsed(el: OrbitalElements, motion: float, dt_days: float) -> float:

@@ -1,13 +1,14 @@
 """Operation counting: OpCounter and the derived counted twins.
 
 The direct chain (angles.py, kepler.py, geocentric.py), the table builders
-(tables.py) and the table path (evaluate.py) are written once, as plain
-float code. Their counted twins are derived from that source, one module at
-a time, on the first counted call that needs them, and cached: a counted
-table query derives evaluate.py's twins only. A twin keeps every statement
-of the plain function with its plain float operators, so its results are
-bit-identical to the plain code's, and adds the counter increments. A twin
-takes the counter first and passes it on to the twins it calls.
+(tables.py), the row derivations they share with the reader (tableio.py)
+and the table path (evaluate.py) are written once, as plain float code.
+Their counted twins are derived from that source, one module at a time, on
+the first counted call that needs them, and cached: a counted table query
+derives evaluate.py's twins only. A twin keeps every statement of the plain
+function with its plain float operators, so its results are bit-identical
+to the plain code's, and adds the counter increments. A twin takes the
+counter first and passes it on to the twins it calls.
 
 Every counted call goes through ``twin(name)``, the counted twin of the
 chain function ``name``, whichever module defines it.
@@ -32,7 +33,7 @@ outside the chain, so it is free in the query's tally; ``bench`` prints its
 tally beside the query's. A
 double-entry table's grid spacing ``du``, ``dv`` is compile work likewise:
 the builder and the reader compute it once into the table, which a table
-query reads. So are its coefficient cells: ``tables.coefficient_row``
+query reads. So are its coefficient cells: ``tableio.coefficient_row``
 derives each row's from the knots, in the chain, and ``measure_compile_ops``
 counts every row of every double-entry table of the plan through it, as it
 counts a single-entry table's ``planet_rows``. A query fetches its row from
@@ -196,12 +197,16 @@ def _increments(counts) -> list:
 
 def derive_counted(source: str, names, namespace: dict, calls=None, filename="<counted>") -> None:
     """Define in ``namespace`` the counted twins of the top-level functions
-    ``names`` of ``source``. A call to a name in ``calls`` (default ``names``)
-    passes the counter on, so those names must be bound to twins in
-    ``namespace`` when a twin runs."""
+    ``names`` of ``source``; ValueError names any that ``source`` does not
+    define. A call to a name in ``calls`` (default ``names``) passes the
+    counter on, so those names must be bound to twins in ``namespace`` when
+    a twin runs."""
     calls = set(names if calls is None else calls)
     tree = ast.parse(source, filename)
     defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names]
+    missing = sorted(set(names) - {fdef.name for fdef in defs})
+    if missing:
+        raise ValueError(f"{filename}: no top-level def of {', '.join(missing)}")
     for fdef in defs:
         try:
             for node in ast.walk(fdef):
@@ -226,8 +231,8 @@ _CHAIN = {
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "radius", "_nu_aph_from_E",
                "position_since_aphelion", "orbit_frame", "heliocentric_xyz"),
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
-    "tables": ("row_count", "_check_single", "build_planet_table", "planet_rows",
-               "build_double_entry", "coefficient_row"),
+    "tableio": ("row_count", "planet_rows", "coefficient_row"),
+    "tables": ("_check_single", "build_planet_table", "build_double_entry"),
     "evaluate": ("_locate", "phase_days", "lookup_planet", "lookup_double", "lookup_grid",
                  "geocentric_at_table", "heliocentric_at_table"),
 }

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import os
 import re
@@ -33,6 +35,7 @@ from urania import evaluate
 from urania.cli import main
 from urania.dataset import elements_row
 from urania.evaluate import phase_days
+from urania.opcount import _FIELDS
 
 ELEMENTS_HEADER = "name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd"
 
@@ -164,7 +167,13 @@ _FRESH_MAIN = (
 # dataclasses and what it pulls in, the --date path and other commands' code.
 _NOT_FOR_A_PLAIN_QUERY = {"dataclasses", "inspect", "ast", "datetime", "urania.opcount",
                           "urania.compare", "urania.juliandate"}
-_TABLE_MODE_ONLY = {"urania.evaluate", "urania.tableio", "urania.tables"}
+# The urania modules a plain query loads: a table query loads neither the
+# direct chain (kepler, geocentric) nor the compiler (tables), and a direct
+# query no table module. --count-ops adds opcount, and evaluate's
+# counted_query to a direct query.
+_SHARED = {"urania.angles", "urania.cli", "urania.dataset", "urania.errors"}
+_LOADS = {"table": _SHARED | {"urania.evaluate", "urania.tableio"},
+          "direct": _SHARED | {"urania.geocentric", "urania.kepler"}}
 
 
 def _fresh_main(*argv):
@@ -176,6 +185,15 @@ def _fresh_main(*argv):
     return out.stdout, set(out.stderr.split())
 
 
+def _transcendental_calls(module: str) -> list[int]:
+    """Lines of ``module``'s source that call a function opcount tallies as
+    transcendental, by name or as an attribute (``math.sin``)."""
+    names = {name for name, field in _FIELDS.items() if field == "transcendental_calls"}
+    tree = ast.parse(Path(importlib.util.find_spec(module).origin).read_text())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+
+
 @pytest.mark.parametrize("mode", ["table", "direct"])
 def test_plain_query_imports_only_its_own_mode(table_dir, mode):
     _, bare = _fresh_main()
@@ -183,13 +201,16 @@ def test_plain_query_imports_only_its_own_mode(table_dir, mode):
             "--table-dir", str(table_dir), "--no-timestamp")
     out, loaded = _fresh_main(*args)
     assert "lambda: " in out
-    refused = _NOT_FOR_A_PLAIN_QUERY | (_TABLE_MODE_ONLY if mode == "direct" else set())
-    assert (loaded - bare) & refused == set()
+    assert (loaded - bare) & _NOT_FOR_A_PLAIN_QUERY == set()
+    modules = {m for m in loaded if m.startswith("urania.")}
+    assert modules == _LOADS[mode]
+    if mode == "table":  # and none of them calls a transcendental function
+        assert _transcendental_calls("urania.kepler") != []  # the scan finds what it seeks
+        assert {m: _transcendental_calls(m) for m in modules} == dict.fromkeys(modules, [])
     out, loaded = _fresh_main(*args, "--count-ops")
     assert "ops: adds=" in out
-    assert "urania.opcount" in loaded - bare
-    if mode == "direct":
-        assert (loaded - bare) & {"urania.tableio", "urania.tables"} == set()
+    counting = {"urania.opcount"} | ({"urania.evaluate"} if mode == "direct" else set())
+    assert {m for m in loaded if m.startswith("urania.")} == _LOADS[mode] | counting
 
 
 def test_validate_loads_no_counting_machinery(table_dir):
@@ -933,6 +954,34 @@ def test_bench_refuses_tables_compiled_from_other_elements(
     assert code == 1 and json.loads(out)["table_elements"] == "fail"
     code, out, _ = run(capsys, *args, "--elements", str(csv))
     assert code == 0 and "FAIL" not in out
+
+
+@OTHER_ELEMENTS
+def test_query_refuses_tables_compiled_from_other_elements(
+        capsys, tmp_path, dataset, body, field, value, selection):
+    d, csv = _gen_from_other_elements(capsys, tmp_path, dataset, body, field, value, selection)
+    args = ("query", "--mode", "table", "--planet", "mars", "--jd", "2451545.0",
+            "--table-dir", str(d), "--no-timestamp")
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (1, _stale_line(dataset, body, field, value) + "\n")
+    code, out, _ = run(capsys, *args, "--count-ops", "--json")
+    assert code == 1 and json.loads(out)["table_elements"] == "fail"
+    code, out, _ = run(capsys, *args, "--elements", str(csv))
+    assert code == 0 and "lambda: " in out
+
+
+def test_query_checks_the_single_entry_table_it_reads(capsys, tmp_path, dataset, table_dir):
+    (tmp_path / "other").mkdir()
+    other, _ = _gen_from_other_elements(capsys, tmp_path / "other", dataset, "mars", "e", 0.1,
+                                        "--planet=mars")
+    (other / "mars.single.tbl").replace(table_dir / "mars.single.tbl")
+    args = ("query", "--mode", "table", "--planet", "mars", "--jd", "2451545.0",
+            "--table-dir", str(table_dir), "--no-timestamp")
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    code, out, _ = run(capsys, *args, "--heliocentric")
+    assert code == 1
+    assert out.startswith("FAIL table-elements: mars.single.tbl: mars e is 0.1 in the table")
 
 
 def test_validate_names_a_table_body_the_dataset_lacks(capsys, tmp_path):

@@ -37,10 +37,11 @@ from urania import (
 )
 from urania import evaluate, tableio
 from urania.evaluate import phase_days
+from urania.dataset import MAX_ELAPSED_DAYS
 from urania.geocentric import reduce_rect
-from urania.kepler import MAX_ELAPSED_DAYS, cached_frame, heliocentric_xyz, orbit_frame
+from urania.kepler import cached_frame, heliocentric_xyz, orbit_frame
 from urania.opcount import derive_counted, twin
-from urania.tables import coefficient_row
+from urania.tableio import coefficient_row
 
 
 # ---------------------------------------------------------------------------

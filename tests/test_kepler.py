@@ -21,9 +21,9 @@ from urania import (
     validate_elements,
 )
 from urania.angles import DEG2RAD
+from urania.dataset import MAX_ELAPSED_DAYS
 from urania.kepler import (
     _EXIT_TOL,
-    MAX_ELAPSED_DAYS,
     cached_frame,
     heliocentric_xyz,
     mean_anomaly_elapsed,

@@ -29,7 +29,8 @@ from urania import (
 )
 from urania.evaluate import phase_days
 from urania.opcount import derive_counted, twin
-from urania.tables import build_double_entry, row_count
+from urania.tableio import row_count
+from urania.tables import build_double_entry
 
 
 def _elements(d) -> OrbitalElements:
@@ -336,6 +337,18 @@ def test_derivation_refuses_uncountable_arithmetic(body, construct):
 def test_derivation_refuses_unknown_operations(body, rule):
     with pytest.raises(ValueError, match=rule):
         _derive(f"def f(x):\n    {body}\n")
+
+
+@pytest.mark.parametrize("source", [
+    "def f(x):\n    return x\n",
+    "class K:\n    def g(self, x):\n        return x\n\n\ndef f(x):\n    return x\n",
+])
+def test_derivation_refuses_a_name_it_cannot_derive(source):
+    # g is bound in the namespace but has no top-level def: no twin replaces it
+    namespace = {"math": math, "g": "plain"}
+    with pytest.raises(ValueError, match=r"no top-level def of g$"):
+        derive_counted(source, ["f", "g"], namespace)
+    assert namespace["g"] == "plain"
 
 
 def test_uncounted_constructs_without_arithmetic_are_accepted():

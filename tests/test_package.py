@@ -51,3 +51,12 @@ def test_unknown_name_raises_attribute_error():
 def test_import_loads_no_submodule():
     code = "import sys, urania\nprint(*[m for m in sys.modules if m.startswith('urania.')])"
     assert _fresh(code).split() == []
+
+
+@pytest.mark.parametrize("name, module", [
+    ("OrbitalElements", "urania.kepler"),
+    ("GeocentricPosition", "urania.geocentric"),
+    ("DoubleEntryTable", "urania.tables"),
+])
+def test_a_record_loads_no_module_that_computes_it(name, module):
+    assert module not in _fresh(f"import sys, urania\nurania.{name}\nprint(*sys.modules)").split()

@@ -18,7 +18,7 @@ from urania import (
 )
 from urania import tables
 from urania.kepler import heliocentric_xyz, orbit_frame
-from urania.tables import row_count
+from urania.tableio import row_count
 
 
 # ---------------------------------------------------------------------------
