@@ -18,7 +18,6 @@ _EXPORTS = {
     "angles": ("GeocentricPosition", "aphelion_shift", "normalize_deg", "wrap_diff_deg"),
     "compare": ("double_errors", "single_errors", "sweep"),
     "dataset": (
-        "CorrectionTerm",
         "ElementsDataset",
         "OrbitalElements",
         "default_elements_path",
@@ -32,7 +31,6 @@ _EXPORTS = {
         "TableNotFoundError",
         "TableParseError",
         "TableVersionError",
-        "UnsupportedInversionError",
         "UraniaError",
     ),
     "evaluate": (

@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     TableNotFoundError,
     TableVersionError,
-    UnsupportedInversionError,
 )
 
 __all__ = ["main"]
@@ -571,7 +570,7 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    except (DegenerateGeometryError, UnsupportedInversionError) as exc:
+    except DegenerateGeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Orbital elements: the record both modes share, its domain, and CSV datasets.
 
-The file is plain UTF-8 CSV with a fixed header
-``name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd`` optionally followed
-by correction-term triples (``ampK_deg,perK_days,phK_deg``). ``#`` lines are
-comments. Node and perihelion angles are normalized on ingest; everything
-else must already satisfy the element invariants.
+The file is plain UTF-8 CSV with the fixed header
+``name,a_au,e,i_deg,Omega_deg,omega_deg,P_days,T_aph_jd`` and no other
+columns: a record is those eight values, in both query modes. ``#`` lines
+are comments. Node and perihelion angles are normalized on ingest;
+everything else must already satisfy the element invariants.
 """
 
 import math
@@ -16,7 +16,6 @@ from .angles import normalize_deg
 from .errors import DomainError, ParseError
 
 __all__ = [
-    "CorrectionTerm",
     "OrbitalElements",
     "validate_elements",
     "MAX_ELAPSED_DAYS",
@@ -45,17 +44,6 @@ MAX_ELAPSED_DAYS = 2.0**36
 _MAX_SEMI_MAJOR_AU = 1e100
 
 
-class CorrectionTerm(NamedTuple):
-    """Additive periodic correction to the mean anomaly.
-
-    amplitude in degrees, period in days, phase in degrees.
-    """
-
-    amplitude: float
-    period: float
-    phase: float
-
-
 class OrbitalElements(NamedTuple):
     """Keplerian elements of one body, with period and an aphelion epoch.
 
@@ -71,7 +59,6 @@ class OrbitalElements(NamedTuple):
     omega: float
     P: float
     T_aph: float
-    corrections: tuple[CorrectionTerm, ...] = ()
 
 
 def validate_elements(el: OrbitalElements) -> None:
@@ -96,13 +83,6 @@ def validate_elements(el: OrbitalElements) -> None:
         bad("P (period)", f"must be > 0, got {el.P!r}")
     if not math.isfinite(el.T_aph):
         bad("T_aph (aphelion epoch)", f"must be finite, got {el.T_aph!r}")
-    for idx, c in enumerate(el.corrections):
-        if not (math.isfinite(c.amplitude) and c.amplitude >= 0.0):
-            bad(f"correction {idx + 1} amplitude", f"must be >= 0, got {c.amplitude!r}")
-        if not (math.isfinite(c.period) and c.period > 0.0):
-            bad(f"correction {idx + 1} period", f"must be > 0, got {c.period!r}")
-        if not math.isfinite(c.phase):
-            bad(f"correction {idx + 1} phase", f"must be finite, got {c.phase!r}")
 
 
 def default_elements_path() -> Path:
@@ -138,29 +118,16 @@ class ElementsDataset:
         return list(self.bodies)
 
 
-def _parse_header(parts: list[str], path) -> int:
-    """Validate the header row; returns the number of correction triples."""
-    if tuple(parts[: len(REQUIRED_COLUMNS)]) != REQUIRED_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(REQUIRED_COLUMNS)}; got {','.join(parts)!r}",
-            path=path,
-            line=1,
-        )
-    extra = parts[len(REQUIRED_COLUMNS):]
-    if len(extra) % 3 != 0:
-        raise ParseError(
-            "correction columns must come in amp/per/ph triples", path=path, line=1
-        )
-    for k in range(0, len(extra), 3):
-        amp, per, ph = extra[k : k + 3]
-        if not (amp.startswith("amp") and per.startswith("per") and ph.startswith("ph")):
-            raise ParseError(
-                f"unexpected correction columns {extra[k:k + 3]!r} "
-                "(expected ampK_deg,perK_days,phK_deg)",
-                path=path,
-                line=1,
-            )
-    return len(extra) // 3
+def _parse_header(parts: list[str], path, line: int) -> None:
+    """Refuse a header row, file line ``line``, other than exactly ``REQUIRED_COLUMNS``."""
+    if tuple(parts) == REQUIRED_COLUMNS:
+        return
+    n = len(REQUIRED_COLUMNS)
+    got = repr(",".join(parts))
+    if tuple(parts[:n]) == REQUIRED_COLUMNS:
+        got = "extra columns " + repr(",".join(parts[n:]))
+    raise ParseError(f"header must be {','.join(REQUIRED_COLUMNS)}; got {got}", path=path,
+                     line=line)
 
 
 def _parse_float(token: str, column: str, body: str) -> float:
@@ -174,33 +141,20 @@ def _parse_float(token: str, column: str, body: str) -> float:
 
 
 def elements_from_row(parts: list[str]) -> OrbitalElements:
-    """The validated elements of one CSV row, split into its columns: name,
-    the seven element columns, then any correction-term triples. Node and
-    perihelion angles are normalized; DomainError names what is wrong."""
+    """The validated elements of one CSV row, split into its eight columns:
+    name, then the seven element columns. Node and perihelion angles are
+    normalized; DomainError names what is wrong."""
     name = parts[0]
     if not _NAME_RE.fullmatch(name):
         raise DomainError(f"invalid body name {name!r}")
     if len(parts) < len(REQUIRED_COLUMNS):
         raise DomainError(f"{name}: row is missing element columns")
+    if len(parts) > len(REQUIRED_COLUMNS):
+        raise DomainError(f"{name}: expected {len(REQUIRED_COLUMNS)} columns, got {len(parts)}")
     a, e, i, Omega, omega, P, T_aph = (
-        _parse_float(tok, col, name) for tok, col in zip(parts[1:8], REQUIRED_COLUMNS[1:])
+        _parse_float(tok, col, name) for tok, col in zip(parts[1:], REQUIRED_COLUMNS[1:])
     )
-    corrections = []
-    extras = parts[8:]
-    for k in range(0, len(extras), 3):
-        triple = extras[k : k + 3]
-        if all(tok == "" for tok in triple):
-            continue
-        if len(triple) != 3 or any(tok == "" for tok in triple):
-            raise DomainError(
-                f"{name}: correction term {k // 3 + 1} must set amp, per and ph together"
-            )
-        amp, per, ph = (_parse_float(tok, f"{col}{k // 3 + 1}", name)
-                        for tok, col in zip(triple, ("amp", "per", "ph")))
-        corrections.append(CorrectionTerm(amplitude=amp, period=per, phase=ph))
-
-    el = OrbitalElements(name, a, e, i, normalize_deg(Omega), normalize_deg(omega), P, T_aph,
-                         corrections=tuple(corrections))
+    el = OrbitalElements(name, a, e, i, normalize_deg(Omega), normalize_deg(omega), P, T_aph)
     validate_elements(el)
     return el
 
@@ -211,9 +165,7 @@ def elements_row(el: OrbitalElements) -> str:
     hold the body's name."""
     if not _NAME_RE.fullmatch(el.name):
         raise DomainError(f"invalid body name {el.name!r}")
-    terms = [x for c in el.corrections for x in (c.amplitude, c.period, c.phase)]
-    values = (el.a, el.e, el.i, el.Omega, el.omega, el.P, el.T_aph, *terms)
-    return ",".join([el.name, *map(repr, values)])
+    return ",".join([el.name, *map(repr, el[1:])])
 
 
 def load_elements(path) -> ElementsDataset:
@@ -228,7 +180,7 @@ def load_elements(path) -> ElementsDataset:
         ) from None
 
     bodies: dict[str, OrbitalElements] = {}
-    header_triples = None
+    header = False
     # Lines end at "\n" only, as the error above counts them: splitlines()
     # would also break at form feeds, U+0085 and U+2028 inside a comment.
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -236,17 +188,10 @@ def load_elements(path) -> ElementsDataset:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if header_triples is None:
-            header_triples = _parse_header(parts, path)
+        if not header:
+            _parse_header(parts, path, lineno)
+            header = True
             continue
-
-        expected = len(REQUIRED_COLUMNS) + 3 * header_triples
-        if not (len(REQUIRED_COLUMNS) <= len(parts) <= expected):
-            raise ParseError(
-                f"expected {len(REQUIRED_COLUMNS)} to {expected} columns, got {len(parts)}",
-                path=path,
-                line=lineno,
-            )
         try:
             el = elements_from_row(parts)
         except DomainError as exc:
@@ -255,7 +200,7 @@ def load_elements(path) -> ElementsDataset:
             raise ParseError(f"duplicate body name {el.name!r}", path=path, line=lineno)
         bodies[el.name] = el
 
-    if header_triples is None:
+    if not header:
         raise ParseError("file contains no header row", path=path, line=1)
     if not bodies:
         raise ParseError("file contains no element rows", path=path, line=1)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI maps each to an exit code: a ParseError (a malformed elements CSV or
+table file), TableVersionError or TableNotFoundError to 3, a DomainError to
+2 and a DegenerateGeometryError to 1.
+"""
 
 
 class UraniaError(Exception):
@@ -11,10 +16,6 @@ class DomainError(UraniaError, ValueError):
 
 class DegenerateGeometryError(UraniaError):
     """Geometry has no defined direction (coincident bodies, zero vector)."""
-
-
-class UnsupportedInversionError(UraniaError):
-    """The requested analytic inversion does not exist for these elements."""
 
 
 class ParseError(UraniaError):

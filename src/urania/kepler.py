@@ -8,7 +8,9 @@ Positions are rectangular, (cos E - e)*P + sin E*Q in the body's orbit frame,
 which the direct chain computes once per element set (``cached_frame``) with
 the body's mean motion 360/P. A position carries no radius: a caller that
 needs one takes it from ``position_since_aphelion``, which computes it with
-``radius``. The element record and its domain live in ``dataset``.
+``radius``. The element record and its domain live in ``dataset``: eight
+numbers with no perturbation terms, so the mean anomaly is linear in time
+and ``time_since_aphelion`` inverts the chain for every valid record.
 """
 
 import functools
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 from .angles import DEG2RAD, RAD2DEG, TWO_PI, aphelion_shift, normalize_deg
 from .dataset import MAX_ELAPSED_DAYS, OrbitalElements
-from .errors import DomainError, UnsupportedInversionError
+from .errors import DomainError
 
 __all__ = [
     "orbit_frame",
@@ -50,10 +52,7 @@ def mean_anomaly_elapsed(el: OrbitalElements, motion: float, dt_days: float) -> 
             f"{el.name}: {dt_days!r} days from aphelion is outside the valid domain "
             f"|jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
         )
-    M = motion * dt_days
-    for c in el.corrections:
-        M += c.amplitude * math.sin((360.0 * dt_days / c.period + c.phase) * DEG2RAD)
-    return normalize_deg(M)
+    return normalize_deg(motion * dt_days)
 
 
 def solve_kepler(M: float, e: float) -> float:
@@ -175,7 +174,7 @@ cached_frame = functools.lru_cache(maxsize=64)(orbit_frame)
 def heliocentric_xyz(el: OrbitalElements, frame: tuple, dt_days: float) -> tuple:
     """Ecliptic (x, y, z) in AU of ``el`` ``dt_days`` after its aphelion
     passage, in its ``orbit_frame`` ``frame``. Chain: mean anomaly (from
-    aphelion, with corrections, at the frame's mean motion) -> Kepler solve
+    aphelion, at the frame's mean motion) -> Kepler solve
     -> (cos E - e)*P + sin E*Q."""
     Px, Py, Pz, Qx, Qy, Qz, motion = frame
     M_aph = mean_anomaly_elapsed(el, motion, dt_days)
@@ -188,14 +187,8 @@ def heliocentric_xyz(el: OrbitalElements, frame: tuple, dt_days: float) -> tuple
 def time_since_aphelion(el: OrbitalElements, nu_aph: float) -> float:
     """Days after aphelion passage at which the true anomaly equals ``nu_aph``.
 
-    Inverse of the anomaly chain, in [0, P). Only defined for elements with
-    no correction terms: a corrected mean anomaly has no closed-form inverse
-    (the table compiler never needs one, it walks forward in time).
+    Inverse of the anomaly chain, in [0, P).
     """
-    if el.corrections:
-        raise UnsupportedInversionError(
-            f"{el.name}: time_since_aphelion is undefined with correction terms"
-        )
     nu = normalize_deg(nu_aph)
     half = 0.5 * nu * DEG2RAD
     E_aph = 2.0 * math.atan2(

@@ -7,9 +7,10 @@ Format v4 is a UTF-8 text header followed by a binary payload. The header is
 ``# key: value`` lines: the magic ``# urania-table v4``, then ``kind``
 (``single`` or ``double``), ``step`` for a single-entry table or
 ``shape: <n_u>x<n_v>`` for a double-entry one, and ``body``, plus ``earth`` for
-a double-entry table, each holding that body's row of the elements CSV (see
-``dataset.elements_row``), so the elements round-trip bit for bit through the
-dataset's own codec. Unknown keys are ignored. The header closes with
+a double-entry table, each holding that body's eight-column row of the
+elements CSV (see ``dataset.elements_row``), so the elements round-trip bit
+for bit through the dataset's own codec. Unknown keys are ignored; a key
+given twice is refused. The header closes with
 ``# payload: floats=N crc32=XXXXXXXX``, whose CRC-32 (``zlib.crc32``, 8
 lowercase hex digits) covers every byte of the file but those 8 digits. The
 payload follows that line's newline: N little-endian float64 values. For a
@@ -180,15 +181,8 @@ def parse_shape(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-def _check_periodic(el: OrbitalElements) -> None:
-    # A table answers from the phase modulo P; a correction term has its own period.
-    validate_elements(el)
-    if el.corrections:
-        raise DomainError(f"{el.name}: a table cannot hold correction terms; use direct mode")
-
-
 def _check_single_body(el: OrbitalElements) -> None:
-    _check_periodic(el)
+    validate_elements(el)
     # Every row then lies in the direct chain's domain.
     if not el.P < MAX_ELAPSED_DAYS:
         raise DomainError(f"{el.name}: a single-entry table needs P < 2**36 days, got {el.P!r}")
@@ -197,8 +191,8 @@ def _check_single_body(el: OrbitalElements) -> None:
 def _check_double(
     planet_el: OrbitalElements, earth_el: OrbitalElements, n_u: int, n_v: int
 ) -> None:
-    _check_periodic(planet_el)
-    _check_periodic(earth_el)
+    validate_elements(planet_el)
+    validate_elements(earth_el)
     if n_u < 8 or n_v < 8 or n_u * n_v > 1048576:  # as a single-entry table's 2**20 rows
         raise DomainError(f"grid must be at least 8x8 and at most 2**20 cells, got {n_u}x{n_v}")
 
@@ -415,7 +409,7 @@ def read_table(source):
 
 def _parse_header_line(raw, headers, path, line):
     """Add the ``# key: value`` header line ``raw`` (bytes) to ``headers`` as
-    ``key -> (value, line)``."""
+    ``key -> (value, line)``; a key seen before is refused."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -427,7 +421,12 @@ def _parse_header_line(raw, headers, path, line):
         raise TableParseError(
             f"header line {text!r} does not read '# key: value'", path=path, line=line
         )
-    headers[key[1:].strip()] = (value.strip(), line)
+    key = key[1:].strip()
+    if key in headers:
+        raise TableParseError(
+            f"header key {key!r} repeats the one on line {headers[key][1]}", path=path, line=line
+        )
+    headers[key] = (value.strip(), line)
 
 
 def _require(headers, key, path):
@@ -446,13 +445,15 @@ def _invalid(what, path, line=None):
         raise TableParseError(f"invalid {what}: {exc}", path=path, line=line) from None
 
 
-def _elements(headers, key, path, check=_check_periodic):
-    """The elements of the body whose CSV row is header ``key``, refused
-    at that line if ``check`` refuses them."""
+def _elements(headers, key, path, check=None):
+    """The elements of the body whose CSV row is header ``key``: eight
+    columns that ``elements_from_row`` validates, refused at that line if
+    they or ``check`` fail."""
     row, line = _require(headers, key, path)
     with _invalid(f"{key} header", path, line):
         el = elements_from_row(row.split(","))
-        check(el)
+        if check is not None:
+            check(el)
     return el
 
 

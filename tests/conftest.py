@@ -7,7 +7,6 @@ import pytest
 from hypothesis import strategies as st
 
 from urania import (
-    CorrectionTerm,
     OrbitalElements,
     TableSet,
     compile_plan,
@@ -29,20 +28,15 @@ def make_el(**overrides) -> OrbitalElements:
         omega=110.0,
         P=500.0,
         T_aph=2451545.0,
-        corrections=(),
     )
     fields.update(overrides)
     return OrbitalElements(**fields)
 
 
-def valid_elements(name, corrected=True):
+def valid_elements(name):
     """Hypothesis strategy: an OrbitalElements record named ``name`` that
-    passes validate_elements, with up to three correction terms, or with
-    none unless ``corrected``: the elements a table can hold."""
+    passes validate_elements."""
     angle = st.floats(0.0, 360.0, exclude_max=True)
-    correction = st.builds(
-        CorrectionTerm, st.floats(0.0, 2.0), st.floats(1.0, 1e4), st.floats(0.0, 360.0)
-    )
     return st.builds(
         OrbitalElements,
         name=st.just(name),
@@ -53,7 +47,6 @@ def valid_elements(name, corrected=True):
         omega=angle,
         P=st.floats(10.0, 1e5),
         T_aph=st.floats(2.4e6, 2.5e6),
-        corrections=st.lists(correction, max_size=3 if corrected else 0).map(tuple),
     )
 
 

@@ -70,10 +70,6 @@ def mp_heliocentric(el, jd):
     deg = mp.pi / 180
     dt = mp.mpf(jd) - mp.mpf(el.T_aph)
     M_aph = mp.mpf(360) / mp.mpf(el.P) * dt
-    for c in el.corrections:
-        M_aph += mp.mpf(c.amplitude) * mp.sin(
-            (mp.mpf(360) * dt / mp.mpf(c.period) + mp.mpf(c.phase)) * deg
-        )
     M_peri = (M_aph + 180) * deg
     e = mp.mpf(el.e)
     E = mp_solve_kepler(M_peri, e)
@@ -116,7 +112,7 @@ def mp_geocentric(planet_el, earth_el, jd):
 
 
 def mp_time_since_aphelion(el, nu_aph_deg):
-    """Invert the anomaly chain at 50 digits (no corrections)."""
+    """Invert the anomaly chain at 50 digits."""
     deg = mp.pi / 180
     e = mp.mpf(el.e)
     half = mp.mpf(nu_aph_deg) * deg / 2

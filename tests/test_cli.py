@@ -752,23 +752,21 @@ def test_grid_over_the_cell_bound_is_a_usage_error(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_tables_refuse_a_corrected_body_that_direct_mode_takes(capsys, tmp_path):
-    csv = tmp_path / "corrected.csv"
+def test_elements_with_extra_columns_are_refused_in_both_modes(capsys, tmp_path):
+    # an elements record is eight numbers: columns past them are refused, never ignored
+    csv = tmp_path / "extra.csv"
     csv.write_text(f"{ELEMENTS_HEADER},amp1_deg,per1_days,ph1_deg\n"
                    "circ,2.0,0.0,0.0,0.0,0.0,800.0,2451545.0,2.0,1000.0,0.0\n"
                    "earth,1.0,0.0,0.0,0.0,0.0,320.0,2451545.0,,,\n")
     out_dir = tmp_path / "t"
     for argv in (["gen", "--all", "--double", "8x8", "--table-dir", str(out_dir)],
                  ["census", "--double", "8x8"],
-                 ["compare", "--planet", "circ", "--double", "8x8", "--from-jd", "2451545",
-                  "--span-days", "10"]):
+                 ["query", "--mode", "direct", "--planet", "circ", "--jd", "2451545.0"]):
         code, out, err = run(capsys, *argv, "--elements", str(csv), "--no-timestamp")
-        assert (code, out) == (2, ""), argv
-        assert "circ: a table cannot hold correction terms" in err
+        assert (code, out) == (3, ""), argv
+        assert "line 1: header must be" in err
+        assert "extra columns 'amp1_deg,per1_days,ph1_deg'" in err
     assert not out_dir.exists()
-    code, out, _ = run(capsys, "query", "--mode", "direct", "--planet", "circ",
-                       "--jd", "2451545.0", "--elements", str(csv), "--no-timestamp")
-    assert code == 0 and "lambda:" in out
 
 
 def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(capsys, tmp_path):

@@ -18,7 +18,7 @@ def test_shipped_dataset_loads(dataset):
     for el in dataset:
         assert 0.0 <= el.Omega < 360.0
         assert 0.0 <= el.omega < 360.0
-        assert el.corrections == ()
+        assert len(el) == 8
     assert dataset["earth"].i == 0.0
 
 
@@ -49,7 +49,7 @@ def test_bad_header_rejected(tmp_path):
     path = write(tmp_path, ["mars,1.5,0.1,1.0,0,0,687,2451545"], header="name,a,e")
     with pytest.raises(ParseError) as err:
         load_elements(path)
-    assert err.value.line == 1
+    assert err.value.line == 2  # the header's line, after the comment line
 
 
 def test_non_numeric_field_names_line(tmp_path):
@@ -64,27 +64,6 @@ def test_node_angles_normalized_on_load(tmp_path):
     el = load_elements(path)["x"]
     assert el.Omega == pytest.approx(10.0, abs=1e-12)
     assert el.omega == pytest.approx(350.0, abs=1e-12)
-
-
-def test_correction_columns(tmp_path):
-    header = HEADER + ",amp1_deg,per1_days,ph1_deg"
-    path = write(
-        tmp_path,
-        ["plain,1.5,0.1,1.0,0,0,687,2451545,,,",
-         "wavy,5.2,0.05,1.3,100,274,4333,2449142,0.25,4000,30"],
-        header=header,
-    )
-    ds = load_elements(path)
-    assert ds["plain"].corrections == ()
-    (term,) = ds["wavy"].corrections
-    assert (term.amplitude, term.period, term.phase) == (0.25, 4000.0, 30.0)
-
-
-def test_partial_correction_triple_rejected(tmp_path):
-    header = HEADER + ",amp1_deg,per1_days,ph1_deg"
-    path = write(tmp_path, ["wavy,5.2,0.05,1.3,100,274,4333,2449142,0.25,,30"], header=header)
-    with pytest.raises(ParseError, match="together"):
-        load_elements(path)
 
 
 def test_invalid_name_rejected(tmp_path):
@@ -102,21 +81,19 @@ def test_empty_file_rejected(tmp_path):
         load_elements(write(tmp_path, []))
 
 
-TRIPLES = ",amp1_deg,per1_days,ph1_deg,amp2_deg,per2_days,ph2_deg"
 ROW = "mars,1.5,0.1,1.0,0,0,687,2451545"
 
 
-@pytest.mark.parametrize("header, row, message", [
-    (HEADER + ",amp1_deg,per1_days", ROW, "amp/per/ph triples"),
-    (HEADER + ",amp1_deg,per1_days,x1", ROW, r"columns \['amp1_deg', 'per1_days', 'x1'\]"),
-    (HEADER, ROW + ",0.25,4000,30", "expected 8 to 8 columns, got 11"),
-    (HEADER, "mars,1.5,0.1,1.0,inf,0,687,2451545", "column Omega_deg must be finite"),
-    (HEADER + TRIPLES, ROW + ",0.25,4000,30,0.1,,5", "correction term 2 must set"),
-    (HEADER + TRIPLES, ROW + ",0.25,4000,30,0.1,x,5", "column per2 is not a number"),
+@pytest.mark.parametrize("header, row, line, message", [
+    (HEADER + ",amp1_deg,per1_days,ph1_deg", ROW + ",0.25,4000,30", 2,
+     "extra columns 'amp1_deg,per1_days,ph1_deg'"),
+    (HEADER, ROW + ",0.25,4000,30", 3, "mars: expected 8 columns, got 11"),
+    (HEADER, "mars,1.5,0.1,1.0,inf,0,687,2451545", 3, "column Omega_deg must be finite"),
 ])
-def test_a_malformed_row_or_header_names_its_fault(tmp_path, header, row, message):
-    with pytest.raises(ParseError, match=message):
+def test_a_malformed_row_or_header_names_its_fault(tmp_path, header, row, line, message):
+    with pytest.raises(ParseError, match=message) as err:
         load_elements(write(tmp_path, [row], header=header))
+    assert err.value.line == line
 
 
 def test_text_that_is_not_utf8_names_its_line(tmp_path):

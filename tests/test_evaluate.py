@@ -134,7 +134,7 @@ def test_each_interval_ends_at_the_next_rows_anomaly(default_tables):
 
 
 @settings(max_examples=100, deadline=None)
-@given(valid_elements("planet", corrected=False), st.integers(8, 400),
+@given(valid_elements("planet"), st.integers(8, 400),
        st.floats(0.0, 1.0, exclude_max=True))
 def test_between_two_rows_the_anomaly_lies_between_theirs(el, per_period, fraction):
     try:
@@ -169,7 +169,7 @@ def test_knot_identity_double(dataset):
 
 
 @settings(max_examples=40, deadline=None)
-@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+@given(valid_elements("planet"), valid_elements("earth"),
        st.integers(8, 20), st.integers(8, 20))
 def test_knots_return_the_rectangular_chain_bit_for_bit(planet, earth, n_u, n_v):
     try:
@@ -258,7 +258,7 @@ def grid_phase(draw, n, period):
 
 
 @settings(max_examples=60, deadline=None)
-@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+@given(valid_elements("planet"), valid_elements("earth"),
        st.integers(8, 12), st.integers(8, 12), st.data())
 def test_flat_lookup_is_the_reference_on_drawn_grids(planet, earth, n_u, n_v, data):
     try:
@@ -318,7 +318,7 @@ def assert_near_four_corner(table, x, y):
 
 
 @settings(max_examples=60, deadline=None)
-@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+@given(valid_elements("planet"), valid_elements("earth"),
        st.integers(8, 12), st.integers(8, 12), st.data())
 def test_difference_form_is_the_four_corner_formula_on_drawn_grids(planet, earth, n_u, n_v, data):
     try:

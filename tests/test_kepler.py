@@ -2,15 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_el, valid_elements
 from oracles import mp_heliocentric, mp_time_since_aphelion, wrap_abs_deg
 from urania import (
-    CorrectionTerm,
     DomainError,
     OrbitalElements,
-    UnsupportedInversionError,
     aphelion_shift,
     kepler,
     position_since_aphelion,
@@ -151,21 +149,6 @@ def test_mean_anomaly_refuses_elapsed_times_beyond_the_bound():
             mean_anomaly(el, dt)
 
 
-def test_mean_anomaly_correction_term():
-    term = CorrectionTerm(amplitude=0.25, period=1000.0, phase=30.0)
-    el = make_el(P=100.0, corrections=(term,))
-    dt = 10.0
-    expected = 36.0 + 0.25 * math.sin(math.radians(360.0 * dt / 1000.0 + 30.0))
-    assert mean_anomaly(el, dt) == pytest.approx(expected, abs=1e-12)
-
-
-def test_empty_corrections_change_nothing():
-    el = make_el(P=77.0)
-    bare = make_el(P=77.0, corrections=())
-    for dt in (0.0, 13.37, 200.0):
-        assert mean_anomaly(el, dt) == mean_anomaly(bare, dt)
-
-
 # ---------------------------------------------------------------------------
 # heliocentric position
 # ---------------------------------------------------------------------------
@@ -220,13 +203,10 @@ def test_matches_extended_precision_oracle(dataset):
 @settings(max_examples=150, deadline=None)
 @given(valid_elements("body"), st.floats(-3.0, 3.0))
 def test_rectangular_chain_matches_the_oracle_on_drawn_elements(el, revolutions):
-    # Within three revolutions of the aphelion epoch, and with correction
-    # periods of 10 days or more, the rounding of the mean anomaly's inputs
-    # stays far below the tolerances: a 1-day correction term 1e5 days out
-    # has an argument of 4e7 degrees, whose rounding alone moves r by 2e-12.
-    # The longitude error is measured on the sky (times cos b): at the poles
-    # a longitude has no meaning.
-    assume(all(c.period >= 10.0 for c in el.corrections))
+    # Within three revolutions of the aphelion epoch the rounding of the
+    # mean anomaly's inputs stays far below the tolerances. The longitude
+    # error is measured on the sky (times cos b): at the poles a longitude
+    # has no meaning.
     jd = el.T_aph + revolutions * el.P
     l, b, r = spherical(el, jd)
     l_mp, b_mp, r_mp = mp_heliocentric(el, jd)
@@ -288,12 +268,6 @@ def test_inversion_matches_mp_oracle():
         )
 
 
-def test_inversion_refuses_corrections():
-    el = make_el(corrections=(CorrectionTerm(amplitude=0.1, period=500.0, phase=0.0),))
-    with pytest.raises(UnsupportedInversionError):
-        time_since_aphelion(el, 45.0)
-
-
 # ---------------------------------------------------------------------------
 # element validation
 # ---------------------------------------------------------------------------
@@ -321,14 +295,6 @@ def test_validate_elements_names_field(field, value, fragment):
         validate_elements(el)
 
 
-def test_validate_elements_checks_corrections():
-    good = CorrectionTerm(amplitude=0.1, period=10.0, phase=0.0)
-    for field, value in (("amplitude", -0.1), ("period", 0.0), ("phase", math.inf)):
-        el = make_el(corrections=(good, good._replace(**{field: value})))
-        with pytest.raises(DomainError, match=f"correction 2 {field}"):
-            validate_elements(el)
-
-
 # ---------------------------------------------------------------------------
 # Kept only for perfbench: the pre-lean direct chain, which the harness's
 # ``_kepler_parts`` and composed direct pass reach as module attributes.
@@ -337,7 +303,7 @@ def test_validate_elements_checks_corrections():
 
 
 def test_the_pre_lean_state_is_the_live_position(dataset):
-    for el in (dataset["mars"], make_el(corrections=(CorrectionTerm(0.25, 1000.0, 30.0),))):
+    for el in (dataset["mars"], make_el(e=0.9)):
         for jd in (el.T_aph, 2451545.0 + 321.77, 2451545.0 - 4567.25):
             state = kepler.heliocentric_state(el, jd)
             assert state == (*xyz(el, jd), position_since_aphelion(el, jd - el.T_aph)[1])

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import urania
 from conftest import DATA_DIR, valid_elements
 from urania import (
-    CorrectionTerm,
     DegenerateGeometryError,
     OpCounter,
     OrbitalElements,
@@ -31,11 +30,6 @@ from urania.evaluate import phase_days
 from urania.opcount import derive_counted, twin
 from urania.tableio import row_count
 from urania.tables import build_double_entry
-
-
-def _elements(d) -> OrbitalElements:
-    fields = dict(d, corrections=tuple(CorrectionTerm(*t) for t in d["corrections"]))
-    return OrbitalElements(**fields)
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +74,15 @@ def test_golden_direct_tallies(golden, dataset):
         assert _direct_record(c, pos) == want, (planet, jd)
 
 
-def test_golden_tallies_with_corrections_and_high_eccentricity(golden):
+def test_golden_tallies_at_high_eccentricity(golden):
     assert any(s["planet"]["e"] >= 0.9 for s in golden["element_sets"])
-    assert any(len(s["planet"]["corrections"]) == 3 for s in golden["element_sets"])
     for s in golden["element_sets"]:
-        planet, earth = _elements(s["planet"]), _elements(s["earth"])
+        planet, earth = OrbitalElements(**s["planet"]), OrbitalElements(**s["earth"])
         bodies = {planet.name: planet, earth.name: earth}
         for jd, *want in s["records"]:
             pos, c = counted_query("direct", planet.name, jd, dataset=bodies)
             assert pos == geocentric_at(planet, earth, jd)
-            assert _direct_record(c, pos) == want, (planet.name, earth.corrections, jd)
+            assert _direct_record(c, pos) == want, (planet.name, jd)
 
 
 def test_golden_table_queries(golden_table, default_tables):
@@ -141,7 +134,7 @@ def test_compile_tally_counts_the_builders_own_code(golden):
     # use: per cell 3 fmods, 15 differences, and one add per longitude offset
     # folded into (-180, 180].
     cfg = golden["compile"]
-    bodies = {d["name"]: _elements(d) for d in cfg["bodies"]}
+    bodies = {d["name"]: OrbitalElements(**d) for d in cfg["bodies"]}
     plan = compile_plan(bodies, bodies, cfg["step_days"], cfg["double_shape"])
     c = measure_compile_ops(plan)
     assert c.row_accesses == 0

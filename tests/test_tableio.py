@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import edit_header, make_el, reseal, valid_elements
 from urania import (
-    CorrectionTerm,
     DegenerateGeometryError,
     DomainError,
     OrbitalElements,
@@ -21,11 +20,6 @@ from urania import (
     write_table,
 )
 from urania.dataset import elements_from_row, elements_row
-
-CORRECTIONS = (
-    CorrectionTerm(amplitude=0.125, period=4000.0, phase=12.5),
-    CorrectionTerm(amplitude=0.01, period=777.0, phase=300.0),
-)
 
 # The opening lines of a format v1 file: all text, one data row per line.
 V1_TEXT = (
@@ -92,7 +86,7 @@ def test_a_read_grid_and_its_rows_hold_no_spare_capacity(tmp_path):
 
 
 @settings(max_examples=25, deadline=None)
-@given(valid_elements("planet", corrected=False), valid_elements("earth", corrected=False),
+@given(valid_elements("planet"), valid_elements("earth"),
        st.integers(8, 12), st.integers(8, 12))
 def test_grid_spacing_is_the_period_over_the_shape_from_builder_and_reader(
     tmp_path_factory, planet, earth, n_u, n_v
@@ -252,17 +246,31 @@ def test_step_header_below_the_row_bound_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("build", [single_table, double_table], ids=["single", "double"])
-def test_a_corrected_body_is_refused_at_build_and_at_read(tmp_path, build):
-    # a table answers from the phase modulo P, which a correction term breaks
-    with pytest.raises(DomainError, match="proto: a table cannot hold correction terms"):
-        build(corrections=CORRECTIONS)
+def test_a_body_row_with_extra_columns_is_refused_at_read(tmp_path, build):
+    # a body row is the elements CSV's eight columns; three more are refused, not ignored
     table = build()
-    el = table.elements if build is single_table else table.planet
+    row = elements_row(table.elements if build is single_table else table.planet)
     path = written(tmp_path, table)
-    corrected = el._replace(corrections=CORRECTIONS)
-    edit_header(path, lambda text: text.replace(elements_row(el), elements_row(corrected)))
-    with pytest.raises(TableParseError, match="invalid body header: proto: a table cannot hold"):
+    edit_header(path, lambda text: text.replace(row, row + ",0.125,4000.0,12.5"))
+    with pytest.raises(TableParseError, match="invalid body header: proto: expected 8 columns, "
+                       "got 11") as err:
         read_table(path)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("key, first", [("kind", 2), ("step", 3), ("body", 4)])
+def test_a_repeated_header_key_is_refused(tmp_path, key, first):
+    # a key given twice is refused, even with the same value
+    path = written(tmp_path, single_table())
+
+    def repeat(text):
+        return text + next(line for line in text.splitlines(True) if line.startswith(f"# {key}:"))
+
+    edit_header(path, repeat)
+    with pytest.raises(TableParseError, match=f"header key '{key}' repeats the one on line "
+                       f"{first}") as err:
+        read_table(path)
+    assert err.value.line == 5
 
 
 def test_a_body_too_fast_for_the_motion_stencil_is_refused_at_read(tmp_path):
@@ -371,22 +379,11 @@ _ELEMENTS = st.builds(
     omega=_angle(360.0),
     P=_positive(),
     T_aph=st.floats(allow_nan=False, allow_infinity=False),
-    corrections=st.lists(
-        st.builds(
-            CorrectionTerm,
-            amplitude=st.floats(min_value=0.0, allow_infinity=False),
-            period=_positive(),
-            phase=st.floats(allow_nan=False, allow_infinity=False),
-        ),
-        max_size=3,
-    ).map(tuple),
 )
 
 
 def _element_bits(el):
-    terms = [x for c in el.corrections for x in (c.amplitude, c.period, c.phase)]
-    values = (el.a, el.e, el.i, el.Omega, el.omega, el.P, el.T_aph, *terms)
-    return el.name, [float.hex(x) for x in values]
+    return el.name, [float.hex(x) for x in el[1:]]
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_el
 from urania import (
-    CorrectionTerm,
     DomainError,
     build_double_entry,
     build_planet_table,
@@ -199,18 +198,6 @@ def test_grid_cell_bound_enforced():
             build_double_entry(planet, earth, *shape)
 
 
-@pytest.mark.parametrize("corrected", ["outer", "earth"])
-def test_tables_refuse_a_corrected_body(corrected):
-    # a table answers from the phase modulo P; a correction term has its own period
-    bodies = dict(zip(("outer", "earth"), circular_pair()))
-    bodies[corrected] = bodies[corrected]._replace(corrections=(CorrectionTerm(2.0, 1000.0, 0.0),))
-    message = f"{corrected}: a table cannot hold correction terms"
-    with pytest.raises(DomainError, match=message):
-        build_planet_table(bodies[corrected], 40.0)
-    with pytest.raises(DomainError, match=message):
-        build_double_entry(bodies["outer"], bodies["earth"], 8, 8)
-    with pytest.raises(DomainError, match=message):
-        compile_plan(bodies, bodies, 40.0, (8, 8))
 
 
 def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(monkeypatch):
