@@ -40,7 +40,10 @@ class TableSet:
     directory (see ``load_tables``) reads a table on its first use: only
     ``<planet>.earth.double.tbl`` for a geocentric query, and
     ``<name>.single.tbl`` for a heliocentric one. A file whose header does
-    not match its file name is rejected with TableParseError. A set made
+    not match its file name is rejected with TableParseError, and so is a
+    query that reads a double-entry row holding or bordering a non-finite or
+    out-of-range knot, which the reader leaves to that row's first read
+    (see ``tableio.CoefficientRows``). A set made
     with no directory holds only what ``add`` puts in, one table per key.
     """
 

@@ -16,16 +16,19 @@ lowercase hex digits) covers every byte of the file but those 8 digits. The
 payload follows that line's newline: N little-endian float64 values. For a
 double-entry table they are its ``knots``, ``lambda, beta, delta`` per cell,
 row-major, written and read as one array; the reader derives nothing from
-them, and a query derives each row's coefficient cells on its first read.
+them, and a query derives each row's coefficient cells on its first read,
+checking first that the knots it derives them from are finite and in range.
 For a single-entry table they are the knots ``nu_aph, r`` per row, whose rows
-``planet_rows`` rebuilds from them as the compiler does. No value goes
-through decimal text, so the round trip is bit-exact. A corrupt, truncated or
-out-of-range file, one whose step or grid fails the compiler's checks, whose
-anomaly does not increase row by row or whose header does not describe the
-table its file name names raises TableParseError; a file of another format
-version (v1 was all text, v2 wrote its own key=value element header, v3
-stored a daily motion beside each knot) raises TableVersionError, and
-``urania gen`` rebuilds the tables.
+``planet_rows`` rebuilds from them as the compiler does, so the reader checks
+every value. No value goes through decimal text, so the round trip is
+bit-exact. A corrupt, truncated or out-of-range file, one whose step or grid
+fails the compiler's checks, whose anomaly does not increase row by row or
+whose header does not describe the table its file name names raises
+TableParseError: at read, or, for a non-finite or out-of-range double-entry
+knot, at the first lookup in a row that holds or borders it; a file of
+another format version (v1 was all text, v2 wrote its own key=value element
+header, v3 stored a daily motion beside each knot) raises TableVersionError,
+and ``urania gen`` rebuilds the tables.
 """
 
 import math
@@ -105,18 +108,20 @@ class DoubleEntryTable:
     P_earth/n_v are computed once, by the builder or the reader; both axes
     are logically periodic. ``knots`` holds the cells' (lambda, beta, delta),
     row-major, as the table file's payload does. ``cells[iu]`` is row iu's
-    coefficient cells (see ``coefficient_row``), derived on its first read;
-    two tables are equal when all but their cells are, since equal knots
-    derive equal cells.
+    coefficient cells (see ``coefficient_row``), derived and checked on its
+    first read; ``path``, the file the knots were read from, is held by the
+    cells, for the TableParseError of a bad knot. Two tables are equal when
+    all but their cells are, since equal knots derive equal cells: so a
+    table read back equals the one built.
     """
 
     __slots__ = ("planet", "earth", "n_u", "n_v", "du", "dv", "knots", "cells")
 
     def __init__(self, planet: OrbitalElements, earth: OrbitalElements, n_u: int, n_v: int,
-                 du: float, dv: float, knots: array):
+                 du: float, dv: float, knots: array, path=None):
         self.planet, self.earth, self.n_u, self.n_v = planet, earth, n_u, n_v
         self.du, self.dv, self.knots = du, dv, knots
-        self.cells = CoefficientRows(knots, n_u, n_v)
+        self.cells = CoefficientRows(knots, n_u, n_v, path)
 
     def __eq__(self, other):
         if not isinstance(other, DoubleEntryTable):
@@ -139,17 +144,24 @@ class CoefficientRows(dict):
 
     A row is derived from the knots by ``coefficient_row`` when it is first
     read, and kept: so a lookup fetches its row with one subscript, and a
-    table read for one query derives one row, not all of them.
+    table read for one query derives one row, not all of them. The knots of
+    the two rows it derives from are checked first, as the reader checks a
+    single-entry payload, so a non-finite or out-of-range knot raises
+    TableParseError naming ``path`` (None for a table built in-process) and
+    leaves the row underived: every later read of it raises again.
     """
 
-    __slots__ = ("knots", "n_u", "n_v")
+    __slots__ = ("knots", "n_u", "n_v", "path")
 
-    def __init__(self, knots: array, n_u: int, n_v: int):
+    def __init__(self, knots: array, n_u: int, n_v: int, path=None):
         super().__init__()
-        self.knots, self.n_u, self.n_v = knots, n_u, n_v
+        self.knots, self.n_u, self.n_v, self.path = knots, n_u, n_v, path
 
     def __missing__(self, iu: int) -> array:
-        row = self[iu] = coefficient_row(*self.knot_rows(iu), self.n_v)
+        rows = self.knot_rows(iu)
+        for knots in rows:
+            _check_values(knots, _DOUBLE_COLUMNS, self.path)
+        row = self[iu] = coefficient_row(*rows, self.n_v)
         return row
 
     def knot_rows(self, iu: int) -> tuple[array, array]:
@@ -193,6 +205,10 @@ def _check_double(
 ) -> None:
     validate_elements(planet_el)
     validate_elements(earth_el)
+    _check_grid(n_u, n_v)
+
+
+def _check_grid(n_u: int, n_v: int) -> None:
     if n_u < 8 or n_v < 8 or n_u * n_v > 1048576:  # as a single-entry table's 2**20 rows
         raise DomainError(f"grid must be at least 8x8 and at most 2**20 cells, got {n_u}x{n_v}")
 
@@ -457,15 +473,22 @@ def _elements(headers, key, path, check=None):
     return el
 
 
-def _check_payload(values, count, what, columns, path) -> None:
+def _check_count(values, count, what, columns, path) -> None:
     """Refuse the payload unless it holds ``count`` records of one value per
-    column, each of ``columns`` checked."""
+    column of ``columns``."""
     width = len(columns)
     if len(values) != width * count:
         raise TableParseError(
             f"expected {count} {what} ({width * count} floats), the payload holds {len(values)}",
             path=path,
         )
+
+
+def _check_values(values, columns, path) -> None:
+    """Refuse ``values``, records of one value per column of ``columns``,
+    unless each is finite and passes its column's test; ``path`` names the
+    file they were read from (None for a table built in-process)."""
+    width = len(columns)
     if not all(map(math.isfinite, values)):
         raise TableParseError("non-finite value in the payload", path=path)
     for j, (name, bounds, ok) in enumerate(columns):
@@ -485,7 +508,8 @@ def _read_single(path, headers, values):
         _check_single(el, step)
 
     what = f"rows for P={el.P!r} step={step!r}"
-    _check_payload(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
+    _check_count(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
+    _check_values(values, _SINGLE_COLUMNS, path)  # planet_rows derives every row now
     with _invalid("payload", path):
         rows = planet_rows(el, step, list(zip(values[0::2], values[1::2])))
     return PlanetTable(elements=el, step=step, rows=rows)
@@ -496,9 +520,10 @@ def _read_double(path, headers, values):
     text, line = _require(headers, "shape", path)
     with _invalid("shape header", path, line):
         n_u, n_v = parse_shape(text)
-        _check_double(planet, earth, n_u, n_v)
+        _check_grid(n_u, n_v)  # elements_from_row has validated both bodies
 
-    _check_payload(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
+    # a row's values are checked when a query first derives it (CoefficientRows)
+    _check_count(values, n_u * n_v, f"cells for {n_u}x{n_v}", _DOUBLE_COLUMNS, path)
     # held as an exact-size copy: frombytes leaves a 16th of the array spare
     return DoubleEntryTable(planet=planet, earth=earth, n_u=n_u, n_v=n_v,
-                            du=planet.P / n_u, dv=earth.P / n_v, knots=values[:])
+                            du=planet.P / n_u, dv=earth.P / n_v, knots=values[:], path=path)

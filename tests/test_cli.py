@@ -896,6 +896,24 @@ def test_validate_flags_corrupt_table(capsys, table_dir):
     assert "FAIL table-files" in out
 
 
+def test_a_bad_knot_fails_validate_and_every_query_that_reads_its_row(capsys, table_dir):
+    # A double-entry file's values are checked row by row as queries derive
+    # them, so the file reads, and what reads the bad row is refused.
+    path = table_dir / "mars.earth.double.tbl"
+    table = read_table(path)
+    jd = 2451545.0
+    iu = int(phase_days(None, jd, table.planet.T_aph, table.planet.P) / table.du)
+    table.knots[3 * table.n_v * iu + 1] = float("nan")  # the latitude of cell (iu, 0)
+    write_table(table, path)
+    code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))
+    assert code == 1
+    assert f"FAIL table-files: {path}: non-finite value in the payload" in out
+    code, out, err = run(capsys, "query", "--mode", "table", "--planet", "mars",
+                         "--jd", repr(jd), "--table-dir", str(table_dir))
+    assert (code, out) == (3, "")
+    assert f"{path}: non-finite value in the payload" in err
+
+
 def test_validate_flags_moved_table(capsys, table_dir):
     (table_dir / "venus.earth.double.tbl").replace(table_dir / "mars.earth.double.tbl")
     code, out, _ = run(capsys, "validate", "--table-dir", str(table_dir))

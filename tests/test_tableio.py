@@ -10,11 +10,13 @@ from conftest import edit_header, make_el, reseal, valid_elements
 from urania import (
     DegenerateGeometryError,
     DomainError,
+    DoubleEntryTable,
     OrbitalElements,
     TableParseError,
     TableVersionError,
     build_double_entry,
     build_planet_table,
+    lookup_grid,
     read_table,
     table_filename,
     write_table,
@@ -173,6 +175,9 @@ def test_payload_of_wrong_length_rejected(tmp_path):
 
 
 def test_out_of_range_value_rejected(tmp_path):
+    # A double-entry file reads whole; the first lookup in a row that holds
+    # or borders the bad knot (row 0, and the last row, whose next is row 0)
+    # raises, naming the file, and so does every later one.
     bad_cells = {
         (400.0, 0.0, 1.0): "lambda 400.0 is not in",
         (360.0, 0.0, 1.0): "lambda 360.0 is not in",
@@ -186,8 +191,14 @@ def test_out_of_range_value_rejected(tmp_path):
     for cell, message in bad_cells.items():
         table = double_table()
         table.knots[0:3] = array("d", cell)
-        with pytest.raises(TableParseError, match=message):
-            read_table(written(tmp_path, table))
+        path = written(tmp_path, table)
+        read = read_table(path)
+        for iu in (0, 7, 0, 7):
+            with pytest.raises(TableParseError, match=message) as exc:
+                lookup_grid(read, float(iu), 3.5)
+            assert exc.value.path == path
+            assert str(exc.value).startswith(f"{path}: ")
+        assert lookup_grid(read, 3.0, 0.0) == table.knot(3, 0)
     bad_rows = [
         ("nu_aph", 360.0, "nu_aph 360.0 is not in"),
         ("r", -1.0, "r -1.0 is not positive"),
@@ -198,6 +209,44 @@ def test_out_of_range_value_rejected(tmp_path):
         table.rows[5] = table.rows[5]._replace(**{field: value})
         with pytest.raises(TableParseError, match=message):
             read_table(written(tmp_path, table))
+
+
+@pytest.fixture(scope="module")
+def clean_grid(tmp_path_factory):
+    """The 8x8 ``double_table()``, its knot lookups as bits at every integer
+    cell, and a directory to write its corrupted copies to."""
+    table = double_table()
+    bits = {(iu, iv): [x.hex() for x in lookup_grid(table, float(iu), float(iv))]
+            for iu in range(8) for iv in range(8)}
+    return table, bits, tmp_path_factory.mktemp("grid")
+
+
+# (column, value): a value each column's test refuses, and the non-finite ones
+_BAD_KNOTS = [
+    (column, value)
+    for column, refused in enumerate(((360.0, 400.0, -1e-300, -5.0), (90.5, -90.5, 1e6),
+                                      (0.0, -0.0, -1.0)))
+    for value in (*refused, math.nan, math.inf, -math.inf)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 7), j=st.integers(0, 7), bad_knot=st.sampled_from(_BAD_KNOTS))
+def test_a_bad_knot_refuses_exactly_the_rows_that_read_it(clean_grid, k, j, bad_knot):
+    table, bits, directory = clean_grid
+    column, value = bad_knot
+    bad = DoubleEntryTable(table.planet, table.earth, 8, 8, table.du, table.dv, table.knots[:])
+    bad.knots[3 * (8 * k + j) + column] = value
+    path = written(directory, bad)  # write_table seals a valid crc32
+    read = read_table(path)
+    refused = {k, (k - 1) % 8}
+    for (iu, iv), clean in bits.items():
+        if iu in refused:
+            with pytest.raises(TableParseError) as exc:
+                lookup_grid(read, float(iu), float(iv))
+            assert exc.value.path == path
+        else:
+            assert [x.hex() for x in lookup_grid(read, float(iu), float(iv))] == clean
 
 
 def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
