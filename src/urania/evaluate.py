@@ -241,12 +241,20 @@ def lookup_grid(table: "DoubleEntryTable", x: float, y: float) -> GeocentricPosi
 
 
 def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: float) -> float:
-    """Time since the last aphelion passage, in [0, period), by plain arithmetic.
+    """Time since the last aphelion passage, in [0, period): one remainder.
 
     Counted into ``counter`` unless it is None, a parameter that stays only
     because the perfbench harness's composed pass passes one. Defined for
     |jd - t_aph| < MAX_ELAPSED_DAYS, the domain direct mode accepts too, and
-    a finite period long enough to reduce jd - t_aph into [0, period).
+    any finite period > 0, subnormals included.
+
+    The result is the remainder of dt = jd - t_aph (as rounded) modulo the
+    period, rounded at most once. ``math.fmod`` is exact, and
+    r = fmod(dt, period) has dt's sign and |r| < period. For dt >= 0, r is
+    the remainder (-0.0 for a dt of -0.0). For dt < 0, the remainder is
+    r + period, which lies in (0, period] before rounding (r may be -0.0)
+    and so rounds into (0, period]: the second fix-up folds exactly period
+    to 0.0. Two float ops per call, and one more for dt < 0.
     """
     if counter is not None:
         return _opcount().twin("phase_days")(counter, None, jd, t_aph, period)
@@ -259,26 +267,21 @@ def phase_days(counter: "OpCounter | None", jd: float, t_aph: float, period: flo
             f"jd={jd!r} is {dt!r} days from the aphelion epoch {t_aph!r}, outside the "
             f"valid domain |jd - T_aph| < {MAX_ELAPSED_DAYS:.0f} days"
         )
-    q = dt / period
-    if not math.isfinite(q):
-        raise DomainError(f"{dt!r} days / period {period!r} overflows")
-    k = math.floor(q)
-    u = dt - k * period
-    if u < 0.0:
+    u = math.fmod(dt, period)
+    if dt < 0.0:  # not u < 0.0: a -0.0 remainder reads as 0.0 too
         u += period
     if u >= period:
         u -= period
-    if not 0.0 <= u < period:
-        raise DomainError(f"period {period!r} is too short to reduce {dt!r} days into it")
     return u
 
 
 def geocentric_at_table(
     tables: TableSet, planet: str, jd: float, counter: None = None
 ) -> GeocentricPosition:
-    """Table-mode geocentric position at ``jd``: phase reduction plus one
-    double-entry lookup, no transcendental calls anywhere on the path.
-    ``counter`` must be None; a perfbench test's wrapper passes it on.
+    """Table-mode geocentric position at ``jd``: each body's phase as one
+    exact remainder (``phase_days``), then one double-entry lookup at the
+    grid coordinates u / du, v / dv; no transcendental calls anywhere on the
+    path. ``counter`` must be None; a perfbench test's wrapper passes it on.
     """
     if counter is not None:
         raise TypeError("geocentric_at_table counts nothing; use counted_query")

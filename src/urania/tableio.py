@@ -148,7 +148,10 @@ class CoefficientRows(dict):
     the two rows it derives from are checked first, as the reader checks a
     single-entry payload, so a non-finite or out-of-range knot raises
     TableParseError naming ``path`` (None for a table built in-process) and
-    leaves the row underived: every later read of it raises again.
+    leaves the row underived: every later read of it raises again. A knot
+    row that a derived neighbour also derives from passed that neighbour's
+    check and is not checked again, so deriving every row checks each knot
+    row once.
     """
 
     __slots__ = ("knots", "n_u", "n_v", "path")
@@ -158,9 +161,12 @@ class CoefficientRows(dict):
         self.knots, self.n_u, self.n_v, self.path = knots, n_u, n_v, path
 
     def __missing__(self, iu: int) -> array:
-        rows = self.knot_rows(iu)
-        for knots in rows:
-            _check_values(knots, _DOUBLE_COLUMNS, self.path)
+        rows = near, far = self.knot_rows(iu)
+        # a derived neighbour checked the knot row it shares with this one
+        if (iu - 1) % self.n_u not in self:
+            _check_values(near, _DOUBLE_COLUMNS, self.path)
+        if (iu + 1) % self.n_u not in self:
+            _check_values(far, _DOUBLE_COLUMNS, self.path)
         row = self[iu] = coefficient_row(*rows, self.n_v)
         return row
 

@@ -630,8 +630,8 @@ def test_bench_tallies_are_pinned(capsys, table_dir):
                        "--table-dir", str(table_dir), "--json", "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["table"] == {"adds": 3009, "muls": 3000, "transcendental_calls": 0,
-                               "row_accesses": 200, "total": 6209}
+    assert report["table"] == {"adds": 2792, "muls": 2600, "transcendental_calls": 0,
+                               "row_accesses": 200, "total": 5592}
     assert report["direct"] == {"adds": 8345, "muls": 8016, "transcendental_calls": 3620,
                                 "row_accesses": 0, "total": 19981}
 

@@ -520,12 +520,54 @@ def test_heliocentric_at_table_hits_knots(dataset):
     assert r == table.rows[0].r
 
 
+def assert_exact_phase(jd, t_aph, period):
+    """phase_days and its twin return the remainder of dt = jd - t_aph (as
+    rounded) modulo ``period``, rounded once, bit for bit, with a remainder
+    that rounds to ``period`` read as 0.0 (and -0.0 for a dt of -0.0). The
+    twin counts 1 add (dt) and 1 mul (fmod), and 1 add per fix-up that
+    fires: + period for dt < 0, and - period where that sum rounds to
+    period."""
+    dt = jd - t_aph
+    remainder = Fraction(dt) % Fraction(period)
+    want = float(remainder)
+    if want == period:
+        want = 0.0
+    if dt == 0.0:
+        want = dt
+    u = phase_days(None, jd, t_aph, period)
+    assert u.hex() == want.hex()
+    assert 0.0 <= u < period
+    c = OpCounter()
+    assert twin("phase_days")(c, None, jd, t_aph, period).hex() == u.hex()
+    # For dt < 0, fmod returns remainder - period (-0.0 for a zero
+    # remainder), so adding period back sums to remainder, or to period for a
+    # zero one; the second fix-up fires where that sum rounds to period.
+    folded = dt < 0.0 and float(remainder or Fraction(period)) == period
+    assert c == OpCounter(adds=1 + (dt < 0.0) + folded, muls=1)
+    return u
+
+
 def test_phase_days_reduces_into_period():
-    # where dt / P rounds up to an integer, where dt + P rounds to P, and a
-    # period under a day
-    assert 0.0 <= phase_days(None, -418466965.9310731, 0.0, 3089.6624060002) < 3089.6624060002
-    assert phase_days(None, -1e-20, 0.0, 687.0) == 0.0
-    assert phase_days(None, 10.25, 0.0, 0.5) == 0.25
+    # a negative dt far from the epoch, one whose remainder rounds to P, a
+    # negative whole number of periods (fmod returns -0.0), a dt of -0.0, and
+    # a period under a day
+    assert_exact_phase(-418466965.9310731, 0.0, 3089.6624060002)
+    assert assert_exact_phase(-1e-20, 0.0, 687.0) == 0.0
+    assert assert_exact_phase(-1374.0, 0.0, 687.0) == 0.0
+    assert assert_exact_phase(-0.0, 0.0, 687.0).hex() == "-0x0.0p+0"
+    assert assert_exact_phase(10.25, 0.0, 0.5) == 0.25
+
+
+@pytest.mark.parametrize(
+    "jd, period",
+    [
+        (2451545.0, 1e-320),  # dt / period overflows
+        (-199470144.623703, 2.071047546834055e-30),  # about 1e-38 of dt
+    ],
+    ids=["subnormal", "tiny"],
+)
+def test_phase_days_reduces_by_periods_too_short_for_a_quotient(jd, period):
+    assert_exact_phase(jd, 0.0, period)
 
 
 @settings(max_examples=500, deadline=None)
@@ -537,12 +579,18 @@ def test_phase_days_reduces_into_period():
 def test_phase_days_lands_in_the_period_over_the_whole_domain(t_aph, period, dt):
     jd = t_aph + dt
     assume(abs(jd - t_aph) < MAX_ELAPSED_DAYS)
-    u = phase_days(None, jd, t_aph, period)
-    assert 0.0 <= u < period
-    # Within a few ulps of the elapsed time of the exact reduction, around the circle.
-    exact = float((Fraction(jd) - Fraction(t_aph)) % Fraction(period))
-    gap = abs(u - exact)
-    assert min(gap, period - gap) <= 2.0**-15
+    assert_exact_phase(jd, t_aph, period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    jd=st.floats(-1e7, 1e7),
+    t_aph=st.floats(-1e7, 1e7),
+    period=st.one_of(st.floats(5e-324, 2.0**-1022, exclude_max=True),
+                     st.floats(2.0**-1022, 1e5)),
+)
+def test_phase_days_is_exact_for_periods_down_to_subnormals(jd, t_aph, period):
+    assert_exact_phase(jd, t_aph, period)
 
 
 def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
@@ -563,8 +611,6 @@ def test_phase_days_refuses_jds_beyond_the_elapsed_bound():
         (2451545.0, -3.0),
         (2451545.0, 0.0),
         (2451545.0, math.nan),
-        (2451545.0, 1e-320),  # the quotient overflows
-        (-199470144.623703, 2.071047546834055e-30),  # too short to reduce into
     ],
 )
 def test_phase_days_refuses_a_period_it_cannot_reduce_by(jd, period):

@@ -1,6 +1,9 @@
+import dis
+import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +203,104 @@ def test_counting_has_one_door():
             if p.name != "opcount.py" and "_twins" in p.read_text()] == []
     with pytest.raises(KeyError):
         twin("no_such_function")
+
+
+# ---------------------------------------------------------------------------
+# The tally against the interpreter
+# ---------------------------------------------------------------------------
+
+# +, -, *, / and their in-place forms: one opcode each before Python 3.11,
+# BINARY_OP with the operator as its argument since
+_ARITHMETIC_OPNAMES = {f"{kind}_{op}" for kind in ("BINARY", "INPLACE")
+                       for op in ("ADD", "SUBTRACT", "MULTIPLY", "TRUE_DIVIDE")}
+_ARITHMETIC_SIGNS = {"+", "-", "*", "/", "+=", "-=", "*=", "/="}
+_TRANSCENDENTAL = (math.sin, math.cos, math.atan2, math.asin, math.sqrt)
+
+
+@functools.cache
+def _float_arithmetic_offsets(code) -> frozenset:
+    """Offsets of the +, -, *, / instructions of ``code``, but for those whose
+    right operand is an int literal (index bookkeeping such as ``k -= 1``; no
+    chain function has an int literal on the left)."""
+    offsets, previous = set(), None
+    for ins in dis.get_instructions(code):
+        arithmetic = (ins.opname in _ARITHMETIC_OPNAMES
+                      or ins.opname == "BINARY_OP" and ins.argrepr in _ARITHMETIC_SIGNS)
+        int_literal = (previous is not None and previous.opname.startswith("LOAD_")
+                       and type(previous.argval) is int)
+        if arithmetic and not int_literal:
+            offsets.add(ins.offset)
+        previous = ins
+    return frozenset(offsets)
+
+
+def _executed(query, inputs):
+    """Per call ``query(*args)`` of ``inputs``: the float +, -, *, /
+    instructions it executes plus its ``math.fmod`` calls, and its
+    transcendental calls, as the interpreter reports them (opcode events of
+    ``sys.settrace``, C calls of ``sys.setprofile``)."""
+    arithmetic = transcendental = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal arithmetic
+        if event == "opcode" and frame.f_lasti in _float_arithmetic_offsets(frame.f_code):
+            arithmetic += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        # Python 3.13 starts opcode events only in a frame that has a trace
+        # function when it asks for them
+        frame.f_trace = on_opcode
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    def on_c_call(frame, event, arg):
+        nonlocal arithmetic, transcendental
+        if event == "c_call":
+            if arg is math.fmod:
+                arithmetic += 1
+            elif any(arg is f for f in _TRANSCENDENTAL):
+                transcendental += 1
+
+    executed = []
+    restore = sys.gettrace(), sys.getprofile()
+    # Python 3.12 starts opcode events at settrace, and only once some frame
+    # has asked for them
+    sys._getframe().f_trace_opcodes = True
+    sys.settrace(on_call)
+    sys.setprofile(on_c_call)
+    try:
+        for args in inputs:
+            arithmetic = transcendental = 0
+            query(*args)
+            executed.append((arithmetic, transcendental))
+    finally:
+        sys.settrace(restore[0])
+        sys.setprofile(restore[1])
+    return executed
+
+
+@pytest.mark.parametrize("mode", ["table", "direct"])
+def test_the_tally_is_the_arithmetic_the_interpreter_runs(mode, dataset, default_tables):
+    # bench's stream at seed 0. Every row is derived and every orbit frame
+    # cached first (the counted pass fetches each), since both are compile
+    # work that no query's tally holds.
+    planets = sorted(default_tables.double)
+    rng = random.Random(0)
+    queries = [(planets[i % len(planets)], 2451545.0 + rng.uniform(-36525.0, 36525.0))
+               for i in range(200)]
+    for table in default_tables.double.values():
+        for iu in range(table.n_u):
+            table.cells[iu]
+    counted = [counted_query(mode, planet, jd, dataset=dataset, tables=default_tables)[1]
+               for planet, jd in queries]
+    if mode == "table":
+        executed = _executed(lambda planet, jd: geocentric_at_table(default_tables, planet, jd),
+                             queries)
+    else:
+        executed = _executed(lambda planet, jd: geocentric_at(dataset[planet], dataset["earth"], jd),
+                             queries)
+    assert executed == [(c.adds + c.muls, c.transcendental_calls) for c in counted]
 
 
 # ---------------------------------------------------------------------------

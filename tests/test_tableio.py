@@ -21,6 +21,7 @@ from urania import (
     table_filename,
     write_table,
 )
+from urania import tableio
 from urania.dataset import elements_from_row, elements_row
 
 # The opening lines of a format v1 file: all text, one data row per line.
@@ -247,6 +248,24 @@ def test_a_bad_knot_refuses_exactly_the_rows_that_read_it(clean_grid, k, j, bad_
             assert exc.value.path == path
         else:
             assert [x.hex() for x in lookup_grid(read, float(iu), float(iv))] == clean
+
+
+@pytest.mark.parametrize("order", [range(8), range(7, -1, -1), (3, 0, 6, 1, 7, 2, 5, 4)])
+def test_deriving_every_row_checks_each_knot_row_once(clean_grid, monkeypatch, order):
+    table, _, directory = clean_grid
+    read = read_table(written(directory, table))
+    knot_rows = [bytes(read.knots[24 * k:24 * (k + 1)]) for k in range(8)]
+    checked = []
+    real = tableio._check_values
+
+    def counted_check(values, *args):
+        checked.append(knot_rows.index(bytes(values)))
+        return real(values, *args)
+
+    monkeypatch.setattr(tableio, "_check_values", counted_check)
+    for iu in order:
+        lookup_grid(read, float(iu), 0.5)
+    assert sorted(checked) == list(range(8))
 
 
 def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
