@@ -50,7 +50,6 @@ _EXPORTS = {
     "tableio": (
         "DoubleEntryTable",
         "PlanetTable",
-        "TableRow",
         "parse_shape",
         "read_table",
         "table_filename",

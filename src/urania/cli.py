@@ -237,7 +237,7 @@ def cmd_compare(args) -> int:
         errors = double_errors(planet_el, earth_el, table)
     else:
         table = build_planet_table(planet_el, args.step_days)
-        config = f"single step={table.step!r}"
+        config = f"single rows={table.n} du={table.du!r}"
         errors = single_errors(planet_el, table)
     stats = sweep(errors, jd_start, jd_end, args.samples)
     lines = [
@@ -391,10 +391,10 @@ def _check_knot_exactness(tables) -> None:
     from .evaluate import lookup_grid, lookup_planet
 
     for name, table in sorted(tables.single.items()):
-        for row in table.rows:
+        for k, knot in enumerate(table.rows):
             # float.hex, so that a stored -0.0 must come back as -0.0
-            if list(map(float.hex, lookup_planet(table, row.t))) != [row.nu_aph.hex(), row.r.hex()]:
-                raise AssertionError(f"{name}: lookup at t={row.t!r} altered stored values")
+            if list(map(float.hex, lookup_planet(table, float(k)))) != list(map(float.hex, knot)):
+                raise AssertionError(f"{name}: lookup at row {k} altered stored values")
     for name, table in sorted(tables.double.items()):
         for iu in range(table.n_u):
             for iv in range(table.n_v):

@@ -41,7 +41,7 @@ def single_errors(el: OrbitalElements, table: PlanetTable):
 
     def errors(jd: float) -> dict[str, float]:
         t = phase_days(None, jd, el.T_aph, el.P)
-        nu_t, r_t = lookup_planet(table, t)
+        nu_t, r_t = lookup_planet(table, t / table.du)
         nu_d, r_d = position_since_aphelion(el, t)
         return {"nu_err_deg": abs(wrap_diff_deg(nu_t, nu_d)), "r_err_au": abs(r_t - r_d)}
 

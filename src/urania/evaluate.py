@@ -16,7 +16,7 @@ import functools
 import math
 from pathlib import Path
 
-from .angles import GeocentricPosition, _new_tuple, normalize_deg
+from .angles import GeocentricPosition, _new_tuple
 from .dataset import MAX_ELAPSED_DAYS
 from .errors import DomainError, TableNotFoundError
 
@@ -114,56 +114,32 @@ def _opcount():
     return opcount
 
 
-def _locate(x: float, dx: float, n: int):
-    """Index and left knot of the interval containing x on a uniform grid.
+def lookup_planet(table: "PlanetTable", x: float):
+    """(true anomaly from aphelion deg, radius AU) at grid coordinate ``x``.
 
-    The raw floor of x/dx can land one interval off when x is itself a
-    rounded knot product, so nudge against the exact knot values; this is
-    what makes interpolation at a knot reproduce the stored entry bit for
-    bit.
+    ``x = u / du`` in [0, n] for a phase u days past aphelion, so row k sits
+    at k and comes back bit for bit, and ``x = n`` (a phase just below the
+    period can divide to it) is row 0's knot one period on, read from the
+    last interval at weight 1. One row fetch: ``table.cells[i::n]`` is row
+    i's cell (``tableio.planet_cells``), so at the fraction f = x - i the
+    interpolant is nu + f*nu_u, r + f*r_u; nu_u lies in (0, 180], so one
+    subtraction folds nu back into [0, 360).
     """
-    i = int(x / dx)
+    n = table.n
+    # a NaN fails this comparison too
+    if not 0.0 <= x <= n:
+        raise DomainError(f"grid coordinate x={x!r} outside [0, {n}]")
+    i = int(x)
     if i >= n:
         i = n - 1
-    x0 = i * dx
-    if x < x0:
-        i -= 1
-        x0 = i * dx
-    elif i + 1 < n:
-        x1 = (i + 1) * dx
-        if x >= x1:
-            i += 1
-            x0 = x1
-    return i, x0
-
-
-def lookup_planet(table: "PlanetTable", t: float):
-    """(true anomaly from aphelion deg, radius AU) at ``t`` days past aphelion.
-
-    The anomaly is advanced from the located row by whole leftover days at
-    the row's motion-per-day plus remaining hours at motion-per-hour; the
-    radius is linearly interpolated between the bracketing rows. A query at
-    a row's own abscissa returns the stored values unchanged.
-    """
-    el = table.elements
-    if not (math.isfinite(t) and 0.0 <= t < el.P):
-        raise DomainError(f"t={t!r} outside [0, {el.P!r}); reduce time modulo the period first")
-    n = len(table.rows)
-    idx, t0 = _locate(t, table.step, n)
-
-    dt = t - t0
-    whole_days = float(math.floor(dt))
-    hours = (dt - whole_days) * 24.0
-
-    row = table.rows[idx]
-    nu = normalize_deg(row.nu_aph + (whole_days * row.motion_per_day + hours * row.motion_per_hour))
-    if idx + 1 < n:
-        nxt = table.rows[idx + 1]
-        gap = nxt.t - row.t
-    else:
-        nxt = table.rows[0]  # wraps: next knot is the aphelion one period on
-        gap = el.P - row.t
-    return nu, row.r + dt / gap * (nxt.r - row.r)
+    f = x - i
+    nu, nu_u, r, r_u = table.cells[i::n]
+    if f == 0.0:
+        return nu, r
+    nu = nu + f * nu_u
+    if nu >= 360.0:
+        nu -= 360.0
+    return nu, r + f * r_u
 
 
 def lookup_double(
@@ -292,9 +268,12 @@ def geocentric_at_table(
 
 
 def heliocentric_at_table(tables: TableSet, planet: str, jd: float):
-    """(nu_aph, r) from the single-entry table at ``jd``."""
+    """(nu_aph, r) from the single-entry table at ``jd``: the body's phase as
+    one exact remainder (``phase_days``), then one lookup at the grid
+    coordinate u / du."""
     table = tables.single_for(planet)
-    return lookup_planet(table, phase_days(None, jd, table.elements.T_aph, table.elements.P))
+    u = phase_days(None, jd, table.elements.T_aph, table.elements.P)
+    return lookup_planet(table, u / table.du)
 
 
 def counted_query(mode: str, planet: str, jd: float, dataset=None,

@@ -31,27 +31,30 @@ body's mean motion 360/P beside its axes, so that division is compile work
 too. A direct query fetches the frame from ``kepler.cached_frame``, a call
 outside the chain, so it is free in the query's tally; ``bench`` prints its
 tally beside the query's. A
-double-entry table's grid spacing ``du``, ``dv`` is compile work likewise:
-the builder and the reader compute it once into the table, which a table
-query reads. So are its coefficient cells: ``tableio.coefficient_row``
-derives each row's from the knots, in the chain, and ``measure_compile_ops``
-counts every row of every double-entry table of the plan through it, as it
-counts a single-entry table's ``planet_rows``. A query fetches its row from
-``table.cells``, which derives the row on its first read: a call outside the
-chain, so free in the query's tally, as ``kepler.cached_frame`` is.
+table's grid spacing (``du``, and ``dv`` for a double-entry table) is
+compile work likewise: the builder and the reader compute it once into the
+table, which a table query reads. So are its coefficient cells:
+``tableio.coefficient_row`` derives each double-entry row's from the knots,
+in the chain, and ``measure_compile_ops`` counts every row of every
+double-entry table of the plan through it, as it counts a single-entry
+table's ``planet_cells`` through its builder. A double-entry query fetches
+its row from ``table.cells``, which derives the row on its first read: a
+call outside the chain, so free in the query's tally, as
+``kepler.cached_frame`` is.
 
 Tally rules: ``+``, ``-`` are adds; ``*``, ``/``, ``math.fmod`` muls;
 ``math.sin``, ``cos``, ``atan2``, ``asin``, ``sqrt`` transcendental calls;
-a subscript of a ``.rows`` or ``.cells`` attribute one row access (so
-``table.cells[i][j]`` is one, and a subscript of a local such as ``c00[0]``
-none). Free: an operation with an int-literal operand (index bookkeeping
-such as ``k -= 1``), unary minus, ``math.floor``, ``math.ceil``, ``int``,
-``abs``, ``math.isfinite``, comparisons and calls of functions outside the
-chain. The derivation raises ValueError on what it cannot count exactly:
-arithmetic inside a conditional expression, a boolean operator, a chained
-comparison past its first pair, a comprehension, a lambda or a ``while``
-test; an operator or ``math`` function with no rule; a compound statement
-other than ``if``, ``for`` and ``while``.
+a subscript of a ``.cells`` attribute one row access (so
+``table.cells[i][j]`` and ``table.cells[i::n]`` are one each, and a
+subscript of a local such as ``c00[0]`` none). Free: an operation with an
+int-literal operand (index bookkeeping such as ``k -= 1``), unary minus,
+``math.floor``, ``math.ceil``, ``int``, ``abs``, ``math.isfinite``,
+comparisons and calls of functions outside the chain. The derivation
+raises ValueError on what it cannot count exactly: arithmetic inside a
+conditional expression, a boolean operator, a chained comparison past its
+first pair, a comprehension, a lambda or a ``while`` test; an operator or
+``math`` function with no rule; a compound statement other than ``if``,
+``for`` and ``while``.
 """
 
 import ast
@@ -114,7 +117,7 @@ def _refusal(node, what) -> ValueError:
 def _field(node):
     """The counter field one evaluation of ``node`` itself increments, or None."""
     fn = getattr(node, "func", None)
-    if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) in ("rows", "cells"):
+    if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "cells":
         return "row_accesses"
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
         pair = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
@@ -231,9 +234,10 @@ _CHAIN = {
     "kepler": ("mean_anomaly_elapsed", "solve_kepler", "radius", "_nu_aph_from_E",
                "position_since_aphelion", "orbit_frame", "heliocentric_xyz"),
     "geocentric": ("rect_to_spherical", "reduce_rect", "geocentric_at"),
-    "tableio": ("row_count", "planet_rows", "coefficient_row"),
-    "tables": ("_check_single", "build_planet_table", "build_double_entry"),
-    "evaluate": ("_locate", "phase_days", "lookup_planet", "lookup_double", "lookup_grid",
+    "tableio": ("planet_cells", "coefficient_row"),
+    "tables": ("row_count", "_check_single", "_check_perihelion", "build_planet_table",
+               "build_double_entry"),
+    "evaluate": ("phase_days", "lookup_planet", "lookup_double", "lookup_grid",
                  "geocentric_at_table", "heliocentric_at_table"),
 }
 _MODULE_OF = {name: module_name for module_name, names in _CHAIN.items() for name in names}

@@ -1,11 +1,14 @@
-"""Compiled tables: their records, the checks and row derivations that the
+"""Compiled tables: their records, the checks and cell derivations that the
 compiler and the reader share, and the table files. Reading a double-entry
 file loads neither the compiler (``tables``) nor the direct chain; a
-single-entry step is checked by the compiler's ``_check_single``.
+single-entry spacing is checked by the compiler's ``_check_perihelion``.
 
-Format v4 is a UTF-8 text header followed by a binary payload. The header is
-``# key: value`` lines: the magic ``# urania-table v4``, then ``kind``
-(``single`` or ``double``), ``step`` for a single-entry table or
+Both kinds are uniform grids over the phase from aphelion, one axis or two,
+that store knots and derive coefficient cells from them.
+
+Format v5 is a UTF-8 text header followed by a binary payload. The header is
+``# key: value`` lines: the magic ``# urania-table v5``, then ``kind``
+(``single`` or ``double``), ``rows: <n>`` for a single-entry table or
 ``shape: <n_u>x<n_v>`` for a double-entry one, and ``body``, plus ``earth`` for
 a double-entry table, each holding that body's eight-column row of the
 elements CSV (see ``dataset.elements_row``), so the elements round-trip bit
@@ -18,17 +21,18 @@ double-entry table they are its ``knots``, ``lambda, beta, delta`` per cell,
 row-major, written and read as one array; the reader derives nothing from
 them, and a query derives each row's coefficient cells on its first read,
 checking first that the knots it derives them from are finite and in range.
-For a single-entry table they are the knots ``nu_aph, r`` per row, whose rows
-``planet_rows`` rebuilds from them as the compiler does, so the reader checks
+For a single-entry table they are the knots ``nu_aph, r`` per row, from which
+``planet_cells`` derives the cells as the compiler does, so the reader checks
 every value. No value goes through decimal text, so the round trip is
-bit-exact. A corrupt, truncated or out-of-range file, one whose step or grid
-fails the compiler's checks, whose anomaly does not increase row by row or
-whose header does not describe the table its file name names raises
+bit-exact. A corrupt, truncated or out-of-range file, one whose grid or
+spacing fails the compiler's checks, whose anomaly does not increase row by
+row or whose header does not describe the table its file name names raises
 TableParseError: at read, or, for a non-finite or out-of-range double-entry
 knot, at the first lookup in a row that holds or borders it; a file of
 another format version (v1 was all text, v2 wrote its own key=value element
-header, v3 stored a daily motion beside each knot) raises TableVersionError,
-and ``urania gen`` rebuilds the tables.
+header, v3 stored a daily motion beside each knot, v4 spaced its rows a
+``step`` apart with a shorter last interval) raises TableVersionError, and
+``urania gen`` rebuilds the tables.
 """
 
 import math
@@ -46,13 +50,11 @@ from .dataset import validate_elements
 from .errors import DomainError, TableParseError, TableVersionError
 
 __all__ = [
-    "TableRow",
     "PlanetTable",
     "DoubleEntryTable",
     "coefficient_row",
     "parse_shape",
-    "planet_rows",
-    "row_count",
+    "planet_cells",
     "FORMAT_VERSION",
     "write_table",
     "read_table",
@@ -62,7 +64,7 @@ __all__ = [
     "double_planets",
 ]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _MAGIC = re.compile(rb"# urania-table v(\d+)\n")
 _PAYLOAD = re.compile(rb"# payload: floats=(\d+) crc32=(\S*)")
 # Payload columns, interleaved per row or cell: name, range, test of one value.
@@ -77,27 +79,22 @@ _DOUBLE_COLUMNS = (
 )
 
 
-class TableRow(NamedTuple):
-    """One single-entry table row.
-
-    t: days since aphelion; nu_aph: true anomaly from aphelion (degrees);
-    r: radius (AU); motion per day and per hour in degrees, the anomaly's
-    advance to the next row spread evenly over the days between them.
-    """
-
-    t: float
-    nu_aph: float
-    r: float
-    motion_per_day: float
-    motion_per_hour: float
-
-
 class PlanetTable(NamedTuple):
-    """Single-entry table: time since aphelion -> (nu_aph, r, motion columns)."""
+    """Single-entry table: n rows over one period, du = P / n days apart
+    (computed once, by the builder or the reader), whose coefficient cells
+    (see ``planet_cells``) hold row k's knot, the body's (nu_aph, r) k * du
+    days past aphelion, at ``cells[k]`` and ``cells[2n + k]``."""
 
     elements: OrbitalElements
-    step: float
-    rows: list[TableRow]
+    n: int
+    du: float
+    cells: array
+
+    @property
+    def rows(self) -> list[tuple[float, float]]:
+        """The stored (nu_aph, r) knot of each row."""
+        n = self.n
+        return list(zip(self.cells[:n], self.cells[2 * n:3 * n]))
 
 
 class DoubleEntryTable:
@@ -180,16 +177,6 @@ class CoefficientRows(dict):
         return self.knots[start:start + width], self.knots[after:after + width]
 
 
-def row_count(P: float, step: float) -> int:
-    """Number of rows covering [0, P) at the given spacing."""
-    n = math.ceil(P / step)
-    last = (n - 1) * step
-    while last >= P:  # fp guard: ceil can overshoot by one
-        n -= 1
-        last = (n - 1) * step
-    return n
-
-
 def parse_shape(text: str) -> tuple[int, int]:
     """The grid ``(n_u, n_v)`` that ``text`` spells ``<n_u>x<n_v>``: ASCII
     digits either side of an ``x`` or ``X``, and nothing else."""
@@ -199,8 +186,7 @@ def parse_shape(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
-def _check_single_body(el: OrbitalElements) -> None:
-    validate_elements(el)
+def _check_period(el: OrbitalElements) -> None:
     # Every row then lies in the direct chain's domain.
     if not el.P < MAX_ELAPSED_DAYS:
         raise DomainError(f"{el.name}: a single-entry table needs P < 2**36 days, got {el.P!r}")
@@ -219,41 +205,44 @@ def _check_grid(n_u: int, n_v: int) -> None:
         raise DomainError(f"grid must be at least 8x8 and at most 2**20 cells, got {n_u}x{n_v}")
 
 
-def planet_rows(el: OrbitalElements, step: float, knots) -> list[TableRow]:
-    """The rows of ``el``'s single-entry table at ``step`` whose (nu_aph, r)
-    knots are ``knots``: row k sits at t = k * step, and its motion per day
-    is the wrap-aware anomaly advance to the next row over the days between
-    them (the last row's to row 0, one period on), per hour a 24th of it.
+def planet_cells(el: OrbitalElements, knots: array) -> array:
+    """The coefficient cells of ``el``'s single-entry table whose knots are
+    ``knots``, ``nu_aph, r`` per row, as the payload holds them: one array
+    of 4n floats in blocks of n, [nu..., nu_u..., r..., r_u...], so row k's
+    cell is ``cells[k::n]``. nu, r is the row's knot, and nu_u, r_u the
+    forward differences to the next row's (row 0's, one period on, after
+    the last), nu_u folded into (-180, 180] as ``coefficient_row`` folds a
+    longitude; so nu + x*nu_u, r + x*r_u interpolate at fraction x.
 
     Raises DomainError unless every advance is positive and the rows before
     the last sweep less than a full turn: then the advances add up to one
     revolution, and between rows a lookup interpolates to the next row.
     """
-    n = len(knots)
+    nu = knots[0::2]
+    r = knots[1::2]
+    n = len(nu)
+    nu_u = nu[:]  # exact-size arrays, each value overwritten below
+    r_u = r[:]
     swept = 0.0
-    rows = []
-    t = 0.0
-    nu, r = knots[0]
-    for k in range(1, n + 1):
-        if k < n:
-            t_next = k * step
-            nu_next, r_next = knots[k]
-        else:  # the last row's next is row 0, one period on
+    for k in range(n):
+        j = k + 1
+        if j == n:  # the last row's next is row 0, one period on
             if swept >= 360.0:
                 raise DomainError(f"{el.name}: unwrapped true anomaly spans a full revolution")
-            t_next = el.P
-            nu_next, r_next = knots[0]
-        advance = wrap_diff_deg(nu_next, nu)
+            j = 0
+        advance = wrap_diff_deg(nu[j], nu[k])
         if advance <= 0.0:
             raise DomainError(
-                f"{el.name}: true anomaly not strictly increasing between "
-                f"t={t!r} and t={t_next!r}"
+                f"{el.name}: true anomaly not strictly increasing between rows {k} and {j}"
             )
         swept += advance
-        per_day = advance / (t_next - t)
-        rows.append(TableRow(t, nu, r, per_day, per_day / 24.0))
-        t, nu, r = t_next, nu_next, r_next
-    return rows
+        nu_u[k] = advance
+        r_u[k] = r[j] - r[k]
+    cells = nu * 4  # an exact-size array; its last three blocks are overwritten
+    cells[n:2 * n] = nu_u
+    cells[2 * n:3 * n] = r
+    cells[3 * n:] = r_u
+    return cells
 
 
 def coefficient_row(near: array, far: array, n_v: int) -> array:
@@ -337,8 +326,11 @@ def read_named_table(directory, kind: str, name: str):
 def write_table(table, destination) -> None:
     """Serialize a PlanetTable or DoubleEntryTable to ``destination``."""
     if isinstance(table, PlanetTable):
-        header = {"kind": "single", "step": repr(table.step), "body": elements_row(table.elements)}
-        values = [x for row in table.rows for x in (row.nu_aph, row.r)]
+        header = {"kind": "single", "rows": str(table.n), "body": elements_row(table.elements)}
+        n = table.n
+        values = table.cells[:2 * n]  # each value overwritten: nu_aph, r per row
+        values[0::2] = table.cells[:n]
+        values[1::2] = table.cells[2 * n:3 * n]
     elif isinstance(table, DoubleEntryTable):
         header = {
             "kind": "double",
@@ -505,20 +497,24 @@ def _check_values(values, columns, path) -> None:
 
 
 def _read_single(path, headers, values):
-    from .tables import _check_single  # the step check inverts Kepler's equation
+    from .tables import _check_perihelion  # the bound inverts Kepler's equation
 
-    el = _elements(headers, "body", path, _check_single_body)
-    text, line = _require(headers, "step", path)
-    with _invalid("step header", path, line):
-        step = float(text)
-        _check_single(el, step)
+    el = _elements(headers, "body", path, _check_period)
+    text, line = _require(headers, "rows", path)
+    with _invalid("rows header", path, line):
+        # 8 to 2**20 rows, as the compiler's step bounds give and as a
+        # double-entry table holds 2**20 cells
+        if re.fullmatch("[0-9]+", text) is None or not 8 <= int(text) <= 1048576:
+            raise DomainError(f"a single-entry table needs 8 to 2**20 rows, got {text!r}")
+        n = int(text)
+        du = el.P / n
+        _check_perihelion(el, du)  # elements_from_row has validated the body
 
-    what = f"rows for P={el.P!r} step={step!r}"
-    _check_count(values, row_count(el.P, step), what, _SINGLE_COLUMNS, path)
-    _check_values(values, _SINGLE_COLUMNS, path)  # planet_rows derives every row now
+    _check_count(values, n, "rows", _SINGLE_COLUMNS, path)
+    _check_values(values, _SINGLE_COLUMNS, path)  # planet_cells derives every row now
     with _invalid("payload", path):
-        rows = planet_rows(el, step, list(zip(values[0::2], values[1::2])))
-    return PlanetTable(elements=el, step=step, rows=rows)
+        cells = planet_cells(el, values)
+    return PlanetTable(elements=el, n=n, du=du, cells=cells)
 
 
 def _read_double(path, headers, values):

@@ -3,76 +3,92 @@
 The compiler evaluates the direct chain at every grid point, so stored values
 are exactly what direct mode would produce there; all approximation happens
 later, at interpolation time. It does no step of that chain twice: a
-single-entry table solves Kepler's equation once per row, and derives each
-row's daily motion from its knots (``tableio.planet_rows``), and a
+single-entry table solves Kepler's equation once per row, and derives its
+coefficient cells from those knots (``tableio.planet_cells``), and a
 double-entry table computes each body's orbit frame once, places each grid
 line's body in it once (``kepler.heliocentric_xyz``), then reduces each cell
 from the two rectangular positions (``geocentric.reduce_rect``). The table
-records, and the row derivations a reader shares, are ``tableio``'s.
+records, and the cell derivations a reader shares, are ``tableio``'s.
 
-``_check_single`` is here, not with the reader's checks, because it inverts
-Kepler's equation: a reader loads this module only for a single-entry table.
-``compile_plan`` returns the checked list of (builder, args) pairs that
-``urania gen`` builds and writes, that ``opcount.measure_compile_ops`` runs
-counted, and that ``calculation_census`` counts into the record the CLI
-prints: its Kepler solves are the builders' rows and grid lines, so they are
-the solves ``urania gen`` makes.
+``_check_perihelion`` is here, not with the reader's checks, because it
+inverts Kepler's equation: a reader loads this module only for a
+single-entry table. ``compile_plan`` returns the checked list of (builder,
+args) pairs that ``urania gen`` builds and writes, that
+``opcount.measure_compile_ops`` runs counted, and that ``calculation_census``
+counts into the record the CLI prints: its Kepler solves are the builders'
+rows and grid lines, so they are the solves ``urania gen`` makes.
 """
 
 import math
 from array import array
 from collections.abc import Callable
 
-from .dataset import OrbitalElements
+from .dataset import OrbitalElements, validate_elements
 from .errors import DomainError
 from .geocentric import reduce_rect
 from .kepler import heliocentric_xyz, orbit_frame, position_since_aphelion, time_since_aphelion
-from .tableio import DoubleEntryTable, PlanetTable, _check_double, _check_single_body
-from .tableio import planet_rows, row_count
+from .tableio import DoubleEntryTable, PlanetTable, _check_double, _check_period, planet_cells
 
 __all__ = [
     "build_planet_table",
     "build_double_entry",
+    "row_count",
     "compile_plan",
     "calculation_census",
     "census_line",
 ]
 
 
+def row_count(P: float, step: float) -> int:
+    """Rows of a single-entry table over one period P at most ``step`` apart."""
+    return math.ceil(P / step)
+
+
 def _check_single(el: OrbitalElements, step: float) -> None:
-    _check_single_body(el)
+    validate_elements(el)
+    _check_period(el)
     max_step = el.P / 8.0
     # At most 2**20 rows, which bounds the compiler's loops and the reader's
     # payload. An int-literal divisor is free in the tally, as bookkeeping is.
     min_step = el.P / 1048576
     if not (math.isfinite(step) and 0.0 < step <= max_step and step >= min_step):
         raise DomainError(f"{el.name}: step must satisfy P/2**20 <= step <= P/8, got {step!r}")
-    # A row's motion is the wrap-aware anomaly advance to the next row, so the
-    # body must sweep less than 180 degrees in a step. It sweeps fastest across
-    # perihelion: 180 degrees, from a true anomaly of -90 to +90, in twice the
-    # time from perihelion (nu_aph 180, at t = P/2) to +90 (nu_aph 270). The
-    # inversion is a call outside opcount's chain, so no tally counts it.
+    # The rows are P / row_count(P, step) <= step apart, so a step that
+    # passes here passes the reader's check of the spacing.
+    _check_perihelion(el, step)
+
+
+def _check_perihelion(el: OrbitalElements, spacing: float) -> None:
+    # A cell's nu_u is the anomaly's advance to the next row folded into
+    # (-180, 180], so the body must sweep less than 180 degrees between rows.
+    # It sweeps fastest across perihelion: 180 degrees, from a true anomaly of
+    # -90 to +90, in twice the time from perihelion (nu_aph 180, at t = P/2)
+    # to +90 (nu_aph 270). The inversion is a call outside opcount's chain, so
+    # no tally counts it.
     to_quadrature = time_since_aphelion(el, 270.0) - el.P / 2
-    if to_quadrature <= step / 2:
+    if to_quadrature <= spacing / 2:
         raise DomainError(
-            f"{el.name}: sweeps 180 degrees or more within a {step:g}-day row interval "
+            f"{el.name}: sweeps 180 degrees or more within a {spacing:g}-day row interval "
             f"around perihelion ({to_quadrature!r} days from perihelion to a true anomaly of "
-            f"90 degrees; a single-entry table at this step needs more than {step / 2:g})"
+            f"90 degrees; a single-entry table at this spacing needs more than {spacing / 2:g})"
         )
 
 
 def build_planet_table(el: OrbitalElements, step: float) -> PlanetTable:
     """Compile the single-entry table for one body.
 
-    Rows sit at t = 0, step, 2*step, ... < P (the last interval may be
-    shorter), each solved once by the direct chain; ``planet_rows`` derives
-    their motion columns from those knots, as the table reader does.
+    Its n = ``row_count(P, step)`` rows sit du = P / n <= step days apart,
+    at t = 0, du, 2*du, ..., so the last interval ends at P like the others;
+    each is solved once by the direct chain, and ``planet_cells`` derives
+    the coefficient cells from those knots, as the table reader does.
     """
     _check_single(el, step)
-    knots = []
-    for k in range(row_count(el.P, step)):
-        knots.append(position_since_aphelion(el, k * step))
-    return PlanetTable(elements=el, step=step, rows=planet_rows(el, step, knots))
+    n = row_count(el.P, step)
+    du = el.P / n
+    knots = array("d")
+    for k in range(n):
+        knots.extend(position_since_aphelion(el, k * du))
+    return PlanetTable(elements=el, n=n, du=du, cells=planet_cells(el, knots))
 
 
 def build_double_entry(

@@ -526,7 +526,8 @@ def _compare_errors(dataset, kind):
 
         def errors(jd):
             t = phase_days(None, jd, planet.T_aph, planet.P)
-            (nu_t, r_t), (nu_d, r_d) = lookup_planet(table, t), position_since_aphelion(planet, t)
+            nu_t, r_t = lookup_planet(table, t / table.du)
+            nu_d, r_d = position_since_aphelion(planet, t)
             return {"nu_err_deg": abs(wrap_diff_deg(nu_t, nu_d)), "r_err_au": abs(r_t - r_d)}
     return errors
 
@@ -568,7 +569,8 @@ def test_compare_single_steps_one_day_by_default(capsys):
             "--span-days", "88", "--samples", "100", "--json", "--no-timestamp")
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    assert json.loads(default)["table_config"] == "single step=1.0"
+    # Mercury's 88 rows over its period of 87.9691 days
+    assert json.loads(default)["table_config"] == f"single rows=88 du={87.9691 / 88!r}"
     assert run(capsys, *argv, "--step-days", "1")[1] == default
 
 

@@ -55,7 +55,7 @@ def test_circular_lookup_is_linear():
     rng = random.Random(4)
     for _ in range(300):
         t = rng.uniform(0.0, el.P - 1e-9)
-        nu, r = lookup_planet(table, t)
+        nu, r = lookup_planet(table, t / table.du)
         assert wrap_abs_deg(nu, 360.0 * t / el.P) < 1e-9
         assert r == pytest.approx(el.a, rel=1e-12)
 
@@ -63,74 +63,64 @@ def test_circular_lookup_is_linear():
 def test_midrow_accuracy_within_frozen_bound(dataset, frozen_bounds):
     table = build_planet_table(dataset["mars"], 1.0)
     bound = frozen_bounds["mars_single_step1_max_nu_deg"] * 1.1
-    for k in range(0, len(table.rows) - 1, 13):
-        t = table.rows[k].t + 0.5
-        nu_t, _ = lookup_planet(table, t)
-        nu_d, _ = position_since_aphelion(dataset["mars"], t)
+    for k in range(0, table.n, 13):
+        nu_t, _ = lookup_planet(table, k + 0.5)
+        nu_d, _ = position_since_aphelion(dataset["mars"], (k + 0.5) * table.du)
         assert wrap_abs_deg(nu_t, nu_d) <= bound
 
 
 def test_lookup_planet_counts_no_transcendental(dataset):
     table = build_planet_table(dataset["venus"], 1.0)
     c = OpCounter()
-    twin("lookup_planet")(c, table, 101.7)
+    twin("lookup_planet")(c, table, 101.7 / table.du)
     assert c.transcendental_calls == 0
-    assert c.row_accesses == 2
+    assert c.row_accesses == 1
     assert c.adds > 0 and c.muls > 0
 
 
 def test_lookup_planet_rejects_out_of_range(dataset):
     table = build_planet_table(dataset["venus"], 1.0)
-    P = dataset["venus"].P
-    for t in (-0.1, P, P + 5.0, math.nan):
-        with pytest.raises(DomainError):
-            lookup_planet(table, t)
+    n = table.n
+    for x in (-0.1, math.nextafter(n, math.inf), n + 5.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="grid coordinate"):
+            lookup_planet(table, x)
 
 
 def test_last_interval_interpolates_radius_to_wrap():
     el = make_el(e=0.3, P=100.0)
-    table = build_planet_table(el, 3.0)  # last row at 99, interval shrinks to 1 day
-    t_last = table.rows[-1].t
-    nu, r = lookup_planet(table, t_last + 0.5)
-    r_direct = position_since_aphelion(el, t_last + 0.5)[1]
+    table = build_planet_table(el, 3.0)  # 34 rows, 100/34 days apart: no shorter interval
+    assert table.n == 34 and table.du == el.P / 34
+    nu, r = lookup_planet(table, table.n - 0.5)
+    r_direct = position_since_aphelion(el, el.P - table.du / 2)[1]
     # bracketed by the last row and the wrapped aphelion row, close to direct
-    lo = min(table.rows[-1].r, table.rows[0].r)
-    hi = max(table.rows[-1].r, table.rows[0].r)
-    assert lo <= r <= hi
+    (_, r_last), (_, r_first) = table.rows[-1], table.rows[0]
+    assert min(r_last, r_first) <= r <= max(r_last, r_first)
     assert r == pytest.approx(r_direct, rel=1e-3)
     assert 0.0 <= nu < 360.0
 
 
-@pytest.mark.parametrize("step", [0.7, 1.3])
-def test_rows_whose_quotient_rounds_a_row_off_return_their_values(step):
-    # At these steps int((k*step)/step) is k - 1 at some rows, and the float
-    # just below k*step divides to k at others: _locate nudges both into the
-    # interval that holds them, so each row's own abscissa returns its values.
-    table = build_planet_table(make_el(P=50.0), step)
-    n = len(table.rows)
-    rounded_low = rounded_up = 0
-    for k, row in enumerate(table.rows):
-        assert _hex(lookup_planet(table, row.t)) == _hex((row.nu_aph, row.r))
-        assert evaluate._locate(row.t, step, n) == (k, row.t)
-        rounded_low += int(row.t / step) == k - 1
-        below = math.nextafter(row.t, 0.0)
-        if k and below / step >= k:
-            assert evaluate._locate(below, step, n) == (k - 1, table.rows[k - 1].t)
-            rounded_up += 1
-    assert rounded_low >= 3 and rounded_up >= 3
-    # the last phase below P can divide to n itself, which is clamped to the last row
-    assert evaluate._locate(math.nextafter(10.0, 0.0), 10.0 / 39, 39) == (38, 38 * (10.0 / 39))
+def test_the_last_phase_below_the_period_reads_the_wrap_row(dataset):
+    # At a 1.3-day step, Mars's largest phase below its period divides to
+    # n: the lookup clamps it to the last interval at weight 1, row 0's knot
+    # one period on, folded back into [0, 360).
+    el = dataset["mars"]
+    table = build_planet_table(el, 1.3)
+    u = math.nextafter(el.P, 0.0)
+    assert u / table.du == table.n
+    nu, r = lookup_planet(table, u / table.du)
+    nu_0, r_0 = table.rows[0]
+    assert 0.0 <= nu < 360.0
+    assert wrap_abs_deg(nu, nu_0) < 1e-12 and abs(r - r_0) < 1e-12
 
 
 def test_each_interval_ends_at_the_next_rows_anomaly(default_tables):
-    # A row's motion carries the anomaly to the next row's, the last row's to
+    # A row's nu_u carries the anomaly to the next row's, the last row's to
     # row 0 one period on, so the interpolant is continuous across each row.
     for table in default_tables.single.values():
-        rows, P = table.rows, table.elements.P
-        for k in range(1, len(rows) + 1):
-            below = math.nextafter(rows[k].t if k < len(rows) else P, 0.0)
-            nu, _ = lookup_planet(table, below)
-            assert wrap_abs_deg(nu, rows[k % len(rows)].nu_aph) < 1e-9, (table.elements.name, k)
+        rows = table.rows
+        for k in range(1, table.n + 1):
+            nu, _ = lookup_planet(table, math.nextafter(k, 0.0))
+            assert wrap_abs_deg(nu, rows[k % table.n][0]) < 1e-9, (table.elements.name, k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -142,13 +132,10 @@ def test_between_two_rows_the_anomaly_lies_between_theirs(el, per_period, fracti
     except DomainError:  # too fast for this step
         assume(False)
     rows = table.rows
-    for k, row in enumerate(rows):
-        t_next = rows[k + 1].t if k + 1 < len(rows) else el.P
-        t = row.t + fraction * (t_next - row.t)
-        if t < t_next:
-            nu, _ = lookup_planet(table, t)
-            assert wrap_diff_deg(nu, row.nu_aph) >= -1e-9, (k, t)
-            assert wrap_diff_deg(rows[(k + 1) % len(rows)].nu_aph, nu) >= -1e-9, (k, t)
+    for k, (nu_k, _) in enumerate(rows):
+        nu, _ = lookup_planet(table, k + fraction)
+        assert wrap_diff_deg(nu, nu_k) >= -1e-9, k
+        assert wrap_diff_deg(rows[(k + 1) % table.n][0], nu) >= -1e-9, k
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +502,7 @@ def test_heliocentric_at_table_hits_knots(dataset):
     tables = TableSet()
     tables.add(table)
     jd = mars.T_aph  # phase 0
-    nu, r = heliocentric_at_table(tables, "mars", jd)
-    assert nu == table.rows[0].nu_aph
-    assert r == table.rows[0].r
+    assert heliocentric_at_table(tables, "mars", jd) == table.rows[0]
 
 
 def assert_exact_phase(jd, t_aph, period):

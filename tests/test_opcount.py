@@ -31,7 +31,7 @@ from urania import (
 )
 from urania.evaluate import phase_days
 from urania.opcount import derive_counted, twin
-from urania.tableio import row_count
+from urania.tables import row_count
 from urania.tables import build_double_entry
 
 
@@ -112,18 +112,18 @@ def test_golden_table_entry_points(golden_table, default_tables):
         out = twin("lookup_double")(c, table, u, v)
         assert _table_record(c, *out) == want, (planet, u, v)
         assert lookup_double(table, u, v) == out
-    for body, t, *want, _ in golden_table["lookup_planet"]:
+    for body, x, *want, _ in golden_table["lookup_planet"]:
         table, c = default_tables.single_for(body), OpCounter()
-        out = twin("lookup_planet")(c, table, t)
-        assert _table_record(c, *out) == want, (body, t)
-        assert lookup_planet(table, t) == out
+        out = twin("lookup_planet")(c, table, x)
+        assert _table_record(c, *out) == want, (body, x)
+        assert lookup_planet(table, x) == out
 
 
 def test_golden_table_records_cover_every_fix_up(golden_table):
     fired = {name for key in ("lookup_double", "lookup_planet")
              for record in golden_table[key] for name in record[-1]}
-    # lookup_planet's _locate nudges fire at no golden record; the knot tests
-    # on single-entry tables hold them (test_evaluate.py)
+    # lookup_planet's fold fires at no golden record; the tests of the wrap
+    # row and of each interval's end hold it (test_evaluate.py)
     assert fired == {"wrap180", "renormalize"}
 
 
@@ -280,27 +280,35 @@ def _executed(query, inputs):
     return executed
 
 
-@pytest.mark.parametrize("mode", ["table", "direct"])
+@pytest.mark.parametrize("mode", ["table", "direct", "heliocentric"])
 def test_the_tally_is_the_arithmetic_the_interpreter_runs(mode, dataset, default_tables):
-    # bench's stream at seed 0. Every row is derived and every orbit frame
+    # bench's stream at seed 0, over the single-entry tables' six bodies for
+    # heliocentric queries. Every row is derived and every orbit frame
     # cached first (the counted pass fetches each), since both are compile
     # work that no query's tally holds.
-    planets = sorted(default_tables.double)
+    planets = sorted(default_tables.single if mode == "heliocentric" else default_tables.double)
     rng = random.Random(0)
     queries = [(planets[i % len(planets)], 2451545.0 + rng.uniform(-36525.0, 36525.0))
                for i in range(200)]
     for table in default_tables.double.values():
         for iu in range(table.n_u):
             table.cells[iu]
-    counted = [counted_query(mode, planet, jd, dataset=dataset, tables=default_tables)[1]
-               for planet, jd in queries]
-    if mode == "table":
-        executed = _executed(lambda planet, jd: geocentric_at_table(default_tables, planet, jd),
-                             queries)
+    plain = {
+        "table": lambda planet, jd: geocentric_at_table(default_tables, planet, jd),
+        "direct": lambda planet, jd: geocentric_at(dataset[planet], dataset["earth"], jd),
+        "heliocentric": lambda planet, jd: heliocentric_at_table(default_tables, planet, jd),
+    }[mode]
+    if mode == "heliocentric":
+        counted = [OpCounter() for _ in queries]
+        for c, (planet, jd) in zip(counted, queries):
+            twin("heliocentric_at_table")(c, default_tables, planet, jd)
     else:
-        executed = _executed(lambda planet, jd: geocentric_at(dataset[planet], dataset["earth"], jd),
-                             queries)
+        counted = [counted_query(mode, planet, jd, dataset=dataset, tables=default_tables)[1]
+                   for planet, jd in queries]
+    executed = _executed(plain, queries)
     assert executed == [(c.adds + c.muls, c.transcendental_calls) for c in counted]
+    if mode != "direct":
+        assert {calls for _, calls in executed} == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +342,7 @@ def test_tally_rules():
 
     plain, counted = _derive(
         "def f(t, i):\n"
-        "    row = t.rows[i]\n"  # a fetch from .rows
+        "    row = t.rows[i]\n"  # a subscript of an attribute but .cells is free
         "    cell = t.cells[i][i + 1]\n"  # one fetch, however deep the index
         "    pair = (row, cell)\n"
         "    return pair[0][0] + cell[1]\n"  # local tuple subscripts are free
@@ -342,11 +350,11 @@ def test_tally_rules():
     t = SimpleNamespace(rows=[(1.0, 2.0)] * 3, cells=[[(3.0, 4.0)] * 3] * 3)
     c = OpCounter()
     assert counted(c, t, 1) == plain(t, 1) == 5.0
-    assert [*_tally(c), c.row_accesses] == [1, 0, 0, 2]
+    assert [*_tally(c), c.row_accesses] == [1, 0, 0, 1]
     merged = OpCounter()
     merged.merge(first)
     merged.merge(c)
-    assert [*_tally(merged), merged.row_accesses, merged.total_ops()] == [6, 3, 2, 2, 13]
+    assert [*_tally(merged), merged.row_accesses, merged.total_ops()] == [6, 3, 2, 1, 12]
 
 
 _EARLY_EXITS = (
@@ -476,10 +484,10 @@ def test_import_does_not_derive():
     env = dict(os.environ, PYTHONPATH=str(Path(urania.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    # a counted table query derives only the twins of evaluate and of angles,
-    # whose normalize_deg lookup_planet calls; a counted direct query then
-    # derives the direct chain's, each module after those it calls
-    assert out.stdout.split() == ["0", "0", "angles,evaluate", "angles,evaluate,kepler,geocentric"]
+    # a counted table query derives only evaluate's twins, which call no
+    # other module's; a counted direct query then derives the direct
+    # chain's, each module after those it calls
+    assert out.stdout.split() == ["0", "0", "evaluate", "evaluate,angles,kepler,geocentric"]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +526,7 @@ def test_counted_table_query_is_the_plain_path(default_tables, planet, jd):
     c = OpCounter()
     helio = twin("heliocentric_at_table")(c, default_tables, planet, jd)
     assert _bits(*helio) == _bits(*heliocentric_at_table(default_tables, planet, jd))
-    assert (c.transcendental_calls, c.row_accesses) == (0, 2)
+    assert (c.transcendental_calls, c.row_accesses) == (0, 1)
 
 
 def test_census_solver_calls_are_the_builders_solves(dataset, monkeypatch):

@@ -43,6 +43,8 @@ V3_TEXT = (
     "# body: proto,1.5,0.35,3.0,40.0,110.0,96.0,2451545.0\n"
     "# payload: floats=72 crc32=00000000\n"
 )
+# The header of a format v4 file: rows a step apart, the last interval shorter.
+V4_TEXT = V3_TEXT.replace("v3", "v4").replace("floats=72", "floats=48")
 
 
 def single_table(**overrides):
@@ -63,12 +65,8 @@ def written(tmp_path, table):
 
 
 def _bits(table):
-    """Every float of ``table``'s rows or knots as hex, so -0.0 != 0.0."""
-    if hasattr(table, "rows"):
-        values = [x for row in table.rows for x in tuple(row)]
-    else:
-        values = table.knots
-    return [float.hex(x) for x in values]
+    """Every float of ``table``'s cells or knots as hex, so -0.0 != 0.0."""
+    return [float.hex(x) for x in getattr(table, "knots", None) or table.cells]
 
 
 # a coplanar pair's cells hold signed zero latitudes, which must come back as stored
@@ -118,14 +116,14 @@ def test_write_is_deterministic(tmp_path):
 
 def test_version_mismatch(tmp_path):
     path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace("# urania-table v4\n", "# urania-table v99\n"))
+    edit_header(path, lambda text: text.replace("# urania-table v5\n", "# urania-table v99\n"))
     with pytest.raises(TableVersionError):
         read_table(path)
 
 
 def test_v1_file_asks_for_gen(tmp_path):
     path = tmp_path / "proto.single.tbl"
-    for text in (V1_TEXT, V2_TEXT, V3_TEXT):
+    for text in (V1_TEXT, V2_TEXT, V3_TEXT, V4_TEXT):
         path.write_text(text)
         with pytest.raises(TableVersionError, match="urania gen"):
             read_table(path)
@@ -201,13 +199,13 @@ def test_out_of_range_value_rejected(tmp_path):
             assert str(exc.value).startswith(f"{path}: ")
         assert lookup_grid(read, 3.0, 0.0) == table.knot(3, 0)
     bad_rows = [
-        ("nu_aph", 360.0, "nu_aph 360.0 is not in"),
-        ("r", -1.0, "r -1.0 is not positive"),
-        ("r", math.nan, "non-finite"),
+        (0, 360.0, "nu_aph 360.0 is not in"),
+        (2, -1.0, "r -1.0 is not positive"),
+        (2, math.nan, "non-finite"),
     ]
-    for field, value, message in bad_rows:
+    for block, value, message in bad_rows:
         table = single_table()
-        table.rows[5] = table.rows[5]._replace(**{field: value})
+        table.cells[block * table.n + 5] = value  # row 5's nu_aph or r
         with pytest.raises(TableParseError, match=message):
             read_table(written(tmp_path, table))
 
@@ -271,8 +269,7 @@ def test_deriving_every_row_checks_each_knot_row_once(clean_grid, monkeypatch, o
 def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
     # A row's knot is a direct-chain solve, defined below 2**36 days.
     path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace(",96.0,", ",1e307,").replace(
-        "# step: 4.0\n", "# step: 1.25e306\n"))
+    edit_header(path, lambda text: text.replace(",96.0,", ",1e307,"))
     with pytest.raises(TableParseError, match=r"invalid body header: .*P < 2\*\*36") as err:
         read_table(path)
     assert err.value.line == 4
@@ -282,35 +279,29 @@ def test_period_beyond_the_direct_chains_domain_is_rejected(tmp_path):
 
 def test_anomaly_that_does_not_increase_is_rejected(tmp_path):
     table = single_table()
-    fifth, sixth = table.rows[5], table.rows[6]
-    table.rows[5] = fifth._replace(nu_aph=sixth.nu_aph)
-    table.rows[6] = sixth._replace(nu_aph=fifth.nu_aph)
-    with pytest.raises(TableParseError, match="not strictly increasing"):
+    nu = table.cells  # its first block is each row's nu_aph
+    nu[5], nu[6] = nu[6], nu[5]
+    with pytest.raises(TableParseError, match="not strictly increasing between rows 5 and 6"):
         read_table(written(tmp_path, table))
     # every row a little ahead, and half a degree past a turn in all
-    table.rows[:] = [row._replace(nu_aph=k * 360.5 / 23 % 360.0) for k, row in enumerate(table.rows)]
+    nu[:24] = array("d", (k * 360.5 / 23 % 360.0 for k in range(24)))
     with pytest.raises(TableParseError, match="spans a full revolution"):
         read_table(written(tmp_path, table))
     # every row a little ahead, and a quarter turn in all: the last row's
     # advance to row 0, one period on, runs backwards
-    table.rows[:] = [row._replace(nu_aph=k * 90.0 / 24) for k, row in enumerate(table.rows)]
-    with pytest.raises(TableParseError, match="not strictly increasing between t=92.0 and t=96.0"):
+    nu[:24] = array("d", (k * 90.0 / 24 for k in range(24)))
+    with pytest.raises(TableParseError, match="not strictly increasing between rows 23 and 0"):
         read_table(written(tmp_path, table))
 
 
-def test_step_header_passes_the_compilers_check(tmp_path):
-    path = written(tmp_path, single_table())  # P = 96, so step <= 12
-    edit_header(path, lambda text: text.replace("# step: 4.0\n", "# step: 12.5\n"))
-    with pytest.raises(TableParseError, match="P/8") as err:
+@pytest.mark.parametrize("rows", ["7", "1048577", "0", "+24", "2_4", "24.0", "\u0662\u0664"])
+def test_a_rows_header_the_compiler_cannot_give_is_refused(tmp_path, rows):
+    # a step within [P/2**20, P/8] gives 8 to 2**20 rows, spelt in ASCII digits
+    path = written(tmp_path, single_table())
+    edit_header(path, lambda text: text.replace("# rows: 24\n", f"# rows: {rows}\n"))
+    with pytest.raises(TableParseError, match=r"invalid rows header: .*8 to 2\*\*20 rows") as err:
         read_table(path)
     assert err.value.line == 3
-
-
-def test_step_header_below_the_row_bound_is_a_parse_error(tmp_path):
-    path = written(tmp_path, single_table())
-    edit_header(path, lambda text: text.replace("# step: 4.0\n", "# step: 5e-324\n"))
-    with pytest.raises(TableParseError, match="P/2"):
-        read_table(path)
 
 
 @pytest.mark.parametrize("build", [single_table, double_table], ids=["single", "double"])
@@ -326,7 +317,7 @@ def test_a_body_row_with_extra_columns_is_refused_at_read(tmp_path, build):
     assert err.value.line == 4
 
 
-@pytest.mark.parametrize("key, first", [("kind", 2), ("step", 3), ("body", 4)])
+@pytest.mark.parametrize("key, first", [("kind", 2), ("rows", 3), ("body", 4)])
 def test_a_repeated_header_key_is_refused(tmp_path, key, first):
     # a key given twice is refused, even with the same value
     path = written(tmp_path, single_table())
@@ -343,10 +334,10 @@ def test_a_repeated_header_key_is_refused(tmp_path, key, first):
 
 def test_a_body_too_fast_for_the_motion_stencil_is_refused_at_read(tmp_path):
     # at e = 0.9 the body sweeps 180 degrees in 1.8 days around perihelion,
-    # under the 4-day step, so the step line is at fault
+    # under the 4-day spacing of its 24 rows, so the rows line is at fault
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: text.replace("proto,1.5,0.35,", "proto,1.5,0.9,"))
-    with pytest.raises(TableParseError, match="invalid step header: proto: sweeps 180") as err:
+    with pytest.raises(TableParseError, match="invalid rows header: proto: sweeps 180") as err:
         read_table(path)
     assert err.value.line == 3
 
@@ -392,9 +383,9 @@ def test_unknown_header_keys_ignored(tmp_path):
 def test_missing_mandatory_key(tmp_path):
     path = written(tmp_path, single_table())
     edit_header(path, lambda text: "".join(
-        line for line in text.splitlines(True) if not line.startswith("# step:")
+        line for line in text.splitlines(True) if not line.startswith("# rows:")
     ))
-    with pytest.raises(TableParseError, match="step"):
+    with pytest.raises(TableParseError, match="missing mandatory header key 'rows'"):
         read_table(path)
     edit_header(path, lambda text: text.replace("# kind: single", "# kind: triple"))
     with pytest.raises(TableParseError, match="unknown table kind 'triple'"):

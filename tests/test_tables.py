@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -17,7 +18,7 @@ from urania import (
 )
 from urania import tables
 from urania.kepler import heliocentric_xyz, orbit_frame
-from urania.tableio import row_count
+from urania.tables import row_count
 
 
 # ---------------------------------------------------------------------------
@@ -28,59 +29,51 @@ from urania.tableio import row_count
 def test_circular_orbit_has_uniform_motion():
     el = make_el(e=0.0, P=128.0)
     table = build_planet_table(el, 2.0)
-    rate = 360.0 / el.P
-    for row in table.rows:
-        assert row.motion_per_day == pytest.approx(rate, abs=1e-9)
-        assert row.nu_aph == pytest.approx((rate * row.t) % 360.0, abs=1e-9)
+    n, rate = table.n, 360.0 / el.P
+    for k, (nu, _) in enumerate(table.rows):
+        assert table.cells[n + k] / table.du == pytest.approx(rate, abs=1e-9)  # nu_u per day
+        assert nu == pytest.approx((rate * k * table.du) % 360.0, abs=1e-9)
 
 
 def test_aphelion_row_is_exact():
     for e in (0.0, 0.2, 0.7):
         el = make_el(e=e)
         table = build_planet_table(el, el.P / 16.0)
-        first = table.rows[0]
-        assert first.t == 0.0
-        assert first.nu_aph == 0.0
-        assert first.r == el.a * (1.0 + e)
+        assert table.rows[0] == (0.0, el.a * (1.0 + e))
 
 
 def test_rows_match_direct_chain_exactly(dataset):
     mars = dataset["mars"]
     table = build_planet_table(mars, 1.0)
-    # the last row's motion runs to row 0, one period on
-    ahead = table.rows[1:] + [table.rows[0]._replace(t=mars.P)]
-    for row, nxt in list(zip(table.rows, ahead))[::97] + [(table.rows[-1], ahead[-1])]:
-        nu, r = position_since_aphelion(mars, row.t)
-        assert (nu, r) == (row.nu_aph, row.r)
-        assert row.motion_per_day == wrap_diff_deg(nxt.nu_aph, row.nu_aph) / (nxt.t - row.t)
+    n, rows = table.n, table.rows
+    # each cell's differences run to the next row, the last row's to row 0
+    for k in [*range(0, n, 97), n - 1]:
+        assert position_since_aphelion(mars, k * table.du) == rows[k]
+        (nu, r), (nu_next, r_next) = rows[k], rows[(k + 1) % n]
+        assert table.cells[k::n] == array("d", (nu, wrap_diff_deg(nu_next, nu), r, r_next - r))
 
 
 def test_row_grid_and_counts():
     el = make_el(P=100.0)
     table = build_planet_table(el, 3.0)
-    assert len(table.rows) == row_count(el.P, 3.0) == 34
-    assert row_count(10.0, 0.8333333333333333) == 12  # P/step rounds up, and ceil overshoots
-    for k, row in enumerate(table.rows):
-        assert row.t == k * 3.0
-    assert table.rows[-1].t < el.P
+    assert table.n == len(table.rows) == row_count(el.P, 3.0) == 34
+    assert table.du == el.P / 34 < 3.0
+    # P/step rounds up here, and ceil overshoots: one row more, a shorter spacing
+    assert row_count(10.0, 0.8333333333333333) == 13
+    assert len(table.cells) == 4 * table.n
 
 
 def test_monotone_anomaly_and_positive_motion(dataset):
     table = build_planet_table(dataset["mercury"], 1.0)
-    unwrapped = [table.rows[0].nu_aph]
-    for prev, cur in zip(table.rows, table.rows[1:]):
-        advance = wrap_diff_deg(cur.nu_aph, prev.nu_aph)
+    n, rows = table.n, table.rows
+    unwrapped = [rows[0][0]]
+    for k in range(1, n):
+        advance = wrap_diff_deg(rows[k][0], rows[k - 1][0])
         assert advance > 0.0
-        assert cur.motion_per_day > 0.0
+        assert table.cells[n + k] > 0.0
         unwrapped.append(unwrapped[-1] + advance)
     assert unwrapped[0] == 0.0
     assert unwrapped[-1] < 360.0
-
-
-def test_motion_per_hour_is_exact_division(dataset):
-    table = build_planet_table(dataset["venus"], 1.0)
-    for row in table.rows:
-        assert row.motion_per_hour == row.motion_per_day / 24.0
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, 100.0, math.nan])
@@ -93,7 +86,7 @@ def test_step_validation(step):
 def test_step_boundary_allows_eight_rows():
     el = make_el(P=160.0)
     table = build_planet_table(el, 20.0)
-    assert len(table.rows) == 8
+    assert table.n == 8 and table.du == 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +209,15 @@ def test_tables_refuse_a_body_too_fast_for_the_motion_stencil(monkeypatch):
         compile_plan(bodies, bodies, 1.0, None)
     with pytest.raises(DomainError, match="sweeps 180 degrees"):
         build_planet_table(fast, limit)
-    assert build_planet_table(fast, math.nextafter(limit, 0.0)).rows[1].motion_per_day > 0.0
+    near = build_planet_table(fast, math.nextafter(limit, 0.0))
+    assert min(near.cells[near.n:2 * near.n]) > 0.0
     # a circular orbit takes P/4 to sweep 90 degrees, more than half of any step P/8 allows
-    assert len(build_planet_table(make_el(e=0.0, P=2.0), 0.25).rows) == 8
-    # the row function's own guard refuses the wrapped advance: at a 2-day
-    # step the rows at 14 and 16 days straddle perihelion, at 15
+    assert build_planet_table(make_el(e=0.0, P=2.0), 0.25).n == 8
+    # the cell derivation's own guard refuses the wrapped advance: at a
+    # 2-day step rows 7 and 8, at 14 and 16 days, straddle perihelion, at 15
     monkeypatch.setattr(tables, "_check_single", lambda el, step: None)
     with pytest.raises(DomainError, match="fast: true anomaly not strictly increasing between "
-                                          "t=14.0 and t=16.0"):
+                                          "rows 7 and 8"):
         build_planet_table(fast, 2.0)
 
 
